@@ -198,6 +198,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.ring_capacity),
               static_cast<unsigned long long>(stats.rejected),
               static_cast<unsigned long long>(drained_alerts));
+  std::printf("         %llu worker parks, %llu wakeups\n",
+              static_cast<unsigned long long>(stats.worker_parks),
+              static_cast<unsigned long long>(stats.worker_wakeups));
 
   std::ostringstream json;
   json << "{\n"
@@ -214,6 +217,8 @@ int main(int argc, char** argv) {
        << ", \"rejected\": " << stats.rejected
        << ", \"max_ring_depth\": " << stats.max_ring_depth
        << ", \"ring_capacity\": " << stats.ring_capacity
+       << ", \"worker_parks\": " << stats.worker_parks
+       << ", \"worker_wakeups\": " << stats.worker_wakeups
        << ", \"queue_alerts_drained\": " << drained_alerts << "},\n"
        << "  \"ring_depth_histogram_log2\": [";
   for (std::size_t i = 0; i < depth_histogram.size(); ++i) {

@@ -44,6 +44,8 @@ util::TextTable DaemonStats::to_table() const {
   row("shards", shards);
   row("ring_capacity", ring_capacity);
   row("max_ring_depth", max_ring_depth);
+  row("worker_parks", worker_parks);
+  row("worker_wakeups", worker_wakeups);
   row("queue_pending", queue_pending);
   row("queue_posted", queue_posted);
   return table;

@@ -42,6 +42,8 @@ struct DaemonStats {
   std::uint64_t shards = 0;
   std::uint64_t ring_capacity = 0;   ///< per-shard ingest ring slots
   std::uint64_t max_ring_depth = 0;  ///< high-water mark across shards
+  std::uint64_t worker_parks = 0;    ///< idle workers blocking on their wake epoch
+  std::uint64_t worker_wakeups = 0;  ///< parked workers woken by a submit
   std::uint64_t queue_pending = 0;   ///< DaemonAlerts awaiting drain
   std::uint64_t queue_posted = 0;    ///< DaemonAlerts posted, lifetime
 

@@ -291,13 +291,12 @@ bool LpmTrie::set_prefix(const net::Cidr& cidr, std::uint64_t enc,
       const std::uint32_t i1 = start + k;
       const std::uintptr_t v = root_[i1].load(std::memory_order_relaxed);
       if (v == target) continue;
-      if (is_ptr(v)) {
-        retire_subtree(reinterpret_cast<Node*>(v));
-      } else if (is_cover(v)) {
-        --covers_;
-      }
+      if (is_cover(v)) --covers_;
       if (target != kEmpty) ++covers_;
+      // Unlink before retiring: retire() may advance the epoch, and a reader
+      // pinned after that advance must no longer reach the old subtree.
       root_[i1].store(target, std::memory_order_release);
+      if (is_ptr(v)) retire_subtree(reinterpret_cast<Node*>(v));
       changed = true;
     }
     return changed;
@@ -320,15 +319,15 @@ bool LpmTrie::set_prefix(const net::Cidr& cidr, std::uint64_t enc,
       const std::uintptr_t v = node->slot[i2].load(std::memory_order_relaxed);
       if (v == target) continue;
       if (is_ptr(v)) {
-        Leaf* leaf = reinterpret_cast<Leaf*>(v);
-        host_entries_ -= leaf->blocked;
+        host_entries_ -= reinterpret_cast<Leaf*>(v)->blocked;
         --leaves_;
-        retire_leaf(leaf);
       } else if (is_cover(v)) {
         --covers_;
         if (v == kPermCover) --node->covered_perm;
       }
+      // Unlink before retiring (see the /16 loop above).
       node->slot[i2].store(target, std::memory_order_release);
+      if (is_ptr(v)) retire_leaf(reinterpret_cast<Leaf*>(v));
       if (v == kEmpty && target != kEmpty) ++node->nonempty;
       if (v != kEmpty && target == kEmpty) --node->nonempty;
       if (target != kEmpty) {

@@ -20,10 +20,13 @@ constexpr std::uint64_t kHostTag = 0x686f7374ULL;
 constexpr std::uint64_t kIpTag = 0x6970ULL;
 constexpr std::uint64_t kUserTag = 0x75736572ULL;
 
-// Idle-worker parking: a few yields, then micro-sleeps growing to this cap.
-// Bounds wake-up latency at ~1ms without a condvar on the submit path.
-constexpr unsigned kMaxParkMicros = 1000;
-constexpr unsigned kYieldRounds = 16;
+// Idle-worker spin: an idle worker keeps polling its ring, yielding between
+// polls, for about one park/wake round trip before it parks on its shard's
+// wake epoch. Bounded by time, not by poll count: a yield takes from a
+// fraction of a microsecond to a whole time slice depending on load. Dense
+// feeds mostly land inside the spin and cost the submitter no futex wake;
+// sparse ones park, so an idle daemon costs no CPU.
+constexpr std::chrono::microseconds kSpinBudget{25};
 
 }  // namespace
 
@@ -87,7 +90,14 @@ void DetectionDaemon::stop() {
     accepting_ = false;
   }
   drain_idle();
-  stop_.store(true, std::memory_order_release);
+  // seq_cst store before the epoch bumps: a worker whose ticket predates a
+  // bump returns from its wait; one whose ticket read the bump also sees
+  // stop_ in its post-park re-check.
+  stop_.store(true, std::memory_order_seq_cst);
+  for (auto& shard : shards_) {
+    shard->wake_epoch.fetch_add(1, std::memory_order_seq_cst);
+    shard->wake_epoch.notify_all();
+  }
   for (auto& worker : workers_) worker.join();
   workers_.clear();
   util::SimTime ts = 0;
@@ -130,24 +140,42 @@ void DetectionDaemon::broadcast_checkpoint(util::SimTime ts) {
     InOp op;
     op.is_checkpoint = true;
     op.checkpoint_ts = ts;
-    push_spin(*shard, std::move(op));
+    // Checkpoints are rare (one per eviction_check_every submits), so their
+    // wakes happen here under mu_ rather than being carried to the caller.
+    if (push_spin(*shard, std::move(op))) wake(*shard);
   }
 }
 
-void DetectionDaemon::push_spin(Shard& shard, InOp&& op) {
+bool DetectionDaemon::push_spin(Shard& shard, InOp&& op) {
   while (!shard.in.try_push(std::move(op))) {
     // The worker is behind (possibly stalled on a full outbound ring):
     // release verdicts so it can make progress, then let it run.
     pump();
     std::this_thread::yield();
   }
-  shard.pushed_entries.fetch_add(1, std::memory_order_release);
+  // Store→load pair of the eventcount: this seq_cst increment, then the
+  // seq_cst load of parked. The worker stores parked, then loads
+  // pushed_entries; at least one side sees the other, so a worker never
+  // sleeps on a pushed entry. The plain load keeps the RMW off the common
+  // path where the worker is awake; the exchange claims the wake once per
+  // park episode when several pushes race it.
+  shard.pushed_entries.fetch_add(1, std::memory_order_seq_cst);
+  return shard.parked.load(std::memory_order_seq_cst) &&
+         shard.parked.exchange(false, std::memory_order_seq_cst);
+}
+
+void DetectionDaemon::wake(Shard& shard) {
+  shard.wakeups.fetch_add(1, std::memory_order_relaxed);
+  // seq_cst: notify_one() skips the futex syscall when it reads no waiter
+  // registered, a load that must not pass this store.
+  shard.wake_epoch.fetch_add(1, std::memory_order_seq_cst);
+  shard.wake_epoch.notify_one();
 }
 
 SubmitResult DetectionDaemon::route(std::string_view host,
                                     const std::optional<net::Ipv4>& src,
                                     std::string_view user, alerts::AlertType type,
-                                    util::SimTime ts, InOp& op) {
+                                    util::SimTime ts, InOp& op, Shard*& to_wake) {
   if (!accepting_) return SubmitResult::kStopped;
   ensure_started();
   Shard& shard = *shards_[shard_of(host, src, user)];
@@ -155,7 +183,7 @@ SubmitResult DetectionDaemon::route(std::string_view host,
   // must be a pure no-op so the caller can retry the same alert without
   // double-counting. Worst case this alert needs one slot for itself plus
   // one for a broadcast checkpoint it triggers.
-  if (shard.in.free_slots() < 2) {
+  if (!shard.in.has_free_slots(2)) {
     shard.rejected.fetch_add(1, std::memory_order_relaxed);
     if (!shard.overflowed) {
       // Edge-triggered warning: one per overflow episode, not per reject.
@@ -187,46 +215,69 @@ SubmitResult DetectionDaemon::route(std::string_view host,
   }
   const std::uint64_t seq = alerts_kept_;
   op.seq = seq;
-  push_spin(shard, std::move(op));
+  if (push_spin(shard, std::move(op))) to_wake = &shard;
   // Publication order matters for the frontier: ring push, then the
   // shard's routed watermark, then last_seq_. pump() acquires last_seq_
   // first, so a frontier at seq always sees the routed store.
   shard.routed.store(seq, std::memory_order_release);
   last_seq_.store(seq, std::memory_order_release);
-  const auto depth = static_cast<std::uint64_t>(shard.in.size_approx());
-  if (depth > shard.max_depth.load(std::memory_order_relaxed)) {
-    shard.max_depth.store(depth, std::memory_order_relaxed);
+  // High-water mark: the worker's counter is read only when the cached
+  // bound climbs past the mark, not on every submit.
+  const std::uint64_t high = shard.max_depth.load(std::memory_order_relaxed);
+  if (shard.in.cached_size() > high) {
+    const auto depth = static_cast<std::uint64_t>(shard.in.refresh_size());
+    if (depth > high) shard.max_depth.store(depth, std::memory_order_relaxed);
   }
   return SubmitResult::kAccepted;
 }
 
+// The submit wrappers wake a parked target worker after mu_ is released,
+// so the futex syscall never lengthens the coordinator's critical section.
+
 SubmitResult DetectionDaemon::try_submit(const alerts::Alert& alert) {
-  util::LockGuard lock(mu_);
-  InOp op;
-  op.alert = alert;
-  return route(op.alert.host, op.alert.src, op.alert.user, op.alert.type, op.alert.ts,
-               op);
+  Shard* to_wake = nullptr;
+  SubmitResult result;
+  {
+    util::LockGuard lock(mu_);
+    InOp op;
+    op.alert = alert;
+    result = route(op.alert.host, op.alert.src, op.alert.user, op.alert.type,
+                   op.alert.ts, op, to_wake);
+  }
+  if (to_wake != nullptr) wake(*to_wake);
+  return result;
 }
 
 SubmitResult DetectionDaemon::try_submit(alerts::Alert&& alert) {
-  util::LockGuard lock(mu_);
-  InOp op;
-  op.alert = std::move(alert);
-  const SubmitResult result =
-      route(op.alert.host, op.alert.src, op.alert.user, op.alert.type, op.alert.ts, op);
-  // A rejected op was never pushed; hand the alert back for the retry.
-  if (result == SubmitResult::kRejected) alert = std::move(op.alert);
+  Shard* to_wake = nullptr;
+  SubmitResult result;
+  {
+    util::LockGuard lock(mu_);
+    InOp op;
+    op.alert = std::move(alert);
+    result = route(op.alert.host, op.alert.src, op.alert.user, op.alert.type,
+                   op.alert.ts, op, to_wake);
+    // A rejected op was never pushed; hand the alert back for the retry.
+    if (result == SubmitResult::kRejected) alert = std::move(op.alert);
+  }
+  if (to_wake != nullptr) wake(*to_wake);
   return result;
 }
 
 SubmitResult DetectionDaemon::try_submit(const alerts::AlertBatch& batch,
                                          std::size_t row) {
-  util::LockGuard lock(mu_);
-  InOp op;
-  op.batch = &batch;
-  op.row = row;
-  return route(batch.host[row], batch.src_at(row), batch.user[row], batch.type[row],
-               batch.ts[row], op);
+  Shard* to_wake = nullptr;
+  SubmitResult result;
+  {
+    util::LockGuard lock(mu_);
+    InOp op;
+    op.batch = &batch;
+    op.row = row;
+    result = route(batch.host[row], batch.src_at(row), batch.user[row], batch.type[row],
+                   batch.ts[row], op, to_wake);
+  }
+  if (to_wake != nullptr) wake(*to_wake);
+  return result;
 }
 
 SubmitResult DetectionDaemon::submit(alerts::Alert alert) {
@@ -254,22 +305,44 @@ void DetectionDaemon::on_alert(alerts::Alert&& alert) { submit(std::move(alert))
 // ---------------------------------------------------------------- workers
 
 void DetectionDaemon::worker_loop(std::size_t index, const Factories& factories) {
+  using Clock = std::chrono::steady_clock;
   Shard& shard = *shards_[index];
-  unsigned idle_rounds = 0;
+  // Start of the current idle spin; empty while busy. Only a worker that
+  // just drained work expects more soon: at start and after a wake that
+  // brought nothing, the spin counts as spent and the worker parks at once.
+  std::optional<Clock::time_point> idle_since = Clock::time_point{};
   for (;;) {
     if (drain_shard(shard, factories) != 0) {
-      idle_rounds = 0;
+      idle_since.reset();
       continue;
     }
     if (stop_.load(std::memory_order_acquire)) break;
-    idle_rounds = std::min(idle_rounds + 1, kYieldRounds + 20);
-    if (idle_rounds <= kYieldRounds) {
+    const auto now = Clock::now();
+    if (!idle_since) idle_since = now;
+    if (now - *idle_since < kSpinBudget) {
       std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          std::min(kMaxParkMicros, 50U * (idle_rounds - kYieldRounds))));
+      continue;
     }
+    park(shard);
+    idle_since = Clock::time_point{};
   }
+}
+
+void DetectionDaemon::park(Shard& shard) const {
+  // Eventcount: ticket first, then publish parked, then re-check. A wake
+  // claimed after the parked store bumps the epoch past the ticket, so the
+  // wait below returns even if the bump lands before it starts.
+  const std::uint32_t ticket = shard.wake_epoch.load(std::memory_order_acquire);
+  shard.parked.store(true, std::memory_order_seq_cst);
+  if (shard.pushed_entries.load(std::memory_order_seq_cst) ==
+          shard.finished_entries.load(std::memory_order_relaxed) &&
+      !stop_.load(std::memory_order_seq_cst)) {
+    shard.parks.fetch_add(1, std::memory_order_relaxed);
+    shard.wake_epoch.wait(ticket, std::memory_order_acquire);
+  }
+  // Covers the aborted park and a wake from stop(); a submitter's claim
+  // already cleared it.
+  shard.parked.store(false, std::memory_order_relaxed);
 }
 
 std::size_t DetectionDaemon::drain_shard(Shard& shard,
@@ -515,6 +588,8 @@ DetectionDaemon::Stats DetectionDaemon::stats() const {
     stats.tracked_entities += shard->entity_count.load(std::memory_order_relaxed);
     stats.max_ring_depth = std::max(stats.max_ring_depth,
                                     shard->max_depth.load(std::memory_order_relaxed));
+    stats.worker_parks += shard->parks.load(std::memory_order_relaxed);
+    stats.worker_wakeups += shard->wakeups.load(std::memory_order_relaxed);
   }
   {
     util::LockGuard lock(merge_mu_);

@@ -31,7 +31,10 @@
 // Thread roles:
 //   - submitters: any threads; serialized by mu_.
 //   - shard workers: one per shard, owned by the daemon; the only threads
-//     touching a shard's entity map.
+//     touching a shard's entity map. An idle worker yields briefly, then
+//     parks on its shard's wake epoch (a futex-backed eventcount); the
+//     submitter that routes the next entry to a parked shard wakes it once,
+//     after releasing mu_, and stop() wakes every shard before joining.
 //   - consumers: any threads; drain_alerts()/pump() serialize on merge_mu_.
 // Lock order is mu_ -> merge_mu_ (the coordinator pumps while waiting out
 // a full ring); nothing takes them in reverse.
@@ -203,16 +206,26 @@ class DetectionDaemon final : public alerts::AlertSink {
     // completed: last seq the worker finished (its outbound entries, if
     // any, were pushed before the store). pushed/finished count every ring
     // entry including checkpoints — equality means the shard is idle.
-    std::atomic<std::uint64_t> routed{0};
-    std::atomic<std::uint64_t> completed{0};
+    // Coordinator-written and worker-written counters sit on separate cache
+    // lines, so a submit does not wait on a line the worker just wrote.
+    alignas(64) std::atomic<std::uint64_t> routed{0};
     std::atomic<std::uint64_t> pushed_entries{0};
-    std::atomic<std::uint64_t> finished_entries{0};
-    std::atomic<std::uint64_t> checkpoints_applied{0};
     std::atomic<std::uint64_t> rejected{0};
-    std::atomic<std::uint64_t> evicted{0};
-    std::atomic<std::uint64_t> entity_count{0};
     std::atomic<std::uint64_t> max_depth{0};  ///< ingest ring high-water
     bool overflowed = false;  ///< coordinator-only: edge-triggers the alert
+    alignas(64) std::atomic<std::uint64_t> completed{0};
+    std::atomic<std::uint64_t> finished_entries{0};
+    std::atomic<std::uint64_t> checkpoints_applied{0};
+    std::atomic<std::uint64_t> evicted{0};
+    std::atomic<std::uint64_t> entity_count{0};
+    // Idle parking (docs/daemon.md, "Idle workers and wake-up"): the worker
+    // blocks in wake_epoch.wait() after publishing parked and re-checking
+    // pushed/finished; a submitter that sees parked after its push claims
+    // the wake with parked.exchange(false) and bumps the epoch.
+    alignas(64) std::atomic<std::uint32_t> wake_epoch{0};
+    std::atomic<bool> parked{false};
+    std::atomic<std::uint64_t> parks{0};    ///< blocking waits entered
+    std::atomic<std::uint64_t> wakeups{0};  ///< wakes issued by submitters
 
     Shard(std::size_t idx, std::size_t in_capacity, std::size_t out_capacity)
         : in(in_capacity), out(out_capacity), index(idx) {}
@@ -226,19 +239,28 @@ class DetectionDaemon final : public alerts::AlertSink {
   /// Shared coordinator step: capacity-check, count, filter, checkpoint,
   /// route. The capacity check happens before any state mutates, so a
   /// kRejected submit is a true no-op and the retry cannot double-count.
+  /// `to_wake` receives the target shard when its worker is parked; the
+  /// caller wakes it once mu_ is released.
   SubmitResult route(std::string_view host, const std::optional<net::Ipv4>& src,
                      std::string_view user, alerts::AlertType type, util::SimTime ts,
-                     InOp& op) AT_REQUIRES(mu_);
+                     InOp& op, Shard*& to_wake) AT_REQUIRES(mu_);
   void ensure_started() AT_REQUIRES(mu_);
   void broadcast_checkpoint(util::SimTime ts) AT_REQUIRES(mu_);
   /// Push that must not drop: spins, pumping the merge side, until the
   /// worker makes room. Coordinator-only (checkpoint broadcasts and the
   /// routed push after capacity was verified never need it to spin long).
-  void push_spin(Shard& shard, InOp&& op) AT_REQUIRES(mu_);
+  /// Returns true when this push claimed the wake of a parked worker; the
+  /// caller must then call wake(shard).
+  [[nodiscard]] bool push_spin(Shard& shard, InOp&& op) AT_REQUIRES(mu_);
+  /// Bump the shard's wake epoch and futex-wake its worker.
+  static void wake(Shard& shard);
 
   // Worker side. The factories table is frozen before workers start and is
   // passed by reference so no mu_-guarded member is read off-lock.
   void worker_loop(std::size_t index, const Factories& factories);
+  /// Block until the shard's wake epoch moves, unless work or stop_ shows
+  /// up after parked is published.
+  void park(Shard& shard) const;
   std::size_t drain_shard(Shard& shard, const Factories& factories);
   void process(Shard& shard, const Factories& factories, const alerts::Alert& alert,
                std::uint64_t seq) const;

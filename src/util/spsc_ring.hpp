@@ -50,12 +50,25 @@ class SpscRing {
     return true;
   }
 
-  /// Producer side: free slots right now (exact from the producer's view —
-  /// the consumer only ever makes more room).
-  [[nodiscard]] std::size_t free_slots() {
+  /// Producer side: true when at least `n` slots are free. Reads the
+  /// consumer's counter only when the cached copy says there is not enough
+  /// room, so a check that passes costs no cross-core traffic.
+  [[nodiscard]] bool has_free_slots(std::size_t n) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
+    if (slots_.size() - (head - cached_tail_) >= n) return true;
     cached_tail_ = tail_.load(std::memory_order_acquire);
-    return slots_.size() - (head - cached_tail_);
+    return slots_.size() - (head - cached_tail_) >= n;
+  }
+
+  /// Producer side: occupancy against the cached consumer counter — an
+  /// upper bound, since the consumer may have popped since. refresh_size()
+  /// makes it exact at the price of reading the consumer's counter.
+  [[nodiscard]] std::size_t cached_size() const {
+    return head_.load(std::memory_order_relaxed) - cached_tail_;
+  }
+  std::size_t refresh_size() {
+    cached_tail_ = tail_.load(std::memory_order_acquire);
+    return head_.load(std::memory_order_relaxed) - cached_tail_;
   }
 
   /// Consumer side: oldest entry, or nullptr when empty. The pointer stays

@@ -125,5 +125,57 @@ TEST(BhrConcurrent, ReadersRaceMutator) {
   }
 }
 
+// Prefix verbs that overwrite a populated /24 slot (a host leaf) or /16 root
+// (a node) retire the old cell. retire() may advance the epoch, so the cell
+// must be unlinked first: a reader pinned after that advance could
+// otherwise still load it, and the next retire's advance would free it
+// under the reader. Every round here takes both paths while readers hold
+// batch-long pins; TSan reports the free racing a reader's load.
+TEST(BhrConcurrent, PrefixOverwriteUnlinksBeforeRetire) {
+  bhr::BlackHoleRouter router;
+  std::atomic<bool> stop{false};
+  constexpr int kReaders = 3;
+  const net::Cidr net24(net::Ipv4(198, 18, 1, 0), 24);
+  const net::Cidr net16(net::Ipv4(198, 19, 0, 0), 16);
+
+  std::vector<net::Flow> flows;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    const auto octet = static_cast<std::uint8_t>(i);
+    flows.push_back(probe_from(net::Ipv4(198, 18, 1, octet).value()));
+    flows.push_back(probe_from(net::Ipv4(198, 19, octet, 7).value()));
+  }
+
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      std::vector<std::uint8_t> out(flows.size());
+      while (!stop.load(std::memory_order_acquire)) router.filter_batch(flows, out);
+    });
+  }
+
+  for (int round = 0; round < 2000; ++round) {
+    const util::SimTime now = round;
+    const auto octet = static_cast<std::uint8_t>(round);
+    // A host block builds a leaf inside the /24; the prefix unblock
+    // overwrites that slot and retires the leaf.
+    router.block(net::Ipv4(198, 18, 1, octet), now, 0, "host", "mutator");
+    router.unblock_prefix(net24, now, "mutator");
+    // A host block builds a node under the /16; the prefix block replaces
+    // the root entry with a cover and retires the node's subtree.
+    router.block(net::Ipv4(198, 19, octet, 7), now, 0, "host", "mutator");
+    router.block_prefix(net16, now, 0, "net", "mutator");
+    router.unblock_prefix(net16, now, "mutator");
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  std::vector<std::uint8_t> out(flows.size());
+  router.filter_batch(flows, out);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(out[i] != 0, router.is_blocked(flows[i].src, 0)) << "flow " << i;
+  }
+}
+
 }  // namespace
 }  // namespace at

@@ -2,12 +2,18 @@
 // emits lifecycle alerts and a verdict stream identical to the serial
 // AlertPipeline oracle; a slow consumer produces producer-side rejection
 // (bounded rings, edge-triggered overflow alerts) instead of unbounded
-// queueing; category masks drain selectively while preserving order; and
-// eviction checkpoints complete in ordinal order.
+// queueing; category masks drain selectively while preserving order;
+// eviction checkpoints complete in ordinal order; and idle workers parked on
+// their wake epoch are woken by every submit and by stop(), never losing a
+// wakeup (DaemonWake*, each under a watchdog so a lost wakeup fails instead
+// of hanging).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,6 +25,7 @@
 #include "detect/detector.hpp"
 #include "testbed/daemon.hpp"
 #include "testbed/pipeline.hpp"
+#include "util/rng.hpp"
 
 namespace at::testbed {
 namespace {
@@ -71,28 +78,11 @@ void add_detectors(auto& sink) {
   });
 }
 
-TEST(DaemonOracle, DrainedVerdictStreamMatchesSerialPipeline) {
-  const auto timeline = mixed_timeline();
-
-  bhr::BlackHoleRouter serial_router;
-  AlertPipeline serial(PipelineConfig{}, &serial_router);
-  add_detectors(serial);
-  for (const auto& alert : timeline) serial.on_alert(alert);
-
-  DaemonConfig config;
-  config.shards = 4;
-  config.ring_capacity = 16;  // small rings force real backpressure cycling
-  bhr::BlackHoleRouter router;
-  DetectionDaemon daemon(config, &router);
-  add_detectors(daemon);
-  for (const auto& alert : timeline) {
-    const SubmitResult result = daemon.submit(alert);
-    EXPECT_NE(result, SubmitResult::kRejected);  // blocking submit retries
-    EXPECT_NE(result, SubmitResult::kStopped);
-  }
-  daemon.drain_idle();
-
-  const auto verdicts = daemon.drain_alerts(alerts::DaemonAlert::kVerdict);
+/// The daemon's released verdicts and BHR audit trail against the serial
+/// pipeline's: same entries, same order, byte for byte.
+void expect_serial_stream(const std::vector<alerts::AlertQueue::Ptr>& verdicts,
+                          const AlertPipeline& serial, const bhr::BlackHoleRouter& router,
+                          const bhr::BlackHoleRouter& serial_router) {
   const auto& expected = serial.notifications();
   ASSERT_EQ(verdicts.size(), expected.size());
   std::uint64_t last_seq = 0;
@@ -123,12 +113,38 @@ TEST(DaemonOracle, DrainedVerdictStreamMatchesSerialPipeline) {
     EXPECT_EQ(audit[i].client, serial_audit[i].client);
     EXPECT_EQ(audit[i].ok, serial_audit[i].ok);
   }
+}
+
+TEST(DaemonOracle, DrainedVerdictStreamMatchesSerialPipeline) {
+  const auto timeline = mixed_timeline();
+
+  bhr::BlackHoleRouter serial_router;
+  AlertPipeline serial(PipelineConfig{}, &serial_router);
+  add_detectors(serial);
+  for (const auto& alert : timeline) serial.on_alert(alert);
+
+  DaemonConfig config;
+  config.shards = 4;
+  config.ring_capacity = 16;  // small rings force real backpressure cycling
+  bhr::BlackHoleRouter router;
+  DetectionDaemon daemon(config, &router);
+  add_detectors(daemon);
+  for (const auto& alert : timeline) {
+    const SubmitResult result = daemon.submit(alert);
+    EXPECT_NE(result, SubmitResult::kRejected);  // blocking submit retries
+    EXPECT_NE(result, SubmitResult::kStopped);
+  }
+  daemon.drain_idle();
+
+  expect_serial_stream(daemon.drain_alerts(alerts::DaemonAlert::kVerdict), serial,
+                       router, serial_router);
 
   // One BhrActionAlert per block call, all marked accepted/refused as the
   // router reported.
   const auto actions = daemon.drain_alerts(alerts::DaemonAlert::kBhr);
-  EXPECT_EQ(actions.size(), audit.size());
+  EXPECT_EQ(actions.size(), router.audit_log().size());
 
+  const auto& expected = serial.notifications();
   const auto stats = daemon.stats();
   EXPECT_EQ(stats.submitted, serial.alerts_in());
   EXPECT_EQ(stats.kept, serial.alerts_after_filter());
@@ -287,6 +303,209 @@ TEST(DaemonSubmit, PeriodicScanRepeatsAreFiltered) {
   EXPECT_EQ(stats.submitted, 2u);
   EXPECT_EQ(stats.kept, 1u);
   EXPECT_EQ(stats.filtered, 1u);
+}
+
+/// Aborts the test binary if the guarded scope outlives `limit`: a lost
+/// wakeup would otherwise block drain_idle() or stop() forever and hang the
+/// whole run instead of failing one test.
+class Watchdog {
+ public:
+  Watchdog(const char* what, std::chrono::seconds limit)
+      : thread_([this, what, limit] {
+          const auto deadline = std::chrono::steady_clock::now() + limit;
+          while (!done_.load(std::memory_order_acquire)) {
+            if (std::chrono::steady_clock::now() > deadline) {
+              std::fprintf(stderr, "watchdog: %s still running after %llds (lost wakeup?)\n",
+                           what, static_cast<long long>(limit.count()));
+              std::abort();
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          }
+        }) {}
+  ~Watchdog() {
+    done_.store(true, std::memory_order_release);
+    thread_.join();
+  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+ private:
+  std::atomic<bool> done_{false};
+  std::thread thread_;  ///< declared last: starts once done_ exists
+};
+
+/// Generous enough for a sanitizer build on a loaded runner; a healthy run
+/// of any DaemonWake test takes well under a second.
+constexpr std::chrono::seconds kWatchdogLimit{60};
+
+/// Poll until `done()`; the enclosing test's watchdog bounds the wait.
+template <typename Pred>
+void wait_until(Pred done) {
+  while (!done()) std::this_thread::sleep_for(std::chrono::microseconds(200));
+}
+
+void append(std::vector<alerts::AlertQueue::Ptr>& into,
+            std::vector<alerts::AlertQueue::Ptr> batch) {
+  for (auto& alert : batch) into.push_back(std::move(alert));
+}
+
+/// Every alert reaches a shard whose worker has parked, so each needs a
+/// wakeup; a lost one hangs drain_idle() and trips the watchdog. With
+/// checkpoints off nothing else moves a wake epoch, so the park and wake
+/// counters are exact.
+TEST(DaemonWake, TrickleToParkedWorkersMatchesSerialPipeline) {
+  const Watchdog watchdog("DaemonWake.TrickleToParkedWorkers", kWatchdogLimit);
+  PipelineConfig pipeline;
+  pipeline.entity_idle_ttl = 0;
+  const auto external = net::Ipv4::parse("203.0.113.7");
+  std::vector<alerts::Alert> trickle;
+  for (int i = 0; i < 200; ++i) {
+    // Execution-stage and later types: the scan filter keeps every one.
+    static constexpr alerts::AlertType kTypes[] = {
+        alerts::AlertType::kNewBinaryExecuted, alerts::AlertType::kCompileSource,
+        alerts::AlertType::kRootBackdoorInstalled, alerts::AlertType::kLogTampering};
+    const auto type = kTypes[i % 4];
+    const bool sourced = i % 2 == 0;
+    trickle.push_back(make_alert(10 + i * 7, type, "pg-" + std::to_string(i % 13),
+                                 sourced ? std::optional(external) : std::nullopt));
+  }
+
+  bhr::BlackHoleRouter serial_router;
+  AlertPipeline serial(pipeline, &serial_router);
+  add_detectors(serial);
+  for (const auto& alert : trickle) serial.on_alert(alert);
+
+  DaemonConfig config;
+  config.pipeline = pipeline;
+  config.shards = 3;
+  bhr::BlackHoleRouter router;
+  DetectionDaemon daemon(config, &router);
+  add_detectors(daemon);
+  daemon.start();
+  wait_until([&] { return daemon.stats().worker_parks == config.shards; });
+
+  std::vector<alerts::AlertQueue::Ptr> verdicts;
+  for (const auto& alert : trickle) {
+    const std::uint64_t parks = daemon.stats().worker_parks;
+    ASSERT_EQ(daemon.try_submit(alert), SubmitResult::kAccepted);
+    daemon.drain_idle();
+    append(verdicts, daemon.drain_alerts(alerts::DaemonAlert::kVerdict));
+    // The woken worker parks again; the other shards never woke.
+    wait_until([&] { return daemon.stats().worker_parks > parks; });
+  }
+  expect_serial_stream(verdicts, serial, router, serial_router);
+
+  const auto stats = daemon.stats();
+  EXPECT_EQ(stats.worker_wakeups, trickle.size());
+  EXPECT_EQ(stats.worker_parks, config.shards + trickle.size());
+}
+
+TEST(DaemonWake, StopWhileParkedJoinsPromptly) {
+  const Watchdog watchdog("DaemonWake.StopWhileParked", kWatchdogLimit);
+  DaemonConfig config;
+  config.shards = 3;
+  DetectionDaemon daemon(config, nullptr);
+  add_detectors(daemon);
+  daemon.start();
+  wait_until([&] { return daemon.stats().worker_parks == config.shards; });
+  ASSERT_EQ(daemon.try_submit(make_alert(5, alerts::AlertType::kLoginFailure, "pg-1")),
+            SubmitResult::kAccepted);
+  daemon.drain_idle();
+  wait_until([&] { return daemon.stats().worker_parks == config.shards + 1; });
+
+  // Every worker is blocked on its wake epoch; only stop()'s broadcast can
+  // release them for the join.
+  const auto begin = std::chrono::steady_clock::now();
+  daemon.stop();
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  EXPECT_FALSE(daemon.running());
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+
+  const auto snapshots = daemon.drain_alerts(alerts::DaemonAlert::kStats);
+  ASSERT_EQ(snapshots.size(), 1u);
+  const auto& snapshot = static_cast<const alerts::StatsAlert&>(*snapshots.front());
+  EXPECT_EQ(snapshot.stats.worker_wakeups, 1u);  // stop()'s wakes are not counted
+  EXPECT_EQ(snapshot.stats.worker_parks, config.shards + 1);
+}
+
+/// Seeded pause between two submits: none, a few yields, a busy-wait or a
+/// sleep, so submits land at every point of a worker's idle cycle.
+void jitter(util::Rng& rng) {
+  const double roll = rng.uniform();
+  if (roll < 0.4) return;
+  if (roll < 0.6) {
+    for (auto n = rng.uniform_int(1, 20); n > 0; --n) std::this_thread::yield();
+  } else if (roll < 0.9) {
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::microseconds(rng.uniform_int(1, 60));
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  } else {
+    std::this_thread::sleep_for(std::chrono::microseconds(rng.uniform_int(50, 400)));
+  }
+}
+
+std::vector<alerts::Alert> random_timeline(util::Rng& rng, std::size_t n) {
+  static constexpr alerts::AlertType kTypes[] = {
+      alerts::AlertType::kLoginFailure, alerts::AlertType::kPortScan,
+      alerts::AlertType::kNewBinaryExecuted, alerts::AlertType::kRemoteCodeExec,
+      alerts::AlertType::kLoginSuccess};
+  const net::Ipv4 sources[] = {net::Ipv4::parse("203.0.113.7"),
+                               net::Ipv4::parse("198.51.100.9"),
+                               net::Ipv4::parse("192.0.2.44")};
+  std::vector<alerts::Alert> timeline;
+  util::SimTime ts = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    ts += rng.uniform_int(1, 12);
+    const auto type = kTypes[rng.uniform_int(0, 4)];
+    const auto src = sources[rng.uniform_int(0, 2)];
+    if (rng.bernoulli(0.2)) {
+      timeline.push_back(make_alert(ts, type, "", src));
+    } else {
+      timeline.push_back(make_alert(ts, type, "pg-" + std::to_string(rng.uniform_int(0, 29)),
+                                    rng.bernoulli(0.5) ? std::optional(src) : std::nullopt));
+    }
+  }
+  return timeline;
+}
+
+/// Small rings and frequent checkpoint broadcasts add the full-ring spin and
+/// the checkpoint wakes to the race.
+TEST(DaemonWake, JitteredSubmitsRaceTheParkPointAndMatchOracle) {
+  const Watchdog watchdog("DaemonWake.JitteredSubmits", kWatchdogLimit);
+  PipelineConfig pipeline;
+  pipeline.entity_idle_ttl = 40;
+  pipeline.eviction_check_every = 16;
+  for (const std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    const auto timeline = random_timeline(rng, 1500);
+
+    bhr::BlackHoleRouter serial_router;
+    AlertPipeline serial(pipeline, &serial_router);
+    add_detectors(serial);
+    for (const auto& alert : timeline) serial.on_alert(alert);
+
+    DaemonConfig config;
+    config.pipeline = pipeline;
+    config.shards = 3;
+    config.ring_capacity = 16;
+    bhr::BlackHoleRouter router;
+    DetectionDaemon daemon(config, &router);
+    add_detectors(daemon);
+    std::vector<alerts::AlertQueue::Ptr> verdicts;
+    for (const auto& alert : timeline) {
+      ASSERT_NE(daemon.submit(alert), SubmitResult::kStopped);
+      jitter(rng);
+      if (rng.bernoulli(0.05)) {
+        append(verdicts, daemon.drain_alerts(alerts::DaemonAlert::kVerdict));
+      }
+    }
+    daemon.drain_idle();
+    append(verdicts, daemon.drain_alerts(alerts::DaemonAlert::kVerdict));
+    expect_serial_stream(verdicts, serial, router, serial_router);
+    EXPECT_GT(daemon.stats().worker_wakeups, 0u);
+  }
 }
 
 TEST(AlertQueueMask, SelectiveDrainPreservesResidualOrder) {

@@ -1,7 +1,7 @@
 // util::SpscRing: bounded single-producer single-consumer ring. Capacity
-// rounding, full/empty edges, move-only payloads (try_push must leave the
-// value untouched on refusal), FIFO order across wrap-around, and a
-// two-thread stress run.
+// rounding, full/empty edges, the producer's cached view of the consumer,
+// move-only payloads (try_push must leave the value untouched on refusal),
+// FIFO order across wrap-around, and a two-thread stress run.
 
 #include <gtest/gtest.h>
 
@@ -30,14 +30,35 @@ TEST(SpscRingTest, FullRefusesAndEmptyHasNoFront) {
   EXPECT_EQ(ring.front(), nullptr);
   EXPECT_EQ(ring.size_approx(), 0u);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(ring.free_slots(), 4u - static_cast<std::size_t>(i));
+    const auto free = 4u - static_cast<std::size_t>(i);
+    EXPECT_TRUE(ring.has_free_slots(free));
+    EXPECT_FALSE(ring.has_free_slots(free + 1));
     EXPECT_TRUE(ring.try_push(int(i)));
   }
-  EXPECT_EQ(ring.free_slots(), 0u);
+  EXPECT_FALSE(ring.has_free_slots(1));
   EXPECT_FALSE(ring.try_push(99));
   EXPECT_EQ(ring.size_approx(), 4u);
   ASSERT_NE(ring.front(), nullptr);
   EXPECT_EQ(*ring.front(), 0);
+}
+
+// The producer's cached view of the consumer lags pops until something
+// refreshes it: cached_size() stays an upper bound, has_free_slots()
+// refreshes only when the cached view says the room is not there.
+TEST(SpscRingTest, ProducerViewRefreshesOnlyWhenShort) {
+  SpscRing<int> ring(4);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.try_push(int(i)));
+  ring.pop();
+  ring.pop();
+  EXPECT_EQ(ring.size_approx(), 2u);
+  EXPECT_EQ(ring.cached_size(), 4u);  // pops not seen yet
+  EXPECT_TRUE(ring.has_free_slots(2));  // short on the cached view: refreshes
+  EXPECT_EQ(ring.cached_size(), 2u);
+  ring.pop();
+  EXPECT_TRUE(ring.has_free_slots(2));  // enough room cached: no refresh
+  EXPECT_EQ(ring.cached_size(), 2u);
+  EXPECT_EQ(ring.refresh_size(), 1u);
+  EXPECT_EQ(ring.cached_size(), 1u);
 }
 
 TEST(SpscRingTest, RefusedPushLeavesMoveOnlyValueIntact) {

@@ -18,7 +18,8 @@
 #   5. sanitizers          build-asan/      AT_SANITIZE=address,undefined,
 #                          then the zeeklog/fg gtest suites under ASan+UBSan;
 #                          build-tsan/      AT_SANITIZE=thread, then the
-#                          epoch-reclamation + concurrent-BHR suites
+#                          epoch-reclamation, concurrent-BHR and daemon
+#                          suites
 
 set -euo pipefail
 
@@ -101,16 +102,17 @@ else
       --gtest_filter='ZeekLog*:ZeeklogMalformed*:BpTest*:ChainTest*:EnumerateTest*:FactorGraphTest*:ModelTest*:IncrementalBp*:EntityBatchBp*' \
     || fail "sanitized tests"
 
-  echo "=== [5/5] TSan: epoch reclamation + concurrent BHR readers ==="
-  # The lock-free read path's race coverage: a missing acquire/release edge
-  # in the trie's COW publishes or the epoch pin protocol shows up here.
+  echo "=== [5/5] TSan: epoch reclamation + concurrent BHR readers + daemon ==="
+  # The lock-free paths' race coverage: a missing acquire/release edge in
+  # the trie's COW publishes, the epoch pin protocol, the daemon's rings and
+  # frontier, or its worker park/wake protocol shows up here.
   cmake -B build-tsan -S . -DAT_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build build-tsan -j "$JOBS" --target at_tests > /dev/null \
     || fail "tsan build"
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/at_tests \
-      --gtest_filter='Epoch*:BhrConcurrent*:LpmTrie*' \
+      --gtest_filter='Epoch*:BhrConcurrent*:LpmTrie*:SpscRing*:Daemon*:AlertQueue*:*ShardedDeterminism*' \
     || fail "tsan tests"
 fi
 
