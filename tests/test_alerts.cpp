@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "alerts/sanitizer.hpp"
 #include "alerts/symbolizer.hpp"
 #include "alerts/taxonomy.hpp"
@@ -139,6 +141,11 @@ struct SymbolCase {
   const char* line;
   AlertType expected;
 };
+
+// Prints the expected symbol: the default printer dumps the case's raw bytes,
+// pointer included, and that dump names the test, so the name would change
+// from run to run.
+void PrintTo(const SymbolCase& c, std::ostream* os) { *os << symbol(c.expected); }
 
 class SymbolizerPatterns : public ::testing::TestWithParam<SymbolCase> {};
 

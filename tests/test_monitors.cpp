@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
+#include "alerts/taxonomy.hpp"
 #include "monitors/osquery_monitor.hpp"
 #include "monitors/zeek_monitor.hpp"
 
@@ -196,6 +199,13 @@ struct AuditCase {
   const char* detail;
   std::optional<alerts::AlertType> expected;
 };
+
+// Prints syscall and expected symbol: the default printer dumps the case's raw
+// bytes, pointers included, and that dump names the test, so the name would
+// change from run to run.
+void PrintTo(const AuditCase& c, std::ostream* os) {
+  *os << to_string(c.kind) << '_' << (c.expected ? alerts::symbol(*c.expected) : "none");
+}
 
 class AuditdMapping : public ::testing::TestWithParam<AuditCase> {};
 
