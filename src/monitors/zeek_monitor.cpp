@@ -1,15 +1,19 @@
 #include "alerts/taxonomy.hpp"
 #include "monitors/zeek_monitor.hpp"
 
+#include <algorithm>
 #include <cmath>
-
-#include "util/stats.hpp"
 
 namespace at::monitors {
 
 namespace {
 constexpr std::uint64_t pair_key(net::Ipv4 src, net::Ipv4 dst) noexcept {
   return (static_cast<std::uint64_t>(src.value()) << 32) | dst.value();
+}
+
+template <typename T>
+void insert_distinct(std::vector<T>& set, T value) {
+  if (std::find(set.begin(), set.end(), value) == set.end()) set.push_back(value);
 }
 }  // namespace
 
@@ -51,8 +55,9 @@ void ZeekMonitor::on_flow(const net::Flow& flow) {
     }
     roll_window(state, flow.ts);
     state.last_seen = flow.ts;
-    state.destinations.insert(flow.dst.value());
-    state.ports.insert(flow.dst_port);
+    // Saturate: a reported set is dead until roll_window resets it.
+    if (!state.address_scan_reported) insert_distinct(state.destinations, flow.dst.value());
+    if (!state.port_scan_reported) insert_distinct(state.ports, flow.dst_port);
 
     if (!state.address_scan_reported &&
         state.destinations.size() >= config_.address_scan_threshold) {
@@ -143,7 +148,7 @@ std::size_t ZeekMonitor::prune_idle(util::SimTime now) {
   const util::SimTime pair_idle = kPairIdleWindows * config_.window;
   for (auto it = pairs_.begin(); it != pairs_.end();) {
     const PairState& pair = it->second;
-    if (!pair.arrivals.empty() && now - pair.arrivals.back() > pair_idle) {
+    if (now - pair.last_arrival > pair_idle) {
       it = pairs_.erase(it);
       ++dropped;
     } else {
@@ -155,14 +160,16 @@ std::size_t ZeekMonitor::prune_idle(util::SimTime now) {
 
 void ZeekMonitor::check_beacon(const net::Flow& flow) {
   auto& pair = pairs_[pair_key(flow.src, flow.dst)];
-  pair.arrivals.push_back(flow.ts);
-  if (pair.beacon_reported || pair.arrivals.size() < config_.beacon_min_connections) return;
-
-  // Beacon = near-constant inter-arrival spacing over the recent history.
-  util::OnlineStats gaps;
-  for (std::size_t i = 1; i < pair.arrivals.size(); ++i) {
-    gaps.add(static_cast<double>(pair.arrivals[i] - pair.arrivals[i - 1]));
+  // Beacon = near-constant inter-arrival spacing over the pair's history.
+  // Welford over the same sequence of gaps gives the same mean and stddev
+  // as a recomputation from the full arrival list.
+  if (pair.arrivals++ > 0) {
+    pair.gaps.add(static_cast<double>(flow.ts - pair.last_arrival));
   }
+  pair.last_arrival = flow.ts;
+  if (pair.beacon_reported || pair.arrivals < config_.beacon_min_connections) return;
+
+  const util::OnlineStats& gaps = pair.gaps;
   if (gaps.mean() <= 0.0) return;
   const double rel = gaps.stddev() / gaps.mean();
   if (rel <= config_.beacon_jitter_tolerance) {
@@ -173,7 +180,7 @@ void ZeekMonitor::check_beacon(const net::Flow& flow) {
     alert.host = host_label(flow.src);
     alert.src = flow.dst;
     alert.add_meta("beacon-period-s", std::to_string(std::llround(gaps.mean())));
-    alert.add_meta("connections", std::to_string(pair.arrivals.size()));
+    alert.add_meta("connections", std::to_string(pair.arrivals));
     emit(std::move(alert));
   }
 }

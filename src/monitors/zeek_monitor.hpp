@@ -7,13 +7,13 @@
 
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "monitors/monitor.hpp"
 #include "net/cidr.hpp"
 #include "net/flow.hpp"
 #include "util/annotations.hpp"
+#include "util/stats.hpp"
 
 namespace at::monitors {
 
@@ -58,10 +58,10 @@ class ZeekMonitor final : public Monitor {
   /// many entries were dropped. Source eviction is invisible to detection:
   /// an evicted source's next flow rebuilds exactly the state roll_window
   /// would have produced. Pair eviction forgets beacons whose period
-  /// exceeds kPairIdleWindows * window — an explicit bound, since beacon
-  /// arrival history is otherwise retained forever. Wired to the testbed's
-  /// maintenance events so hour-long replays don't accumulate one entry
-  /// per Internet-wide scanner.
+  /// exceeds kPairIdleWindows * window — the bound on the number of
+  /// pairs; each pair's own state is constant-size. Wired to the
+  /// testbed's maintenance events so hour-long replays don't accumulate
+  /// one entry per Internet-wide scanner.
   std::size_t prune_idle(util::SimTime now);
 
   /// Per-source window states currently tracked (for tests/benches).
@@ -82,8 +82,13 @@ class ZeekMonitor final : public Monitor {
 
  private:
   struct SourceState {
-    std::unordered_set<std::uint32_t> destinations;   // distinct dsts in window
-    std::unordered_set<std::uint32_t> ports;          // distinct dst ports in window
+    // Distinct destinations / ports seen in the window. A set stops
+    // growing once its notice is reported: nothing reads it again before
+    // roll_window clears set and flag together. So each holds at most its
+    // threshold's worth of entries, and since roll_window keeps the
+    // capacity, a warm source's inserts never allocate.
+    std::vector<std::uint32_t> destinations;
+    std::vector<std::uint16_t> ports;
     std::size_t ssh_failures = 0;
     util::SimTime window_start = 0;
     util::SimTime last_seen = 0;
@@ -93,7 +98,11 @@ class ZeekMonitor final : public Monitor {
     bool bruteforce_reported = false;
   };
   struct PairState {
-    std::vector<util::SimTime> arrivals;  // for beacon detection
+    // Running summary of the inter-arrival gaps: constant-size however
+    // long the pair keeps connecting.
+    util::OnlineStats gaps;
+    util::SimTime last_arrival = 0;
+    std::size_t arrivals = 0;
     bool beacon_reported = false;
   };
 

@@ -76,7 +76,7 @@ bool Testbed::inject_flow(const net::Flow& flow) {
 }
 
 std::size_t Testbed::inject_flows(std::span<const net::Flow> flows) {
-  std::array<std::uint8_t, 256> verdicts;
+  std::array<std::uint8_t, kInjectChunk> verdicts;
   std::size_t delivered = 0;
   for (std::size_t at = 0; at < flows.size(); at += verdicts.size()) {
     const std::size_t m = std::min(verdicts.size(), flows.size() - at);

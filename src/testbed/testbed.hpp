@@ -86,11 +86,15 @@ class Testbed {
   bool inject_flow(const net::Flow& flow) AT_UNTRUSTED;
 
   /// Batched ingest: BHR verdicts are resolved through filter_batch (one
-  /// epoch pin + prefetched trie descents per chunk), then admitted flows
-  /// run the same monitor path as inject_flow, in order. Returns how many
-  /// flows were delivered (admitted by the BHR and not eaten by the
-  /// egress sandbox).
+  /// epoch pin + prefetched trie descents per kInjectChunk flows), then
+  /// the chunk's admitted flows run the same monitor path as inject_flow,
+  /// in order. Unlike inject_flow, verdicts are fixed per chunk: a block
+  /// issued mid-chunk (by the SSH auditor or the pipeline) first drops
+  /// flows in the next chunk, and the rest of its own chunk is still
+  /// admitted. Returns how many flows were delivered (admitted by the BHR
+  /// and not eaten by the egress sandbox).
   std::size_t inject_flows(std::span<const net::Flow> flows);
+  static constexpr std::size_t kInjectChunk = 256;
 
   /// Counters from the periodic maintenance events (see below).
   struct MaintenanceStats {

@@ -366,5 +366,53 @@ TEST(TestbedTest, InjectFlowPathways) {
   EXPECT_EQ(bed.zeek().flows_seen(), 2u);
 }
 
+TEST(TestbedTest, InjectFlowsFixesVerdictsPerChunk) {
+  TestbedConfig config;
+  config.ssh_auditor.failure_threshold = 3;
+  const net::Ipv4 bruteforcer(203, 0, 113, 9);
+  constexpr std::size_t kChunk = Testbed::kInjectChunk;
+
+  // Bystander traffic, except that three failed logins from the
+  // bruteforcer trip the auditor's block on flow 2, and flow 3 (same
+  // chunk) and flow kChunk (first of the next chunk) come from it too.
+  const auto make_flows = [&](net::Ipv4 honeypot) {
+    std::vector<net::Flow> flows(kChunk + 1);
+    for (net::Flow& flow : flows) {
+      flow.ts = 100;
+      flow.src = net::Ipv4(203, 0, 113, 10);
+      flow.dst = honeypot;
+      flow.dst_port = net::ports::kHttps;
+      flow.state = net::ConnState::kEstablished;
+    }
+    for (const std::size_t i : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                                std::size_t{3}, kChunk}) {
+      flows[i].src = bruteforcer;
+      flows[i].dst_port = net::ports::kSsh;
+      flows[i].state = net::ConnState::kRejected;
+    }
+    return flows;
+  };
+
+  Testbed batched(config, training());
+  batched.deploy(0);
+  EXPECT_EQ(batched.inject_flows(make_flows(batched.postgres()[0]->address())),
+            kChunk);  // all of chunk 0, none of chunk 1
+  EXPECT_EQ(batched.ssh_auditor().blocks_issued(), 1u);
+  EXPECT_TRUE(batched.router().is_blocked(bruteforcer, 100));
+  EXPECT_EQ(batched.zeek().flows_seen(), kChunk);
+
+  // inject_flow applies the block at once: flow 3 is already dropped.
+  Testbed single(config, training());
+  single.deploy(0);
+  std::vector<bool> admitted;
+  for (const auto& flow : make_flows(single.postgres()[0]->address())) {
+    admitted.push_back(single.inject_flow(flow));
+  }
+  EXPECT_TRUE(admitted[2]);
+  EXPECT_FALSE(admitted[3]);
+  EXPECT_FALSE(admitted[kChunk]);
+  EXPECT_EQ(single.zeek().flows_seen(), kChunk - 1);
+}
+
 }  // namespace
 }  // namespace at::testbed
