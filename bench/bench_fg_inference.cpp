@@ -1,28 +1,27 @@
-// Per-alert factor-graph inference cost at pipeline scale: the cold
-// full-re-inference baseline (build_entity_graph + run_bp per alert, the
-// infer_entity hot path) vs fg::EntityBatchBp's cached-message residual
-// schedule, swept across tracked-entity counts. Every sweep drives one
-// randomized multi-entity alert stream through three implementations:
+// Per-alert entity inference at pipeline scale: exact streaming inference
+// (fg::EntityFilter, one per tracked entity) vs loopy re-inference
+// (build_entity_graph + damped run_bp over the entity's whole history),
+// swept across tracked-entity counts. Every sweep drives one structured
+// multi-entity alert stream through:
 //
-//   * full        — for sampled alerts, rebuild the entity graph over the
-//                   full history and flood to convergence (workspace
-//                   reused, so the cost is inference + graph build, not
-//                   allocation)
-//   * incremental — EntityBatchBp::observe per alert (edge-scoped
-//                   re-propagation over cached posteriors)
-//   * batch       — EntityBatchBp::observe_batch in 256-alert spans (the
-//                   amortized multi-entity path the session pipeline uses)
-//
-// A divergence oracle replays a sample of entities through a second
-// engine in full-flooding mode (every message recomputed per alert over
-// the same warm state — full BP without edge-scoping) and the bench exits
-// nonzero if any posterior differs by more than 1e-6. Cold-rebuild
-// equivalence is oracle-tested separately (test_fg_incremental.cpp) at
-// histories below loopy BP's bimodal regime; see docs/perf.md.
+//   * exact  — EntityFilter::observe for every alert
+//   * loopy  — for ~500 sampled alerts, rebuild the entity graph over the
+//              history and run loopy BP (workspace reused, so the cost is
+//              inference + graph build, not allocation). Loopy BP is only
+//              an approximation here: its max |dp| from the exact
+//              posterior and the share of sampled verdicts that flip at
+//              threshold 0.75 are reported as information.
+//   * oracle — sampled prefixes of at most 9 alerts are enumerated
+//              exactly (enumerate_exact over build_entity_graph); the bench
+//              exits 1 if the filter's P(malicious) or last-stage marginal
+//              differs by more than 1e-9.
 //
 // Standalone main (not google-benchmark): the artifact is a machine-
-// readable JSON file (default BENCH_fg.json at the repo root).
+// readable JSON file (default BENCH_fg.json at the repo root) that also
+// records the host and build it came from.
 
+#include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -31,10 +30,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fg/bp.hpp"
-#include "fg/entity_bp.hpp"
 #include "fg/model.hpp"
 #include "incidents/generator.hpp"
 #include "util/rng.hpp"
@@ -43,6 +42,12 @@ namespace {
 
 using namespace at;
 using Clock = std::chrono::steady_clock;
+
+constexpr double kThreshold = 0.75;
+constexpr double kOracleGate = 1e-9;
+constexpr std::size_t kOracleMaxLength = 9;
+constexpr std::size_t kOracleChecks = 200;
+constexpr std::size_t kLoopySamples = 500;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -55,11 +60,7 @@ struct Stream {
 
 /// Structured multi-entity trace shaped like the testbed's: most entities
 /// produce benign-stage noise, a minority run attack campaigns with some
-/// benign chatter mixed in. Coherent per-entity evidence is both the
-/// realistic regime and the one where the loopy entity model is
-/// well-posed; uniformly random types would instead drive every posterior
-/// toward the balanced-evidence region where loopy BP itself is bimodal
-/// (see docs/perf.md).
+/// benign chatter mixed in.
 Stream make_stream(std::size_t entities, std::size_t alerts, std::uint64_t seed) {
   std::vector<alerts::AlertType> benign_pool;
   std::vector<alerts::AlertType> attack_pool;
@@ -97,12 +98,15 @@ Stream make_stream(std::size_t entities, std::size_t alerts, std::uint64_t seed)
 struct SweepResult {
   std::size_t entities = 0;
   std::size_t alerts = 0;
-  double full_us_per_alert = 0.0;
-  double incremental_us_per_alert = 0.0;
-  double batch_us_per_alert = 0.0;
-  double speedup = 0.0;
+  double exact_us_per_alert = 0.0;
   double alerts_per_s = 0.0;
-  double max_divergence = 0.0;
+  double loopy_us_per_alert = 0.0;
+  double speedup = 0.0;
+  std::size_t loopy_samples = 0;
+  double loopy_max_abs_dp = 0.0;
+  double loopy_flip_share = 0.0;
+  std::size_t oracle_checks = 0;
+  double oracle_max_error = 0.0;
   bool oracle_ok = true;
 };
 
@@ -113,100 +117,105 @@ SweepResult run_sweep(const std::shared_ptr<const fg::CompiledParams>& compiled,
   result.alerts = entities * per_entity;
   const Stream stream = make_stream(entities, result.alerts, 0x5eed + entities);
 
-  // --- full baseline, sampled: per-alert cost of re-inferring the whole
-  // history from scratch (what the detector paid before caching).
+  // --- exact: every alert through its entity's filter.
   {
-    std::vector<std::vector<alerts::AlertType>> hist(entities);
-    fg::BpWorkspace workspace;
-    fg::BpResult bp;
-    fg::BpOptions options;
-    options.damping = 0.3;
-    const std::size_t samples = 500;
-    const std::size_t stride = std::max<std::size_t>(1, result.alerts / samples);
-    double spent = 0.0;
-    std::size_t timed = 0;
+    std::vector<fg::EntityFilter> filters(entities, fg::EntityFilter(compiled));
+    const auto start = Clock::now();
     for (std::size_t i = 0; i < result.alerts; ++i) {
-      auto& h = hist[stream.entity[i]];
-      h.push_back(stream.type[i]);
-      if (i % stride != 0) continue;
+      filters[stream.entity[i]].observe(stream.type[i]);
+    }
+    const double spent = seconds_since(start);
+    result.exact_us_per_alert = spent * 1e6 / static_cast<double>(result.alerts);
+    result.alerts_per_s = static_cast<double>(result.alerts) / spent;
+  }
+
+  // --- loopy (timed, sampled) and the enumeration oracle (untimed), both
+  // against a second set of exact filters replaying the same stream.
+  std::vector<fg::EntityFilter> filters(entities, fg::EntityFilter(compiled));
+  std::vector<std::vector<alerts::AlertType>> hist(entities);
+  fg::BpWorkspace workspace;
+  fg::BpResult bp;
+  fg::BpOptions options;
+  options.damping = 0.3;  // the entity graph is loopy
+  const std::size_t stride = std::max<std::size_t>(1, result.alerts / kLoopySamples);
+  const std::size_t oracle_stride = std::max<std::size_t>(1, result.alerts / kOracleChecks);
+  double spent = 0.0;
+  std::size_t flips = 0;
+  for (std::size_t i = 0; i < result.alerts; ++i) {
+    fg::EntityFilter& filter = filters[stream.entity[i]];
+    auto& h = hist[stream.entity[i]];
+    filter.observe(stream.type[i]);
+    h.push_back(stream.type[i]);
+    const double exact = filter.p_malicious();
+
+    if (i % stride == 0) {
       options.max_iterations = std::max<std::size_t>(50, 4 * h.size() + 20);
       const auto start = Clock::now();
       const fg::FactorGraph graph = fg::build_entity_graph(compiled->params, h);
       fg::run_bp(graph, options, workspace, bp);
       spent += seconds_since(start);
-      ++timed;
+      const double loopy = bp.marginals.back()[1];
+      result.loopy_max_abs_dp = std::max(result.loopy_max_abs_dp, std::fabs(loopy - exact));
+      if ((loopy >= kThreshold) != (exact >= kThreshold)) ++flips;
+      ++result.loopy_samples;
     }
-    result.full_us_per_alert = spent * 1e6 / static_cast<double>(timed);
-  }
 
-  // --- incremental: every alert through the cached-message engine.
-  fg::EntityBpOptions inc_options;
-  inc_options.damping = 0.0;
-  fg::EntityBatchBp engine(compiled, inc_options);
-  {
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < result.alerts; ++i) {
-      engine.observe(stream.entity[i], stream.type[i]);
-    }
-    const double spent = seconds_since(start);
-    result.incremental_us_per_alert = spent * 1e6 / static_cast<double>(result.alerts);
-    result.alerts_per_s = static_cast<double>(result.alerts) / spent;
-  }
-
-  // --- batch: same stream, 256-alert spans through observe_batch.
-  {
-    fg::EntityBatchBp batched(compiled, inc_options);
-    std::vector<fg::EntityBatchBp::Update> updates;
-    updates.reserve(256);
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < result.alerts; i += 256) {
-      updates.clear();
-      const std::size_t end = std::min(result.alerts, i + 256);
-      for (std::size_t j = i; j < end; ++j) {
-        updates.push_back({stream.entity[j], stream.type[j]});
+    // Oracle on the first short-enough prefix at or after each stride mark.
+    if (h.size() <= kOracleMaxLength && i / oracle_stride >= result.oracle_checks) {
+      const fg::ExactResult truth =
+          fg::enumerate_exact(fg::build_entity_graph(compiled->params, h));
+      double error = std::fabs(exact - truth.marginals.back()[1]);
+      const auto last = filter.last_stage();
+      for (std::size_t s = 0; s < alerts::kNumStages; ++s) {
+        error = std::max(error, std::fabs(last[s] - truth.marginals[h.size() - 1][s]));
       }
-      batched.observe_batch(updates);
+      result.oracle_max_error = std::max(result.oracle_max_error, error);
+      ++result.oracle_checks;
     }
-    result.batch_us_per_alert =
-        seconds_since(start) * 1e6 / static_cast<double>(result.alerts);
   }
-
-  // --- divergence oracle: sampled entities replayed alert-by-alert
-  // through full flooding over the same warm state; final posteriors must
-  // match the residual schedule's.
-  {
-    fg::EntityBpOptions flood_options;
-    flood_options.residual = false;
-    flood_options.damping = 0.3;  // synchronous sweeps need damping
-    flood_options.max_iterations = 500;
-    fg::EntityBatchBp flooding(compiled, flood_options);
-    const std::size_t oracle_entities = std::min<std::size_t>(entities, 200);
-    for (std::size_t i = 0; i < result.alerts; ++i) {
-      if (stream.entity[i] < oracle_entities) {
-        flooding.observe(stream.entity[i], stream.type[i]);
-      }
-    }
-    for (std::size_t e = 0; e < oracle_entities; ++e) {
-      const auto* a = engine.posterior(e);
-      const auto* b = flooding.posterior(e);
-      if (a == nullptr || b == nullptr) continue;
-      result.max_divergence =
-          std::max(result.max_divergence, std::fabs(a->p_malicious - b->p_malicious));
-    }
-    result.oracle_ok = result.max_divergence <= 1e-6;
-  }
-
-  result.speedup = result.full_us_per_alert / result.incremental_us_per_alert;
+  result.loopy_us_per_alert = spent * 1e6 / static_cast<double>(result.loopy_samples);
+  result.loopy_flip_share =
+      static_cast<double>(flips) / static_cast<double>(result.loopy_samples);
+  result.oracle_ok = result.oracle_checks > 0 && result.oracle_max_error <= kOracleGate;
+  result.speedup = result.loopy_us_per_alert / result.exact_us_per_alert;
   return result;
 }
 
 void emit_json(std::ostringstream& json, const SweepResult& s, bool last) {
   json << "    {\"entities\": " << s.entities << ", \"alerts\": " << s.alerts
-       << ", \"full_us_per_alert\": " << s.full_us_per_alert
-       << ", \"incremental_us_per_alert\": " << s.incremental_us_per_alert
-       << ", \"batch_us_per_alert\": " << s.batch_us_per_alert
-       << ", \"speedup\": " << s.speedup << ", \"alerts_per_s\": " << s.alerts_per_s
-       << ", \"max_divergence\": " << s.max_divergence << "}" << (last ? "\n" : ",\n");
+       << ", \"exact_us_per_alert\": " << s.exact_us_per_alert
+       << ", \"alerts_per_s\": " << s.alerts_per_s
+       << ", \"loopy_us_per_alert\": " << s.loopy_us_per_alert
+       << ", \"speedup\": " << s.speedup << ", \"loopy_samples\": " << s.loopy_samples
+       << ", \"loopy_max_abs_dp\": " << s.loopy_max_abs_dp
+       << ", \"loopy_flip_share\": " << s.loopy_flip_share
+       << ", \"oracle_checks\": " << s.oracle_checks
+       << ", \"oracle_max_error\": " << s.oracle_max_error << "}" << (last ? "\n" : ",\n");
+}
+
+std::string compiler() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+/// `git describe --always --dirty` of the source tree, or "unknown".
+std::string git_revision() {
+  std::string revision;
+  if (FILE* pipe = popen("git -C \"" AT_SOURCE_ROOT "\" describe --always --dirty 2>/dev/null",
+                         "r")) {
+    char buffer[128];
+    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) revision += buffer;
+    pclose(pipe);
+  }
+  while (!revision.empty() && std::isspace(static_cast<unsigned char>(revision.back()))) {
+    revision.pop_back();
+  }
+  return revision.empty() ? "unknown" : revision;
 }
 
 }  // namespace
@@ -236,18 +245,21 @@ int main(int argc, char** argv) {
   for (const std::size_t entities : entity_counts) {
     const SweepResult sweep = run_sweep(compiled, entities, per_entity);
     std::printf(
-        "entities %8zu: full %8.2f us/alert, incremental %6.3f us/alert "
-        "(%.1fx, %.0f alerts/s), batch %6.3f us/alert, divergence %.2e\n",
-        sweep.entities, sweep.full_us_per_alert, sweep.incremental_us_per_alert,
-        sweep.speedup, sweep.alerts_per_s, sweep.batch_us_per_alert,
-        sweep.max_divergence);
+        "entities %8zu: exact %6.3f us/alert (%.0f alerts/s), loopy %8.2f us/alert "
+        "(%.0fx), loopy max |dp| %.3f, flips %.2f%%, oracle %zu checks max err %.2e\n",
+        sweep.entities, sweep.exact_us_per_alert, sweep.alerts_per_s,
+        sweep.loopy_us_per_alert, sweep.speedup, sweep.loopy_max_abs_dp,
+        100.0 * sweep.loopy_flip_share, sweep.oracle_checks, sweep.oracle_max_error);
     oracle_ok = oracle_ok && sweep.oracle_ok;
     sweeps.push_back(sweep);
   }
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"fg_inference\",\n  \"alerts_per_entity\": " << per_entity
-       << ",\n  \"sweeps\": [\n";
+  json << "{\n  \"bench\": \"fg_inference\",\n  \"host\": {\"nproc\": "
+       << std::thread::hardware_concurrency() << ", \"compiler\": \"" << compiler()
+       << "\", \"build_type\": \"" << AT_BUILD_TYPE << "\", \"git_sha\": \"" << git_revision()
+       << "\"},\n  \"alerts_per_entity\": " << per_entity << ",\n  \"threshold\": "
+       << kThreshold << ",\n  \"sweeps\": [\n";
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
     emit_json(json, sweeps[i], i + 1 == sweeps.size());
   }
@@ -256,5 +268,6 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   out << json.str();
   std::printf("wrote %s\n", out_path.c_str());
+  if (!oracle_ok) std::fprintf(stderr, "bench_fg_inference: exact-vs-enumeration oracle FAILED\n");
   return oracle_ok ? 0 : 1;
 }

@@ -18,47 +18,24 @@ if [ ! -d "$bench_dir" ]; then
     exit 1
 fi
 
-# The ingest and sim-engine benches are standalone mains with their own
-# JSON emitters (the sim bench also exits nonzero if the timing wheel's
-# execution order ever diverges from the seed heap).
-if [ -x "$bench_dir/bench_ingest_pipeline" ]; then
-    echo "== bench_ingest_pipeline"
-    "$bench_dir/bench_ingest_pipeline" --out "$repo_root/BENCH_ingest.json"
-fi
-if [ -x "$bench_dir/bench_sim_engine" ]; then
-    echo "== bench_sim_engine"
-    "$bench_dir/bench_sim_engine" --out "$repo_root/BENCH_sim.json"
-fi
-# Entity factor-graph inference: full re-run vs cached incremental, with an
-# in-bench posterior-divergence oracle (exits nonzero on divergence).
-if [ -x "$bench_dir/bench_fg_inference" ]; then
-    echo "== bench_fg_inference"
-    "$bench_dir/bench_fg_inference" --out "$repo_root/BENCH_fg.json"
-fi
-# Always-on detection daemon: sustained submit throughput and ring-depth
-# histogram, with a verdict-stream oracle against the serial pipeline
-# (exits nonzero on divergence).
-if [ -x "$bench_dir/bench_daemon" ]; then
-    echo "== bench_daemon"
-    "$bench_dir/bench_daemon" --out "$repo_root/BENCH_daemon.json"
-fi
-# BHR line-rate filter: LPM-trie lookup throughput (batched and scalar,
-# single- and multi-thread against a live mutator) with an in-bench
-# verdict oracle (exits nonzero on divergence).
-if [ -x "$bench_dir/bench_bhr" ]; then
-    echo "== bench_bhr"
-    "$bench_dir/bench_bhr" --out "$repo_root/BENCH_bhr.json"
-fi
+# Standalone mains with their own JSON emitters, as "binary:json-stem".
+# Each exits nonzero when its in-bench oracle fails: ingest and daemon
+# (sharded/daemon verdicts vs the serial pipeline), sim_engine (timing
+# wheel vs seed-heap execution order), fg_inference (exact entity
+# posteriors vs enumeration), bhr (trie vs naive-table verdicts).
+standalone="bench_ingest_pipeline:ingest bench_sim_engine:sim bench_fg_inference:fg bench_daemon:daemon bench_bhr:bhr"
+for entry in $standalone; do
+    name=${entry%%:*}
+    [ -x "$bench_dir/$name" ] || continue
+    echo "== $name"
+    "$bench_dir/$name" --out "$repo_root/BENCH_${entry#*:}.json"
+done
 
 # Everything else is a google-benchmark binary; use its JSON reporter.
 for bench in "$bench_dir"/bench_*; do
     [ -x "$bench" ] || continue
     name=$(basename "$bench")
-    [ "$name" = "bench_ingest_pipeline" ] && continue
-    [ "$name" = "bench_sim_engine" ] && continue
-    [ "$name" = "bench_fg_inference" ] && continue
-    [ "$name" = "bench_daemon" ] && continue
-    [ "$name" = "bench_bhr" ] && continue
+    case " $standalone " in *" $name:"*) continue ;; esac
     out="$repo_root/BENCH_${name#bench_}.json"
     echo "== $name"
     "$bench" --benchmark_out="$out" --benchmark_out_format=json \

@@ -5,14 +5,6 @@
 
 namespace at::detect {
 
-namespace {
-// Entity modes converge their messages this far so both inference engines
-// land on posteriors within ~1e-9 of each other: a verdict may sit near
-// the firing threshold, and the full/incremental verdict streams must be
-// identical, not merely close.
-constexpr double kEntityTolerance = 1e-12;
-}  // namespace
-
 std::optional<Detection> CriticalAlertDetector::observe(const alerts::Alert& alert,
                                                         std::size_t index) {
   if (fired_ || !alert.critical()) return std::nullopt;
@@ -85,32 +77,19 @@ std::optional<Detection> RuleBasedDetector::observe(const alerts::Alert& alert,
 
 FactorGraphDetector::FactorGraphDetector(fg::ModelParams params, double threshold,
                                          alerts::AttackStage stage, bool use_timing,
-                                         FgInference inference, double coupling)
+                                         FgInference inference)
     : FactorGraphDetector(fg::compile_params(std::move(params)), threshold, stage,
-                          use_timing, inference, coupling) {}
+                          use_timing, inference) {}
 
 FactorGraphDetector::FactorGraphDetector(std::shared_ptr<const fg::CompiledParams> compiled,
                                          double threshold, alerts::AttackStage stage,
-                                         bool use_timing, FgInference inference,
-                                         double coupling)
+                                         bool use_timing, FgInference inference)
     : threshold_(threshold),
       stage_(stage),
       use_timing_(use_timing),
       inference_(inference),
-      coupling_(coupling),
-      filter_(compiled) {
-  if (inference_ != FgInference::kForwardFilter) {
-    fg::EntityBpOptions options;
-    options.coupling = coupling_;
-    options.tolerance = kEntityTolerance;
-    options.max_iterations = 500;
-    options.residual = inference_ == FgInference::kEntityIncremental;
-    // Synchronous flooding needs damping to converge on the loopy entity
-    // graph; the residual schedule is asynchronous and runs undamped.
-    if (!options.residual) options.damping = 0.3;
-    entity_.emplace(std::move(compiled), options);
-  }
-}
+      filter_(compiled),
+      entity_(std::move(compiled)) {}
 
 FactorGraphDetector FactorGraphDetector::train(const incidents::Corpus& training,
                                                double threshold, bool use_timing) {
@@ -119,49 +98,42 @@ FactorGraphDetector FactorGraphDetector::train(const incidents::Corpus& training
 }
 
 std::string FactorGraphDetector::name() const {
-  switch (inference_) {
-    case FgInference::kEntityFull:
-      return "factor-graph-entity-full";
-    case FgInference::kEntityIncremental:
-      return "factor-graph-entity-inc";
-    case FgInference::kForwardFilter:
-      break;
-  }
+  if (inference_ == FgInference::kEntity) return "factor-graph-entity";
   return use_timing_ ? "factor-graph-timed" : "factor-graph";
 }
 
 void FactorGraphDetector::reset() {
   filter_.reset();
+  entity_.reset();
   last_ts_.reset();
   fired_ = false;
-  if (entity_) entity_->clear();
 }
 
-double FactorGraphDetector::entity_posterior(alerts::AlertType type) {
-  // Both entity modes run the same engine over the same cached state; the
-  // constructor selected residual (edge-scoped) vs flooding (recompute
-  // everything) scheduling.
-  return entity_->observe(0, type).p_malicious;
+double FactorGraphDetector::score() const noexcept {
+  return inference_ == FgInference::kEntity ? entity_.p_malicious()
+                                            : filter_.p_at_least(stage_);
 }
 
 std::optional<Detection> FactorGraphDetector::observe(const alerts::Alert& alert,
                                                       std::size_t index) {
   if (fired_) return std::nullopt;
-  double p = 0.0;
-  std::string quantity;
-  if (inference_ == FgInference::kForwardFilter) {
+  if (inference_ == FgInference::kEntity) {
+    entity_.observe(alert.type);
+  } else {
     std::optional<fg::GapBucket> gap;
     if (use_timing_ && last_ts_) gap = fg::bucket_for_gap(alert.ts - *last_ts_);
     last_ts_ = alert.ts;
     filter_.observe(alert.type, gap);
-    p = filter_.p_at_least(stage_);
-    quantity = "P(stage>=" + std::string(alerts::to_string(stage_)) + ")";
-  } else {
-    p = entity_posterior(alert.type);
-    quantity = "P(malicious)";
   }
+  const double p = score();
   if (p >= threshold_) {
     fired_ = true;
+    // The reason is built only on the firing alert: the quantity name
+    // outgrows the small-string buffer, and observe() runs once per alert.
+    const std::string quantity =
+        inference_ == FgInference::kEntity
+            ? std::string("P(malicious)")
+            : "P(stage>=" + std::string(alerts::to_string(stage_)) + ")";
     return Detection{index, alert.ts, p, quantity + "=" + std::to_string(p)};
   }
   return std::nullopt;

@@ -10,7 +10,8 @@
 //   - RuleBasedDetector: match known pre-damage signature subsequences
 //     (the testbed's rule-based model, ref [5]).
 //   - FactorGraphDetector: AttackTagger — forward-filtered stage posterior
-//     crossing a probability threshold (ref [6]).
+//     (or, in entity mode, the exact user-state posterior) crossing a
+//     probability threshold (ref [6]).
 
 #include <memory>
 #include <optional>
@@ -19,11 +20,9 @@
 #include <vector>
 
 #include "alerts/alert.hpp"
-#include "fg/bp.hpp"
-#include "util/annotations.hpp"
-#include "fg/entity_bp.hpp"
 #include "fg/model.hpp"
 #include "incidents/incident.hpp"
+#include "util/annotations.hpp"
 
 namespace at::detect {
 
@@ -120,46 +119,34 @@ class RuleBasedDetector final : public Detector {
   bool fired_ = false;
 };
 
-/// Which inference engine backs a FactorGraphDetector.
+/// Which model a FactorGraphDetector thresholds.
 enum class FgInference : std::uint8_t {
-  /// Streaming forward filter on the chain (the default; O(stages^2) per
-  /// alert, no entity variable).
+  /// Streaming forward filter on the stage chain (the default):
+  /// P(stage >= threshold stage | alerts).
   kForwardFilter,
-  /// Entity-augmented loopy model with EVERY message re-propagated to
-  /// convergence per alert (full flooding sweeps over the cached state) —
-  /// the control the incremental mode's verdict stream is oracle-checked
-  /// against. Cold re-inference from scratch (infer_entity) is NOT used
-  /// here: on long balanced-evidence histories loopy BP is bimodal and a
-  /// cold start can land in a different fixed-point basin than any
-  /// warm-started schedule, full or incremental alike.
-  kEntityFull,
-  /// Entity-augmented model with cached messages and edge-scoped
-  /// re-propagation (fg::EntityBatchBp): per-alert cost is the residual
-  /// schedule's, not the history's.
-  kEntityIncremental,
+  /// Entity-augmented model (chain plus user state U), inferred exactly
+  /// by fg::EntityFilter: P(U = malicious | alerts).
+  kEntity,
 };
 
 /// AttackTagger: factor-graph stage inference with a posterior threshold.
 /// With `use_timing` the forward filter also conditions on inter-alert gap
 /// buckets (Insight 3: probe bursts vs manual-stage pauses are themselves
-/// evidence; the entity modes ignore timing, matching infer_entity).
-/// Entity modes fire on P(user-state = malicious) instead of the staged
-/// posterior; `coupling` is the U<->stage consistency strength.
+/// evidence). Entity mode ignores `use_timing`: the entity model has no
+/// gap factor.
 class FactorGraphDetector final : public Detector {
  public:
   FactorGraphDetector(fg::ModelParams params, double threshold = 0.75,
                       alerts::AttackStage stage = alerts::AttackStage::kInProgress,
                       bool use_timing = false,
-                      FgInference inference = FgInference::kForwardFilter,
-                      double coupling = 1.0);
+                      FgInference inference = FgInference::kForwardFilter);
   /// Shares pre-compiled tables: the cheap constructor for per-entity
   /// fan-out in the alert pipelines (one detector per tracked entity).
   explicit FactorGraphDetector(std::shared_ptr<const fg::CompiledParams> compiled,
                                double threshold = 0.75,
                                alerts::AttackStage stage = alerts::AttackStage::kInProgress,
                                bool use_timing = false,
-                               FgInference inference = FgInference::kForwardFilter,
-                               double coupling = 1.0);
+                               FgInference inference = FgInference::kForwardFilter);
 
   /// Learn parameters from a training corpus and wrap them.
   static FactorGraphDetector train(const incidents::Corpus& training,
@@ -168,24 +155,22 @@ class FactorGraphDetector final : public Detector {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] const fg::ModelParams& params() const noexcept { return filter_.params(); }
   [[nodiscard]] FgInference inference() const noexcept { return inference_; }
+  /// The thresholded posterior after the last absorbed alert (frozen once
+  /// the detector has fired).
+  [[nodiscard]] double score() const noexcept;
   void reset() override;
   std::optional<Detection> observe(const alerts::Alert& alert, std::size_t index) override
       AT_HOT;
 
  private:
-  [[nodiscard]] double entity_posterior(alerts::AlertType type);
-
   double threshold_;
   alerts::AttackStage stage_;
   bool use_timing_;
   FgInference inference_;
-  double coupling_;
-  fg::ForwardFilter filter_;
+  fg::ForwardFilter filter_;  ///< forward mode
+  fg::EntityFilter entity_;   ///< entity mode
   std::optional<util::SimTime> last_ts_;
   bool fired_ = false;
-  /// Entity-mode engine; engaged for both entity inference modes, with the
-  /// schedule (residual vs full flooding) selected by `inference_`.
-  std::optional<fg::EntityBatchBp> entity_;
 };
 
 }  // namespace at::detect

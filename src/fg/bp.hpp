@@ -9,11 +9,6 @@
 //     repeated calls make zero heap allocations once the workspace has
 //     warmed up to the largest graph it has seen (verified by an
 //     allocation-count test).
-//
-// The workspace's SoA edge layout (flat message pools indexed by an edge
-// table instead of vector<vector<Edge>>) is shared with fg::IncrementalBp,
-// which keeps the same arrays alive across updates instead of rebuilding
-// them per call.
 
 #include <cstdint>
 #include <vector>

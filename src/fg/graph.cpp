@@ -30,29 +30,23 @@ FactorId FactorGraph::add_factor(std::vector<VarId> scope, std::vector<double> l
   return id;
 }
 
-void FactorGraph::set_factor_table(FactorId id, std::vector<double> log_table) {
-  auto& factor = factors_.at(id);
-  if (log_table.size() != factor.log_table.size()) {
-    throw std::invalid_argument("set_factor_table: table size mismatch");
-  }
-  factor.log_table = std::move(log_table);
-}
-
 double FactorGraph::joint_log_score(std::span<const std::size_t> assignment) const {
   if (assignment.size() != variables_.size()) {
     throw std::invalid_argument("joint_log_score: assignment size mismatch");
   }
   double total = 0.0;
-  for (FactorId f = 0; f < factors_.size(); ++f) {
-    const auto& factor = factors_[f];
-    const auto stride = strides(f);
+  for (const auto& factor : factors_) {
+    // Same layout as strides(): last scope variable fastest.
     std::size_t index = 0;
-    for (std::size_t k = 0; k < factor.scope.size(); ++k) {
+    std::size_t stride = 1;
+    for (std::size_t k = factor.scope.size(); k-- > 0;) {
       const std::size_t value = assignment[factor.scope[k]];
-      if (value >= variables_[factor.scope[k]].cardinality) {
+      const std::size_t cardinality = variables_[factor.scope[k]].cardinality;
+      if (value >= cardinality) {
         throw std::out_of_range("joint_log_score: value out of range");
       }
-      index += value * stride[k];
+      index += value * stride;
+      stride *= cardinality;
     }
     total += factor.log_table[index];
   }

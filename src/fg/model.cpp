@@ -181,6 +181,61 @@ double ForwardFilter::p_at_least(alerts::AttackStage stage) const {
   return total;
 }
 
+EntityFilter::EntityFilter(std::shared_ptr<const CompiledParams> compiled, double coupling)
+    : compiled_(std::move(compiled)), mismatch_(util::safe_exp(-coupling)) {}
+
+void EntityFilter::reset() noexcept {
+  belief_ = {};
+  log_odds_ = 0.0;
+  count_ = 0;
+}
+
+void EntityFilter::observe(alerts::AlertType type) {
+  // One forward step per value of U on the U-conditioned chain: U's
+  // coupling column multiplies the emission.
+  const CompiledParams& c = *compiled_;
+  const std::size_t t = static_cast<std::size_t>(type);
+  constexpr auto kAttack = static_cast<std::size_t>(alerts::AttackStage::kInProgress);
+  double next[2][kStages];
+  double total[2] = {0.0, 0.0};
+  for (std::size_t u = 0; u < 2; ++u) {
+    for (std::size_t s = 0; s < kStages; ++s) {
+      double predicted = 0.0;
+      if (count_ == 0) {
+        predicted = c.prior[s];
+      } else {
+        for (std::size_t p = 0; p < kStages; ++p) {
+          predicted += belief_[u][p] * c.transition[p * kStages + s];
+        }
+      }
+      const double couple = (s >= kAttack) == (u == 1) ? 1.0 : mismatch_;
+      next[u][s] = predicted * c.emission[s * kTypes + t] * couple;
+      total[u] += next[u][s];
+    }
+  }
+  ++count_;
+  // Impossible under either branch: keep the previous state rather than
+  // divide by zero (the ForwardFilter guard).
+  if (total[0] <= 0.0 || total[1] <= 0.0) return;
+  for (std::size_t u = 0; u < 2; ++u) {
+    for (std::size_t s = 0; s < kStages; ++s) belief_[u][s] = next[u][s] / total[u];
+  }
+  log_odds_ += std::log(total[1]) - std::log(total[0]);
+}
+
+double EntityFilter::p_malicious() const noexcept {
+  return 1.0 / (1.0 + util::safe_exp(-log_odds_));
+}
+
+std::array<double, alerts::kNumStages> EntityFilter::last_stage() const noexcept {
+  const double p = p_malicious();
+  std::array<double, kStages> mixed{};
+  for (std::size_t s = 0; s < kStages; ++s) {
+    mixed[s] = (1.0 - p) * belief_[0][s] + p * belief_[1][s];
+  }
+  return mixed;
+}
+
 std::vector<alerts::AttackStage> decode_stages(const ModelParams& params,
                                                std::span<const alerts::AlertType> observed) {
   const std::size_t n = observed.size();
@@ -242,26 +297,6 @@ FactorGraph build_entity_graph(const ModelParams& params,
     graph.add_factor({stage, user}, table, "couple_" + std::to_string(stage));
   }
   return graph;
-}
-
-EntityResult infer_entity(const ModelParams& params,
-                          std::span<const alerts::AlertType> observed, double coupling,
-                          const BpOptions& options) {
-  EntityResult result;
-  if (observed.empty()) {
-    result.p_malicious = 0.5;
-    return result;
-  }
-  const FactorGraph graph = build_entity_graph(params, observed, coupling);
-  BpOptions opts = options;
-  opts.damping = opts.damping > 0.0 ? opts.damping : 0.3;  // the graph is loopy
-  opts.max_iterations = std::max<std::size_t>(opts.max_iterations, 4 * observed.size() + 20);
-  const BpResult bp = run_bp(graph, opts);
-  result.converged = bp.converged;
-  result.iterations = bp.iterations;
-  result.p_malicious = bp.marginals.back()[1];
-  result.last_stage = bp.marginals[observed.size() - 1];
-  return result;
 }
 
 std::vector<double> chain_posterior_last(const ModelParams& params,

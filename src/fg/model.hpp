@@ -7,6 +7,7 @@
 // the "conditional probability of an alert being in a successful attack
 // and normal operational conditions" of Remark 2.
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <span>
@@ -16,6 +17,7 @@
 #include "fg/bp.hpp"
 #include "fg/graph.hpp"
 #include "incidents/generator.hpp"
+#include "util/annotations.hpp"
 #include "util/time_utils.hpp"
 
 namespace at::fg {
@@ -143,23 +145,46 @@ class ForwardFilter {
 /// per-event stage chain plus one global binary *user-state* variable U
 /// (legitimate / malicious) coupled to every stage variable. The coupling
 /// factor rewards consistency: a malicious user explains in_progress and
-/// compromised stages, a legitimate one explains benign/suspicious. The
-/// resulting graph is loopy; inference is damped loopy BP.
-struct EntityResult {
-  double p_malicious = 0.0;            ///< posterior of U = malicious
-  std::vector<double> last_stage;      ///< posterior over the final stage
-  bool converged = false;
-  std::size_t iterations = 0;
+/// compromised stages, a legitimate one explains benign/suspicious.
+///
+/// The graph is loopy, but conditioned on U it is a plain chain whose
+/// emissions absorb U's coupling column. EntityFilter runs one normalized
+/// forward filter per value of U and accumulates the difference of their
+/// log normalizers, so P(U = malicious | alerts) = sigmoid(log Z(1) -
+/// log Z(0)) exactly — nine doubles of state per entity, constant in the
+/// history length, O(2 * stages^2) per alert. Timing is not part of this
+/// model (no gap factor), matching build_entity_graph.
+class EntityFilter {
+ public:
+  /// `coupling` > 0 is the log-strength of the U<->stage consistency
+  /// factor (the same value build_entity_graph takes).
+  explicit EntityFilter(std::shared_ptr<const CompiledParams> compiled, double coupling = 1.0);
+
+  /// Absorb one alert. An observation either branch assigns zero
+  /// likelihood (impossible with smoothed, learned parameters) is skipped,
+  /// as in ForwardFilter.
+  void observe(alerts::AlertType type) AT_HOT;
+
+  [[nodiscard]] double p_malicious() const noexcept;
+  /// Posterior over the current (last observed) stage, U summed out.
+  [[nodiscard]] std::array<double, alerts::kNumStages> last_stage() const noexcept;
+  [[nodiscard]] std::size_t observed() const noexcept { return count_; }
+  void reset() noexcept;
+
+ private:
+  std::shared_ptr<const CompiledParams> compiled_;
+  /// exp(-coupling): the coupling factor of a stage that disagrees with U
+  /// (an agreeing stage scores 1).
+  double mismatch_ = 0.0;
+  /// Normalized P(stage_t | alerts, U = u), [u][stage].
+  std::array<std::array<double, alerts::kNumStages>, 2> belief_{};
+  /// log Z(1) - log Z(0) = log P(U = 1 | alerts) - log P(U = 0 | alerts).
+  double log_odds_ = 0.0;
+  std::size_t count_ = 0;
 };
 
-/// `coupling` > 0 is the log-strength of the U<->stage consistency factor.
-[[nodiscard]] EntityResult infer_entity(const ModelParams& params,
-                                        std::span<const alerts::AlertType> observed,
-                                        double coupling = 1.0,
-                                        const BpOptions& options = {});
-
-/// Build the loopy entity graph itself (exposed for tests and benches).
-/// Variable 0..n-1 are the stages; variable n is U.
+/// Build the loopy entity graph itself: the enumerate_exact / run_bp
+/// oracle for EntityFilter. Variable 0..n-1 are the stages; variable n is U.
 [[nodiscard]] FactorGraph build_entity_graph(const ModelParams& params,
                                              std::span<const alerts::AlertType> observed,
                                              double coupling = 1.0);

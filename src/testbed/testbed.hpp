@@ -34,9 +34,8 @@ struct TestbedConfig {
   SshAuditorConfig ssh_auditor;
   /// Factor-graph detector threshold for the default detector set.
   double fg_threshold = 0.75;
-  /// Inference engine backing the default factor-graph detector; the
-  /// incremental entity mode keeps per-entity posteriors cached across
-  /// alerts instead of re-filtering from scratch.
+  /// Model the default factor-graph detector thresholds: the stage-chain
+  /// forward filter, or the exact entity (user-state) posterior.
   detect::FgInference fg_inference = detect::FgInference::kForwardFilter;
 };
 

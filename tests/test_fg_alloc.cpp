@@ -1,7 +1,8 @@
 // Zero-allocation guarantees for the hot inference paths: once a
-// BpWorkspace/BpResult pair (or an EntityBatchBp entity) has warmed up to
-// the largest problem it has seen, repeated inference calls must not touch
-// the heap at all. Verified by counting global operator new/delete hits
+// BpWorkspace/BpResult pair has warmed up to the largest problem it has
+// seen, repeated inference calls must not touch the heap at all, and the
+// per-alert filters (EntityFilter, a non-firing FactorGraphDetector) never
+// do. Verified by counting global operator new/delete hits
 // around the warm calls — the strongest form of the "reusable scratch"
 // contract BpOptions-style callers rely on in the per-alert pipelines.
 //
@@ -15,8 +16,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "fg/entity_bp.hpp"
-#include "fg/incremental_bp.hpp"
+#include "detect/detector.hpp"
 #include "fg/model.hpp"
 #include "incidents/generator.hpp"
 
@@ -105,48 +105,39 @@ TEST(FgAllocation, WarmWorkspaceRunBpAllocatesNothing) {
   EXPECT_EQ(allocated, 0u) << "warm workspace run_bp touched the heap";
 }
 
-TEST(FgAllocation, WarmIncrementalPropagateAllocatesNothing) {
-  const std::vector<AlertType> observed = {
-      AlertType::kPortScan, AlertType::kLoginFailure, AlertType::kSshBruteforce,
-      AlertType::kDownloadSensitive};
-  FactorGraph graph = build_entity_graph(model(), observed);
-  BpOptions options;
-  options.damping = 0.3;
-  IncrementalBp engine(graph, options);
-
-  // Warm up the invalidate -> propagate cycle (heap entries, scratch).
-  const FactorId emission = 1;  // one of the chain's emission factors
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    engine.invalidate_factor(emission);
-    engine.propagate();
-  }
+TEST(FgAllocation, EntityFilterObserveAllocatesNothing) {
+  EntityFilter filter(compile_params(model()));
+  const AlertType stream[] = {AlertType::kPortScan, AlertType::kSshBruteforce,
+                              AlertType::kDownloadSensitive, AlertType::kJobSubmitted};
+  // Constant-size state: no warm-up, the very first observe is clean.
   const auto allocated = allocations_during([&] {
-    engine.invalidate_factor(emission);
-    engine.propagate();
+    for (int round = 0; round < 64; ++round) {
+      for (const AlertType type : stream) filter.observe(type);
+    }
   });
-  EXPECT_EQ(allocated, 0u) << "warm incremental propagate touched the heap";
+  EXPECT_EQ(allocated, 0u) << "EntityFilter::observe touched the heap";
+  EXPECT_EQ(filter.observed(), 256u);
 }
 
-TEST(FgAllocation, EntityEngineObserveAllocatesAmortizedConstant) {
-  EntityBatchBp engine(compile_params(model()));
-  // Entity 1 warms the SHARED scratch (residual heap, priority array) to a
-  // history longer than anything entity 2 reaches below.
-  for (int i = 0; i < 64; ++i) {
-    engine.observe(1, AlertType::kJobSubmitted);
-  }
-  // Each observe appends one event (history byte + kStride message doubles),
-  // so growth allocations are unavoidable — but they must be *amortized*:
-  // geometric capacity doubling means 32 observes trigger only a handful of
-  // reallocations, never one-per-call and never any scratch churn.
-  for (int i = 0; i < 8; ++i) engine.observe(2, AlertType::kPortScan);
-  constexpr int kObserves = 32;
+TEST(FgAllocation, ForwardDetectorObserveAllocatesNothing) {
+  // A threshold no posterior reaches: every call takes the non-firing path
+  // the shard workers run for almost every alert.
+  detect::FactorGraphDetector detector(compile_params(model()), 1.5,
+                                       alerts::AttackStage::kInProgress, true);
+  alerts::Alert alert;
+  const AlertType stream[] = {AlertType::kLoginSuccess, AlertType::kPortScan,
+                              AlertType::kDownloadSensitive, AlertType::kC2Communication};
+  std::size_t index = 0;
   const auto allocated = allocations_during([&] {
-    for (int i = 0; i < kObserves; ++i) engine.observe(2, AlertType::kPortScan);
+    for (int round = 0; round < 64; ++round) {
+      for (const AlertType type : stream) {
+        alert.type = type;
+        alert.ts += 45;
+        if (detector.observe(alert, index++)) ADD_FAILURE() << "detector fired";
+      }
+    }
   });
-  // Three growing vectors (types, msg, din) doubling from 8 to 40 events:
-  // at most ~3 reallocations each. Anything near one-allocation-per-observe
-  // means a hot path regressed into per-call scratch allocation.
-  EXPECT_LE(allocated, 12u) << "entity observe allocates per call, not amortized";
+  EXPECT_EQ(allocated, 0u) << "non-firing FactorGraphDetector::observe touched the heap";
 }
 
 }  // namespace

@@ -1,16 +1,23 @@
-// Entity-augmented factor graph: the loopy user-state model. Verified
-// against exact enumeration on small sequences and for its semantic
-// behaviour (malicious posterior tracks the attack content).
+// Entity-augmented factor graph: the user-state model. EntityFilter, its
+// exact streaming inference, is verified against joint enumeration of the
+// loopy entity graph and for its semantic behaviour (malicious posterior
+// tracks the attack content).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "fg/model.hpp"
 #include "incidents/generator.hpp"
+#include "util/rng.hpp"
 
 namespace at::fg {
 namespace {
 
 using alerts::AlertType;
+
+constexpr double kExact = 1e-9;
 
 const ModelParams& params() {
   static const ModelParams p = [] {
@@ -19,6 +26,22 @@ const ModelParams& params() {
     return learn_params(incidents::CorpusGenerator(config).generate());
   }();
   return p;
+}
+
+std::shared_ptr<const CompiledParams> compiled() {
+  static const std::shared_ptr<const CompiledParams> c = compile_params(params());
+  return c;
+}
+
+EntityFilter filter_over(const std::vector<AlertType>& observed, double coupling = 1.0) {
+  EntityFilter filter(compiled(), coupling);
+  for (const AlertType type : observed) filter.observe(type);
+  return filter;
+}
+
+AlertType random_type(util::Rng& rng) {
+  return static_cast<AlertType>(
+      rng.uniform_int(0, static_cast<std::int64_t>(alerts::kNumAlertTypes) - 1));
 }
 
 TEST(EntityGraph, Shape) {
@@ -33,30 +56,34 @@ TEST(EntityGraph, Shape) {
 }
 
 TEST(EntityGraph, EmptySequence) {
-  const auto result = infer_entity(params(), {});
-  EXPECT_DOUBLE_EQ(result.p_malicious, 0.5);
+  const EntityFilter filter(compiled());
+  EXPECT_DOUBLE_EQ(filter.p_malicious(), 0.5);
+  EXPECT_EQ(filter.observed(), 0u);
 }
 
 class EntityVsExact : public ::testing::TestWithParam<int> {};
 
 TEST_P(EntityVsExact, LoopyBpTracksEnumeration) {
-  // On short sequences the loopy posterior must be close to the exact
-  // marginal (loopy BP is approximate; we allow a small tolerance).
+  // The loopy entity graph, enumerated exactly, against the filter: every
+  // length 1..9 twice per seed (216 sequences over the 12 seeds), the
+  // second draw with a random coupling strength.
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 71 + 11);
-  std::vector<AlertType> observed;
-  const std::size_t n = 2 + static_cast<std::size_t>(rng.uniform_int(0, 3));
-  for (std::size_t i = 0; i < n; ++i) {
-    observed.push_back(static_cast<AlertType>(
-        rng.uniform_int(0, static_cast<std::int64_t>(alerts::kNumAlertTypes) - 1)));
+  for (std::size_t n = 1; n <= 9; ++n) {
+    for (const bool unit_coupling : {true, false}) {
+      std::vector<AlertType> observed;
+      for (std::size_t i = 0; i < n; ++i) observed.push_back(random_type(rng));
+      const double coupling = unit_coupling ? 1.0 : 0.25 + 2.75 * rng.uniform();
+      const auto exact = enumerate_exact(build_entity_graph(params(), observed, coupling));
+      const EntityFilter filter = filter_over(observed, coupling);
+      EXPECT_NEAR(filter.p_malicious(), exact.marginals.back()[1], kExact)
+          << "n=" << n << " coupling=" << coupling;
+      const auto last = filter.last_stage();
+      for (std::size_t s = 0; s < alerts::kNumStages; ++s) {
+        EXPECT_NEAR(last[s], exact.marginals[n - 1][s], kExact)
+            << "n=" << n << " stage=" << s << " coupling=" << coupling;
+      }
+    }
   }
-  const auto graph = build_entity_graph(params(), observed);
-  const auto exact = enumerate_exact(graph);
-  const auto loopy = infer_entity(params(), observed);
-  // Loopy BP is an approximation; on these small dense-coupled graphs the
-  // error stays well under 0.15 and, critically, on the same *side* of the
-  // decision boundary as the exact posterior.
-  EXPECT_NEAR(loopy.p_malicious, exact.marginals.back()[1], 0.15);
-  EXPECT_EQ(loopy.p_malicious > 0.5, exact.marginals.back()[1] > 0.5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, EntityVsExact, ::testing::Range(0, 12));
@@ -65,47 +92,68 @@ TEST(EntityGraph, AttackSequenceLooksMalicious) {
   const std::vector<AlertType> attack = {
       AlertType::kDownloadSensitive, AlertType::kCompileSource, AlertType::kLogTampering,
       AlertType::kSshKeyTheft, AlertType::kC2Communication};
-  const auto result = infer_entity(params(), attack);
-  EXPECT_TRUE(result.converged);
-  EXPECT_GT(result.p_malicious, 0.8);
+  EXPECT_GT(filter_over(attack).p_malicious(), 0.8);
 }
 
 TEST(EntityGraph, BenignSequenceLooksLegitimate) {
   const std::vector<AlertType> benign = {AlertType::kLoginSuccess, AlertType::kJobSubmitted,
                                          AlertType::kJobCompleted, AlertType::kFileTransfer,
                                          AlertType::kLogout};
-  const auto result = infer_entity(params(), benign);
-  EXPECT_LT(result.p_malicious, 0.3);
+  EXPECT_LT(filter_over(benign).p_malicious(), 0.3);
 }
 
 TEST(EntityGraph, CouplingStrengthSharpensThePosterior) {
   const std::vector<AlertType> attack = {AlertType::kDownloadSensitive,
                                          AlertType::kCompileSource,
                                          AlertType::kLogTampering};
-  const auto weak = infer_entity(params(), attack, 0.25);
-  const auto strong = infer_entity(params(), attack, 3.0);
-  EXPECT_GT(strong.p_malicious, weak.p_malicious);
+  EXPECT_GT(filter_over(attack, 3.0).p_malicious(), filter_over(attack, 0.25).p_malicious());
 }
 
 TEST(EntityGraph, MixedSequenceSitsBetween) {
   const std::vector<AlertType> mixed = {AlertType::kLoginSuccess, AlertType::kPortScan,
                                         AlertType::kLoginFailure, AlertType::kJobSubmitted};
-  const auto result = infer_entity(params(), mixed);
-  EXPECT_GT(result.p_malicious, 0.02);
-  EXPECT_LT(result.p_malicious, 0.85);
+  const double p = filter_over(mixed).p_malicious();
+  EXPECT_GT(p, 0.02);
+  EXPECT_LT(p, 0.85);
 }
 
 TEST(EntityGraph, LastStagePosteriorIsNormalized) {
   const std::vector<AlertType> attack = {AlertType::kDbPortProbe,
                                          AlertType::kDefaultPasswordLogin,
                                          AlertType::kDbPayloadEncoding};
-  const auto result = infer_entity(params(), attack);
   double total = 0.0;
-  for (const auto p : result.last_stage) {
+  for (const double p : filter_over(attack).last_stage()) {
     EXPECT_GE(p, 0.0);
     total += p;
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+TEST(EntityFilter, LongHistoryStaysFiniteAndReplays) {
+  // State is constant-size and normalized per step, so a 100K-alert
+  // history neither under- nor overflows; reset() must forget it all.
+  util::Rng rng(0xe11);
+  std::vector<AlertType> history;
+  for (int i = 0; i < 100'000; ++i) history.push_back(random_type(rng));
+
+  EntityFilter filter(compiled());
+  std::vector<double> first;
+  first.reserve(history.size());
+  for (const AlertType type : history) {
+    filter.observe(type);
+    const double p = filter.p_malicious();
+    ASSERT_TRUE(std::isfinite(p) && p >= 0.0 && p <= 1.0) << "alert " << first.size();
+    first.push_back(p);
+  }
+  for (const double p : filter.last_stage()) EXPECT_TRUE(std::isfinite(p));
+  EXPECT_EQ(filter.observed(), history.size());
+
+  filter.reset();
+  EXPECT_DOUBLE_EQ(filter.p_malicious(), 0.5);
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    filter.observe(history[i]);
+    ASSERT_EQ(filter.p_malicious(), first[i]) << "replay diverged at alert " << i;
+  }
 }
 
 }  // namespace
