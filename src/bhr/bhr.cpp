@@ -1,6 +1,9 @@
 #include "bhr/bhr.hpp"
 
 #include <algorithm>
+#include <utility>
+
+#include "util/rng.hpp"
 
 namespace at::bhr {
 
@@ -359,36 +362,75 @@ void ScanRecorder::record(const net::Flow& flow) {
   }
   ++state.profile.probes;
   state.profile.last_seen = std::max(state.profile.last_seen, flow.ts);
-  const auto host = static_cast<std::uint16_t>(flow.dst.value() & 0xffffu);
-  if (!state.promoted) {
-    const auto* begin = state.small_targets.data();
-    const auto* end = begin + state.small_count;
-    if (std::find(begin, end, host) != end) return;  // already counted
-    if (state.small_count < State::kSmallTargets) {
-      state.small_targets[state.small_count++] = host;
-      ++state.profile.distinct_targets;
+  state.add_target(static_cast<std::uint16_t>(flow.dst.value() & 0xffffu));
+}
+
+void ScanRecorder::State::add_target(std::uint16_t host) {
+  if (contains(host)) return;
+  const std::uint64_t distinct = profile.distinct_targets;
+  if (targets.empty()) {
+    if (distinct < kInlineTargets) {
+      inline_targets[distinct] = host;
+      ++profile.distinct_targets;
       return;
     }
-    // 17th distinct target: graduate to the exact /16 bitmap.
-    state.target_bits.assign(1024, 0);
-    for (const std::uint16_t seen : state.small_targets) {
-      state.target_bits[seen >> 6] |= 1ULL << (seen & 63u);
-    }
-    state.promoted = true;
-    ++promoted_;
+    relayout(4 * kInlineTargets);  // 17th host: the sparse set opens
+  } else if (!promoted && 2 * (distinct + 1) > targets.size()) {
+    relayout(2 * targets.size());  // past half load: double, or promote
   }
-  auto& word = state.target_bits[host >> 6];
-  const std::uint64_t bit = 1ULL << (host & 63u);
-  if ((word & bit) == 0) {
-    word |= bit;
-    ++state.profile.distinct_targets;
+  store(host);
+  ++profile.distinct_targets;
+}
+
+bool ScanRecorder::State::contains(std::uint16_t host) const {
+  if (promoted) return ((targets[host >> 4] >> (host & 15u)) & 1u) != 0;
+  if (targets.empty()) {
+    const auto* end = inline_targets.data() + profile.distinct_targets;
+    return std::find(inline_targets.data(), end, host) != end;
   }
+  if (host == 0) return sparse_has_host0;
+  const std::size_t mask = targets.size() - 1;
+  for (std::size_t i = util::mix64(host) & mask;; i = (i + 1) & mask) {
+    if (targets[i] == host) return true;
+    if (targets[i] == 0) return false;
+  }
+}
+
+void ScanRecorder::State::store(std::uint16_t host) {
+  if (promoted) {
+    targets[host >> 4] = static_cast<std::uint16_t>(targets[host >> 4] | (1u << (host & 15u)));
+    return;
+  }
+  if (host == 0) {
+    sparse_has_host0 = true;
+    return;
+  }
+  const std::size_t mask = targets.size() - 1;
+  std::size_t i = util::mix64(host) & mask;
+  while (targets[i] != 0) i = (i + 1) & mask;
+  targets[i] = host;
+}
+
+void ScanRecorder::State::relayout(std::size_t slots) {
+  const std::vector<std::uint16_t> sparse = std::exchange(targets, {});
+  const bool from_inline = sparse.empty();
+  promoted = slots > kMaxSparseSlots;
+  targets.assign(promoted ? kBitmapWords : slots, 0);
+  if (from_inline) {
+    for (const std::uint16_t host : inline_targets) store(host);
+    return;
+  }
+  for (const std::uint16_t host : sparse) {
+    if (host != 0) store(host);
+  }
+  if (sparse_has_host0) store(0);
 }
 
 std::vector<ScannerProfile> ScanRecorder::top_scanners(std::size_t k) const {
   std::vector<ScannerProfile> profiles;
   profiles.reserve(per_source_.size());
-  for (const auto& [key, state] : per_source_) profiles.push_back(state.profile);
+  per_source_.for_each(
+      [&profiles](std::uint64_t, const State& state) { profiles.push_back(state.profile); });
   std::sort(profiles.begin(), profiles.end(),
             [](const ScannerProfile& a, const ScannerProfile& b) {
               if (a.probes != b.probes) return a.probes > b.probes;
@@ -400,11 +442,11 @@ std::vector<ScannerProfile> ScanRecorder::top_scanners(std::size_t k) const {
 
 std::vector<ScannerProfile> ScanRecorder::mass_scanners(std::uint64_t min_targets) const {
   std::vector<ScannerProfile> out;
-  for (const auto& [key, state] : per_source_) {
+  per_source_.for_each([&out, min_targets](std::uint64_t, const State& state) {
     if (state.profile.distinct_targets >= min_targets) out.push_back(state.profile);
-  }
-  // Tie-break on source so equal-count scanners don't surface in
-  // unordered_map iteration order (nondeterministic across runs).
+  });
+  // Tie-break on source so equal-count scanners don't surface in the
+  // table's slot order.
   std::sort(out.begin(), out.end(), [](const ScannerProfile& a, const ScannerProfile& b) {
     if (a.distinct_targets != b.distinct_targets) {
       return a.distinct_targets > b.distinct_targets;
@@ -412,6 +454,14 @@ std::vector<ScannerProfile> ScanRecorder::mass_scanners(std::uint64_t min_target
     return a.source < b.source;
   });
   return out;
+}
+
+std::size_t ScanRecorder::promoted_sources() const {
+  std::size_t promoted = 0;
+  per_source_.for_each([&promoted](std::uint64_t, const State& state) {
+    if (state.promoted) ++promoted;
+  });
+  return promoted;
 }
 
 }  // namespace at::bhr

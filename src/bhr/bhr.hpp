@@ -40,6 +40,7 @@
 #include "sim/timing_wheel.hpp"
 #include "util/annotations.hpp"
 #include "util/epoch.hpp"
+#include "util/flat_map.hpp"
 #include "util/table.hpp"
 #include "util/time_utils.hpp"
 
@@ -238,28 +239,47 @@ class ScanRecorder {
   /// Sources probing at least `min_targets` distinct internal hosts.
   [[nodiscard]] std::vector<ScannerProfile> mass_scanners(std::uint64_t min_targets) const;
 
-  /// Sources that graduated from the inline small-set to the full /16
-  /// bitmap (diagnostics for the hybrid representation).
-  [[nodiscard]] std::size_t promoted_sources() const noexcept { return promoted_; }
+  /// Sources whose distinct targets outgrew the sparse tier and now use
+  /// the full /16 bitmap (diagnostics for the tiered representation).
+  [[nodiscard]] std::size_t promoted_sources() const;
 
  private:
-  /// Hybrid distinct-target tracking. The Zipf tail of the 26.85M-probe
-  /// Fig-1 regime is dominated by sources that touch only a handful of
-  /// hosts; giving each of them the full 8 KiB /16 bitmap up front costs
-  /// hundreds of MB. Targets live in a 16-entry inline array until the
-  /// 17th distinct host, then promote to the exact bitmap (low 16 bits of
-  /// the target address index one of 65,536 bits).
+  /// Exact distinct-target tracking in three tiers, keyed by the low 16
+  /// bits of the target address. The Zipf tail of the 26.85M-probe Fig-1
+  /// regime is dominated by sources that touch a handful of hosts, and
+  /// most of the rest touch tens to hundreds, so no source pays for the
+  /// full /16 bitmap before it would use as much memory on a sparse set:
+  ///   - inline: the first kInlineTargets distinct hosts, in the state;
+  ///   - sparse: an open-addressed set of hosts on the heap, kept at most
+  ///     half full, doubling up to kMaxSparseSlots slots (8 KiB), so it
+  ///     holds up to 2,048 hosts;
+  ///   - bitmap: the 2,049th distinct host promotes the source to a
+  ///     65,536-bit bitmap of kBitmapWords 16-bit words (also 8 KiB).
   struct State {
-    static constexpr std::size_t kSmallTargets = 16;
+    static constexpr std::size_t kInlineTargets = 16;
+    static constexpr std::size_t kMaxSparseSlots = 4096;
+    static constexpr std::size_t kBitmapWords = 65536 / 16;
+
+    /// Adds `host` to the distinct targets, counting it in
+    /// profile.distinct_targets if it is new.
+    void add_target(std::uint16_t host);
+    [[nodiscard]] bool contains(std::uint16_t host) const;
+    /// Stores a host known to be new in the current tier's layout.
+    void store(std::uint16_t host);
+    /// Re-lays the current targets into a sparse set of `slots` slots, or
+    /// into the bitmap once `slots` exceeds kMaxSparseSlots.
+    void relayout(std::size_t slots);
+
     ScannerProfile profile;
-    std::array<std::uint16_t, kSmallTargets> small_targets{};
-    std::uint8_t small_count = 0;
+    std::array<std::uint16_t, kInlineTargets> inline_targets{};
+    /// A sparse slot holding 0 is empty, so host 0 is this flag there.
+    bool sparse_has_host0 = false;
     bool promoted = false;
-    std::vector<std::uint64_t> target_bits;  ///< 1024 words once promoted
+    /// Empty in the inline tier; the sparse set's slots, or the bitmap.
+    std::vector<std::uint16_t> targets;
   };
-  std::unordered_map<std::uint32_t, State> per_source_;
+  util::FlatMap<State> per_source_;
   std::uint64_t total_ = 0;
-  std::size_t promoted_ = 0;
 };
 
 }  // namespace at::bhr

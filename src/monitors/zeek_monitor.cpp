@@ -48,6 +48,8 @@ void ZeekMonitor::on_flow(const net::Flow& flow) {
   const bool outbound = config_.internal.contains(flow.src) && !config_.internal.contains(flow.dst);
 
   if (inbound) {
+    // Held across emit(): the sink chain (correlator, pipeline, BHR)
+    // never re-enters on_flow, so no insert can move the state meanwhile.
     auto& state = sources_[flow.src.value()];
     if (!state.seen) {
       state.seen = true;
@@ -136,29 +138,17 @@ void ZeekMonitor::on_flow(const net::Flow& flow) {
 }
 
 std::size_t ZeekMonitor::prune_idle(util::SimTime now) {
-  std::size_t dropped = 0;
-  for (auto it = sources_.begin(); it != sources_.end();) {
-    if (now - it->second.last_seen > config_.window) {
-      it = sources_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
   const util::SimTime pair_idle = kPairIdleWindows * config_.window;
-  for (auto it = pairs_.begin(); it != pairs_.end();) {
-    const PairState& pair = it->second;
-    if (now - pair.last_arrival > pair_idle) {
-      it = pairs_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  return dropped;
+  return sources_.erase_if([&](std::uint64_t, const SourceState& state) {
+           return now - state.last_seen > config_.window;
+         }) +
+         pairs_.erase_if([&](std::uint64_t, const PairState& pair) {
+           return now - pair.last_arrival > pair_idle;
+         });
 }
 
 void ZeekMonitor::check_beacon(const net::Flow& flow) {
+  // Held across emit(), as in on_flow.
   auto& pair = pairs_[pair_key(flow.src, flow.dst)];
   // Beacon = near-constant inter-arrival spacing over the pair's history.
   // Welford over the same sequence of gaps gives the same mean and stddev

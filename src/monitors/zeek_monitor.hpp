@@ -13,6 +13,7 @@
 #include "net/cidr.hpp"
 #include "net/flow.hpp"
 #include "util/annotations.hpp"
+#include "util/flat_map.hpp"
 #include "util/stats.hpp"
 
 namespace at::monitors {
@@ -112,8 +113,8 @@ class ZeekMonitor final : public Monitor {
 
   ZeekConfig config_;
   std::uint64_t flows_seen_ = 0;
-  std::unordered_map<std::uint32_t, SourceState> sources_;
-  std::unordered_map<std::uint64_t, PairState> pairs_;
+  util::FlatMap<SourceState> sources_;
+  util::FlatMap<PairState> pairs_;
   std::unordered_map<std::uint32_t, std::string> host_names_;
 };
 

@@ -12,14 +12,14 @@ std::uint64_t AlertCorrelator::key_of(const alerts::Alert& alert) {
 bool AlertCorrelator::admit(const alerts::Alert& alert) {
   ++received_;
   const auto key = key_of(alert);
-  const auto it = last_forwarded_.find(key);
-  if (it != last_forwarded_.end() && alert.ts - it->second < config_.window &&
-      alert.ts >= it->second) {
+  util::SimTime* last = last_forwarded_.find(key);
+  if (last != nullptr && alert.ts - *last < config_.window && alert.ts >= *last) {
     // Corroborating observation of the same event: absorb it. (Operators
     // can recover the per-monitor view from the monitors' own counters.)
     return false;
   }
-  last_forwarded_[key] = alert.ts;
+  if (last == nullptr) last = &last_forwarded_[key];
+  *last = alert.ts;
   ++forwarded_;
   return true;
 }

@@ -7,9 +7,8 @@
 // a corroboration count, so detectors are not double-counting evidence
 // while operators still see which monitors agreed.
 
-#include <unordered_map>
-
 #include "alerts/alert.hpp"
+#include "util/flat_map.hpp"
 
 namespace at::testbed {
 
@@ -46,7 +45,7 @@ class AlertCorrelator final : public alerts::AlertSink {
 
   CorrelatorConfig config_;
   alerts::AlertSink* downstream_;
-  std::unordered_map<std::uint64_t, util::SimTime> last_forwarded_;
+  util::FlatMap<util::SimTime> last_forwarded_;
   std::uint64_t received_ = 0;
   std::uint64_t forwarded_ = 0;
 };

@@ -7,10 +7,9 @@
 // crosses the bruteforce threshold — the reflexive response layer that
 // keeps commodity scanning away from the detectors.
 
-#include <unordered_map>
-
 #include "bhr/bhr.hpp"
 #include "net/flow.hpp"
+#include "util/flat_map.hpp"
 
 namespace at::testbed {
 
@@ -42,7 +41,7 @@ class SshAuditor {
 
   SshAuditorConfig config_;
   bhr::BlackHoleRouter* router_;
-  std::unordered_map<std::uint32_t, SourceState> sources_;
+  util::FlatMap<SourceState> sources_;
   std::uint64_t failures_ = 0;
   std::uint64_t blocks_ = 0;
 };

@@ -91,8 +91,11 @@ std::size_t Testbed::inject_flows(std::span<const net::Flow> flows) {
 }
 
 bool Testbed::process_admitted(const net::Flow& flow) {
-  // Every attempt against the protected space feeds the BHR's scan view.
-  if (flow.state != net::ConnState::kEstablished) scan_recorder_.record(flow);
+  // Every attempt against the protected space feeds the BHR's scan view;
+  // a honeypot's egress attempts target the outside and are not scans.
+  if (flow.state != net::ConnState::kEstablished && config_.zeek.internal.contains(flow.dst)) {
+    scan_recorder_.record(flow);
+  }
   // Flows *originating* in the honeypot go through the egress sandbox;
   // dropped escapes are still *observed* by Zeek before the drop — the
   // iptables rules monitor new outbound connections and then discard them,

@@ -1,4 +1,4 @@
-// Property tests for the BHR's TTL expiry machinery and the hybrid scan
+// Property tests for the BHR's TTL expiry machinery and the tiered scan
 // recorder.
 //
 // Expiry rides the sim timing wheel (one scheduled event per TTL'd block,
@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <algorithm>
+#include <array>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "bhr/bhr.hpp"
@@ -150,7 +153,7 @@ TEST(ScanRecorderHybrid, SmallSetCountsExactlyAndDoesNotPromote) {
   EXPECT_EQ(top[0].distinct_targets, 16u);
 }
 
-TEST(ScanRecorderHybrid, PromotionAtSeventeenthTargetKeepsExactCounts) {
+TEST(ScanRecorderHybrid, PromotionAt2049thTargetKeepsExactCounts) {
   bhr::ScanRecorder recorder;
   util::Rng rng(99);
   // Reference distinct-set per source.
@@ -167,11 +170,32 @@ TEST(ScanRecorderHybrid, PromotionAtSeventeenthTargetKeepsExactCounts) {
       ++distinct[src];
     }
   }
-  EXPECT_EQ(recorder.promoted_sources(), 5u);  // all five crossed 16 targets
+  EXPECT_EQ(recorder.promoted_sources(), 5u);  // all five crossed 2,048 targets
   for (const auto& profile : recorder.top_scanners(10)) {
     EXPECT_EQ(profile.distinct_targets, distinct[profile.source.value() & 0xffffffu])
         << profile.source.str();
   }
+}
+
+TEST(ScanRecorderHybrid, SparseTierHoldsUpTo2048Targets) {
+  bhr::ScanRecorder recorder;
+  // 2,048 distinct hosts, host 0 among them, each probed twice: the
+  // source stays in the sparse tier through every doubling.
+  std::vector<std::uint16_t> hosts;
+  for (std::uint32_t h = 0; h < 2048; ++h) hosts.push_back(static_cast<std::uint16_t>(h * 31));
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::uint16_t h : hosts) recorder.record(probe(1, h, pass));
+  }
+  EXPECT_EQ(recorder.promoted_sources(), 0u);
+  EXPECT_EQ(recorder.top_scanners(1)[0].distinct_targets, 2048u);
+  // The 2,049th distinct host promotes to the bitmap; counts stay exact.
+  recorder.record(probe(1, 65535, 2));
+  EXPECT_EQ(recorder.promoted_sources(), 1u);
+  for (const std::uint16_t h : hosts) recorder.record(probe(1, h, 3));
+  recorder.record(probe(1, 65535, 4));
+  const auto top = recorder.top_scanners(1);
+  EXPECT_EQ(top[0].distinct_targets, 2049u);
+  EXPECT_EQ(top[0].probes, 2u * 2048u + 1u + 2048u + 1u);
 }
 
 TEST(ScanRecorderHybrid, OneProbeSourcesStayInline) {
@@ -212,6 +236,151 @@ TEST(ScanRecorderHybrid, TopScannersBreaksEqualCountTiesByAscendingSource) {
   const auto top4 = recorder.top_scanners(4);
   ASSERT_EQ(top4.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(top4[i].source, external_ip(expected[i]));
+}
+
+// Reference copy of the recorder before the sparse tier: node-based
+// per-source map, 16 inline targets, then the full /16 bitmap.
+class ReferenceScanRecorder {
+ public:
+  void record(const net::Flow& flow) {
+    ++total_;
+    State& state = per_source_[flow.src.value()];
+    if (state.profile.probes == 0) {
+      state.profile.source = flow.src;
+      state.profile.first_seen = flow.ts;
+    }
+    ++state.profile.probes;
+    state.profile.last_seen = std::max(state.profile.last_seen, flow.ts);
+    const auto host = static_cast<std::uint16_t>(flow.dst.value() & 0xffffu);
+    if (!state.promoted) {
+      const auto* begin = state.small_targets.data();
+      const auto* end = begin + state.small_count;
+      if (std::find(begin, end, host) != end) return;
+      if (state.small_count < State::kSmallTargets) {
+        state.small_targets[state.small_count++] = host;
+        ++state.profile.distinct_targets;
+        return;
+      }
+      state.target_bits.assign(1024, 0);
+      for (const std::uint16_t seen : state.small_targets) {
+        state.target_bits[seen >> 6] |= 1ULL << (seen & 63u);
+      }
+      state.promoted = true;
+    }
+    auto& word = state.target_bits[host >> 6];
+    const std::uint64_t bit = 1ULL << (host & 63u);
+    if ((word & bit) == 0) {
+      word |= bit;
+      ++state.profile.distinct_targets;
+    }
+  }
+
+  [[nodiscard]] std::uint64_t total_probes() const { return total_; }
+  [[nodiscard]] std::size_t distinct_sources() const { return per_source_.size(); }
+  [[nodiscard]] std::vector<bhr::ScannerProfile> top_scanners(std::size_t k) const {
+    std::vector<bhr::ScannerProfile> out;
+    for (const auto& [key, state] : per_source_) out.push_back(state.profile);
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      if (a.probes != b.probes) return a.probes > b.probes;
+      return a.source < b.source;
+    });
+    if (out.size() > k) out.resize(k);
+    return out;
+  }
+  [[nodiscard]] std::vector<bhr::ScannerProfile> mass_scanners(std::uint64_t min_targets) const {
+    std::vector<bhr::ScannerProfile> out;
+    for (const auto& [key, state] : per_source_) {
+      if (state.profile.distinct_targets >= min_targets) out.push_back(state.profile);
+    }
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      if (a.distinct_targets != b.distinct_targets) {
+        return a.distinct_targets > b.distinct_targets;
+      }
+      return a.source < b.source;
+    });
+    return out;
+  }
+
+ private:
+  struct State {
+    static constexpr std::size_t kSmallTargets = 16;
+    bhr::ScannerProfile profile;
+    std::array<std::uint16_t, kSmallTargets> small_targets{};
+    std::uint8_t small_count = 0;
+    bool promoted = false;
+    std::vector<std::uint64_t> target_bits;
+  };
+  std::unordered_map<std::uint32_t, State> per_source_;
+  std::uint64_t total_ = 0;
+};
+
+void expect_same_profiles(const std::vector<bhr::ScannerProfile>& got,
+                          const std::vector<bhr::ScannerProfile>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].source, want[i].source) << "rank " << i;
+    EXPECT_EQ(got[i].probes, want[i].probes) << "rank " << i;
+    EXPECT_EQ(got[i].distinct_targets, want[i].distinct_targets) << "rank " << i;
+    EXPECT_EQ(got[i].first_seen, want[i].first_seen) << "rank " << i;
+    EXPECT_EQ(got[i].last_seen, want[i].last_seen) << "rank " << i;
+  }
+}
+
+TEST(ScanRecorderHybrid, TieredTargetsMatchReference) {
+  // Sources sized at every tier boundary (1, 16, 17, 2,048, 2,049 distinct
+  // hosts, and past them), host 0 and 65,535 in every target list, a Zipf
+  // crowd of one-probe and few-probe sources, repeats, and a clock that
+  // steps backwards, all interleaved.
+  const std::uint64_t sizes[] = {1, 2, 15, 16, 17, 18, 33, 1024, 2047, 2048, 2049, 2050, 5000};
+  for (const std::uint64_t seed : {5u, 6u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    std::vector<net::Flow> flows;
+    for (std::size_t s = 0; s < std::size(sizes); ++s) {
+      std::vector<std::uint16_t> hosts = {0, 65535};
+      std::vector<bool> taken(65536, false);
+      taken[0] = taken[65535] = true;
+      while (hosts.size() < sizes[s]) {
+        const auto h = static_cast<std::uint16_t>(rng());
+        if (!taken[h]) {
+          taken[h] = true;
+          hosts.push_back(h);
+        }
+      }
+      hosts.resize(sizes[s]);
+      for (const std::uint16_t h : hosts) {
+        const auto repeats = rng.bernoulli(0.3) ? 2 : 1;
+        for (int r = 0; r < repeats; ++r) {
+          flows.push_back(probe(static_cast<std::uint32_t>(s), h, rng.uniform_int(-50, 5000)));
+        }
+      }
+    }
+    for (int i = 0; i < 20000; ++i) {
+      const auto src = static_cast<std::uint32_t>(1000 + rng.zipf(8000, 1.1));
+      flows.push_back(probe(src, static_cast<std::uint16_t>(rng()), rng.uniform_int(0, 5000)));
+    }
+    rng.shuffle(flows);
+
+    bhr::ScanRecorder recorder;
+    ReferenceScanRecorder reference;
+    for (const auto& flow : flows) {
+      recorder.record(flow);
+      reference.record(flow);
+    }
+    EXPECT_EQ(recorder.total_probes(), reference.total_probes());
+    EXPECT_EQ(recorder.distinct_sources(), reference.distinct_sources());
+    expect_same_profiles(recorder.top_scanners(flows.size()),
+                         reference.top_scanners(flows.size()));
+    expect_same_profiles(recorder.top_scanners(7), reference.top_scanners(7));
+    for (const std::uint64_t k : {0u, 1u, 2u, 16u, 17u, 2048u, 2049u, 4000u}) {
+      SCOPED_TRACE("mass_scanners " + std::to_string(k));
+      expect_same_profiles(recorder.mass_scanners(k), reference.mass_scanners(k));
+    }
+    // Every tier is reached: the sources sized 2,049, 2,050 and 5,000 (and
+    // the head of the Zipf crowd) hold bitmaps, the rest do not.
+    EXPECT_GE(recorder.promoted_sources(), 3u);
+    EXPECT_EQ(recorder.promoted_sources(), recorder.mass_scanners(2049).size());
+  }
 }
 
 }  // namespace

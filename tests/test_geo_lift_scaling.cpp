@@ -3,11 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "analysis/lift.hpp"
 #include "incidents/noise.hpp"
 #include "net/geo.hpp"
 #include "testbed/autoscaler.hpp"
 #include "testbed/correlator.hpp"
+#include "util/rng.hpp"
 
 namespace at {
 namespace {
@@ -133,6 +139,71 @@ TEST(CorrelatorTest, DifferentHostsOrTypesPassThrough) {
   correlator.on_alert(alert);
   EXPECT_EQ(sink.alerts().size(), 3u);
   EXPECT_EQ(correlator.merged(), 0u);
+}
+
+// The correlator's dedup rule restated over a node-based map keyed by
+// the (host, type) pair itself rather than its 64-bit hash.
+class ReferenceCorrelator {
+ public:
+  explicit ReferenceCorrelator(util::SimTime window) : window_(window) {}
+  bool admit(const alerts::Alert& alert) {
+    const auto key = std::make_pair(alert.host, alert.type);
+    const auto it = last_forwarded_.find(key);
+    if (it != last_forwarded_.end() && alert.ts - it->second < window_ &&
+        alert.ts >= it->second) {
+      return false;
+    }
+    last_forwarded_[key] = alert.ts;
+    return true;
+  }
+
+ private:
+  util::SimTime window_;
+  std::map<std::pair<std::string, alerts::AlertType>, util::SimTime> last_forwarded_;
+};
+
+TEST(CorrelatorTest, FlatTableMatchesReference) {
+  const alerts::AlertType types[] = {alerts::AlertType::kDbPortProbe,
+                                     alerts::AlertType::kAddressScan,
+                                     alerts::AlertType::kFileDroppedTmp,
+                                     alerts::AlertType::kSshBruteforce};
+  for (const std::uint64_t seed : {21u, 22u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    alerts::BufferSink sink;
+    testbed::AlertCorrelator correlator({.window = 30}, sink);
+    ReferenceCorrelator reference(30);
+    std::vector<alerts::Alert> want;
+    util::SimTime clock = 0;
+    for (int i = 0; i < 30000; ++i) {
+      // Mostly advancing, sometimes stepping back past the window, so the
+      // `ts >= last` guard and re-forwarding of late alerts both run.
+      clock += rng.uniform_int(0, 3);
+      alerts::Alert alert;
+      alert.ts = rng.bernoulli(0.1) ? clock - rng.uniform_int(0, 60) : clock;
+      alert.type = types[rng.uniform_int(0, 3)];
+      alert.host = rng.bernoulli(0.5)
+                       ? "pg-" + std::to_string(rng.uniform_int(0, 15))
+                       : net::Ipv4(141, 142, static_cast<std::uint8_t>(rng.uniform_int(0, 40)),
+                                   static_cast<std::uint8_t>(rng()))
+                             .str();
+      if (reference.admit(alert)) want.push_back(alert);
+      if (rng.bernoulli(0.5)) {
+        correlator.on_alert(alert);
+      } else {
+        correlator.on_alert(alerts::Alert(alert));
+      }
+    }
+    ASSERT_EQ(sink.alerts().size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(sink.alerts()[i].ts, want[i].ts) << "alert " << i;
+      ASSERT_EQ(sink.alerts()[i].host, want[i].host) << "alert " << i;
+      ASSERT_EQ(sink.alerts()[i].type, want[i].type) << "alert " << i;
+    }
+    EXPECT_EQ(correlator.forwarded(), want.size());
+    EXPECT_EQ(correlator.received(), 30000u);
+    EXPECT_GT(correlator.merged(), 1000u);  // the window absorbs a real share
+  }
 }
 
 // --- autoscaler ---

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "net/cidr.hpp"
 #include "net/flow.hpp"
+#include "util/rng.hpp"
 
 namespace at::net {
 namespace {
@@ -15,6 +19,35 @@ TEST(Ipv4Test, ParseAndFormat) {
   EXPECT_EQ(ip.octet(3), 4);
   EXPECT_EQ(Ipv4(0).str(), "0.0.0.0");
   EXPECT_EQ(Ipv4(255, 255, 255, 255).str(), "255.255.255.255");
+}
+
+TEST(Ipv4Test, StrFormatsEveryOctetWidth) {
+  // Each octet position at the one-, two- and three-digit edges.
+  const std::uint8_t widths[] = {0, 9, 10, 99, 100, 255};
+  for (unsigned position = 0; position < 4; ++position) {
+    for (const std::uint8_t value : widths) {
+      std::uint8_t octets[4] = {1, 22, 133, 4};
+      octets[position] = value;
+      std::string want;
+      for (unsigned i = 0; i < 4; ++i) {
+        if (i > 0) want += '.';
+        want += std::to_string(octets[i]);
+      }
+      EXPECT_EQ(Ipv4(octets[0], octets[1], octets[2], octets[3]).str(), want);
+    }
+  }
+}
+
+TEST(Ipv4Test, StrRoundTripsThroughTryParse) {
+  util::Rng rng(0x1b4);
+  for (int i = 0; i < 20000; ++i) {
+    const Ipv4 ip(static_cast<std::uint32_t>(rng()));
+    const std::string text = ip.str();
+    ASSERT_LE(text.size(), 15u);
+    const auto parsed = Ipv4::try_parse(text);
+    ASSERT_TRUE(parsed.has_value()) << text;
+    ASSERT_EQ(*parsed, ip) << text;
+  }
 }
 
 class Ipv4ParseError : public ::testing::TestWithParam<const char*> {};

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <vector>
+
 #include "analysis/insights.hpp"
 #include "replay/background.hpp"
 #include "testbed/ssh_auditor.hpp"
 #include "testbed/testbed.hpp"
+#include "util/rng.hpp"
 
 namespace at {
 namespace {
@@ -61,6 +66,55 @@ TEST(SshAuditorTest, IgnoresSuccessesAndOtherPorts) {
   web.dst_port = 443;
   EXPECT_FALSE(auditor.on_flow(web));
   EXPECT_EQ(auditor.failures_seen(), 0u);
+}
+
+TEST(SshAuditorTest, ManySourcesMatchReference) {
+  // Per-source windows over 600 external sources, the address-space edges
+  // among them, against the rule restated over a node-based map.
+  bhr::BlackHoleRouter router;
+  testbed::SshAuditorConfig config;
+  config.failure_threshold = 6;
+  config.window = 50;
+  testbed::SshAuditor auditor(config, router);
+  struct Window {
+    util::SimTime start = 0;
+    std::size_t failures = 0;
+  };
+  std::map<std::uint32_t, Window> reference;
+  std::set<std::uint32_t> blocked;
+  std::uint64_t want_blocks = 0;
+
+  util::Rng rng(31);
+  std::vector<net::Ipv4> sources = {net::Ipv4(0u), net::Ipv4(0xffffffffu),
+                                    net::Ipv4(0xfffffffeu)};
+  while (sources.size() < 600) {
+    const net::Ipv4 ip(static_cast<std::uint32_t>(rng()));
+    if (!net::blocks::ncsa16().contains(ip)) sources.push_back(ip);
+  }
+  util::SimTime ts = 0;
+  for (int i = 0; i < 30000; ++i) {
+    ts += rng.uniform_int(0, 1);
+    net::Flow flow = ssh_fail(sources[rng.zipf(sources.size(), 1.1) - 1], ts);
+    if (rng.bernoulli(0.1)) flow.state = net::ConnState::kEstablished;
+    bool want = false;
+    if (flow.state != net::ConnState::kEstablished) {
+      Window& w = reference[flow.src.value()];
+      if (w.failures == 0 || ts - w.start > config.window) {
+        w.start = ts;
+        w.failures = 0;
+      }
+      if (++w.failures >= config.failure_threshold && blocked.insert(flow.src.value()).second) {
+        w.failures = 0;
+        want = true;
+        ++want_blocks;
+      }
+    }
+    ASSERT_EQ(auditor.on_flow(flow), want) << "flow " << i;
+  }
+  EXPECT_EQ(auditor.tracked_sources(), reference.size());
+  EXPECT_EQ(auditor.blocks_issued(), want_blocks);
+  EXPECT_GE(want_blocks, 10u);
+  EXPECT_TRUE(router.is_blocked(net::Ipv4(0u), ts));
 }
 
 TEST(SshAuditorTest, LiveBruteforceGetsAutoBlackholed) {

@@ -366,6 +366,38 @@ TEST(TestbedTest, InjectFlowPathways) {
   EXPECT_EQ(bed.zeek().flows_seen(), 2u);
 }
 
+TEST(TestbedTest, OnlyAttemptsOnTheProtectedSpaceAreScans) {
+  TestbedConfig config;
+  Testbed bed(config, training());
+  bed.deploy(0);
+  // A honeypot's outbound connection attempt: observed by Zeek, dropped
+  // by the sandbox, but not a probe of the /16 (its destination's low 16
+  // bits must not land in the target set as an internal host).
+  net::Flow egress;
+  egress.ts = 10;
+  egress.src = bed.postgres()[0]->address();
+  egress.dst = net::Ipv4(194, 145, 1, 1);
+  egress.dst_port = 4444;
+  egress.state = net::ConnState::kAttempt;
+  EXPECT_FALSE(bed.inject_flow(egress));
+  EXPECT_EQ(bed.inject_flows(std::span<const net::Flow>(&egress, 1)), 0u);
+  EXPECT_EQ(bed.zeek().flows_seen(), 2u);
+  EXPECT_EQ(bed.scan_recorder().total_probes(), 0u);
+  EXPECT_EQ(bed.scan_recorder().distinct_sources(), 0u);
+  // An external attempt on a honeypot inside the /16 is a scan.
+  net::Flow probe = egress;
+  probe.src = net::Ipv4(194, 145, 1, 1);
+  probe.dst = bed.postgres()[0]->address();
+  probe.dst_port = net::ports::kPostgres;
+  EXPECT_TRUE(bed.inject_flow(probe));
+  EXPECT_EQ(bed.inject_flows(std::span<const net::Flow>(&probe, 1)), 1u);
+  EXPECT_EQ(bed.scan_recorder().total_probes(), 2u);
+  const auto top = bed.scan_recorder().top_scanners(1);
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].source, probe.src);
+  EXPECT_EQ(top[0].distinct_targets, 1u);
+}
+
 TEST(TestbedTest, InjectFlowsFixesVerdictsPerChunk) {
   TestbedConfig config;
   config.ssh_auditor.failure_threshold = 3;
