@@ -1,26 +1,33 @@
-// Always-on daemon throughput: sustained alerts/s through DetectionDaemon
-// under continuous zero-copy batch submits, plus an ingest-ring depth
-// histogram showing the backpressure envelope (bounded rings, never
-// unbounded queueing). Two phases:
+// Detection-path bench: one synthetic day of notices (~1M lines of
+// background noise with incident timelines folded in) through the serial
+// oracle and through DetectionDaemon, then the daemon's steady state. The
+// day is synthesized, serialized and parsed once. Three phases:
 //
-//   1. Oracle: the daemon's released verdict stream over one day of
-//      synthetic traffic must be byte-identical to the serial
-//      AlertPipeline's notifications (same detectors, same input). The
-//      process exits nonzero on any divergence — this bench is a
-//      correctness gate first and a stopwatch second.
-//   2. Steady state: repeated passes of the same parsed batch through a
+//   1. Serial baseline: read_notice_log (an owning Alert per line), then
+//      AlertPipeline one alert at a time — the reference oracle.
+//   2. Daemon at 1, 2, 4 and 8 shards over the one parse_notice_batch
+//      (zero-copy columns): blocking batch-row submits, then drain to idle.
+//      Each run's verdict stream, kept count and BHR audit trail must be
+//      byte-identical to the serial run's; the process exits 1 on any
+//      divergence — this bench is a correctness gate first and a
+//      stopwatch second. End-to-end time is the batch parse plus the run.
+//   3. Steady state: repeated passes of the same parsed batch through a
 //      fresh daemon (cheap critical-alert detector) until enough wall time
 //      has accumulated, sampling ring depths every 256 submits into log2
 //      buckets and draining the typed alert queue as an operator would.
 //
 // Standalone main (not google-benchmark): the artifact is a machine-
-// readable BENCH_daemon.json at the repo root.
+// readable BENCH_daemon.json at the repo root that records the host and
+// build it came from.
+//
+//   bench_daemon [--alerts N] [--seconds S] [--out FILE]
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,9 +39,13 @@
 #include "fg/model.hpp"
 #include "incidents/generator.hpp"
 #include "incidents/noise.hpp"
+#include "net/ipv4.hpp"
 #include "testbed/daemon.hpp"
 #include "testbed/pipeline.hpp"
+#include "util/parse.hpp"
 #include "util/strings.hpp"
+
+#include "host_info.hpp"
 
 namespace {
 
@@ -45,8 +56,8 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Same day-of-traffic shape as bench_ingest_pipeline: background noise
-/// with incident timelines folded in, time-sorted.
+/// ~`budget` alerts of background noise with attack-incident timelines
+/// spliced in, time-sorted — the shape of one heavy day on the /16.
 std::vector<alerts::Alert> synthesize(std::size_t budget) {
   incidents::DailyNoiseModel noise;
   const auto month = noise.sample_month(0, 1);
@@ -57,6 +68,8 @@ std::vector<alerts::Alert> synthesize(std::size_t budget) {
   for (const auto& incident : corpus.incidents) {
     for (const auto& entry : incident.timeline) {
       auto alert = entry.alert;
+      // Fold the multi-year corpus into the bench day so incidents
+      // interleave with noise instead of trailing it.
       alert.ts = ((alert.ts % util::kDay) + util::kDay) % util::kDay;
       stream.push_back(std::move(alert));
     }
@@ -74,23 +87,142 @@ void add_detectors(auto& sink, const fg::ModelParams& params) {
   });
 }
 
-std::string render_serial(const std::vector<testbed::Notification>& notes) {
-  std::ostringstream out;
-  for (const auto& note : notes) {
-    out << note.ts << '\t' << note.entity << '\t' << note.detector << '\t' << note.reason
-        << '\t' << note.score << '\t' << (note.source ? note.source->str() : "-") << '\n';
-  }
-  return out.str();
+// Verdicts in release order, then the BHR audit trail: the bytes every
+// daemon run must reproduce (scores at round-trip precision).
+void render_verdict(std::ostringstream& out, util::SimTime ts, const std::string& entity,
+                    const std::string& detector, const std::string& reason, double score,
+                    const std::optional<net::Ipv4>& source) {
+  out << ts << '\t' << entity << '\t' << detector << '\t' << reason << '\t' << score
+      << '\t' << (source ? source->str() : "-") << '\n';
 }
 
-std::string render_verdicts(const std::vector<alerts::AlertQueue::Ptr>& verdicts) {
-  std::ostringstream out;
-  for (const auto& alert : verdicts) {
-    const auto& v = static_cast<const alerts::VerdictAlert&>(*alert);
-    out << v.ts << '\t' << v.entity << '\t' << v.detector << '\t' << v.reason << '\t'
-        << v.score << '\t' << (v.source ? v.source->str() : "-") << '\n';
+void render_audit(std::ostringstream& out, const std::vector<bhr::ApiCall>& audit) {
+  for (const auto& call : audit) {
+    out << call.ts << '\t' << call.method << '\t' << call.source.str() << '/'
+        << call.prefix_len << '\t' << call.client << '\t' << call.ok << '\n';
   }
-  return out.str();
+}
+
+struct SerialRun {
+  double parse_seconds = 0.0;
+  double detect_seconds = 0.0;
+  std::size_t alerts = 0;
+  std::size_t verdicts = 0;
+  std::size_t bhr_calls = 0;
+  std::uint64_t kept = 0;
+  std::string rendered;
+};
+
+SerialRun run_serial(const std::string& log_text, const fg::ModelParams& params) {
+  SerialRun run;
+  const auto parse_start = Clock::now();
+  const auto parsed = alerts::read_notice_log(log_text);
+  run.parse_seconds = seconds_since(parse_start);
+  bhr::BlackHoleRouter router;
+  testbed::AlertPipeline pipeline(testbed::PipelineConfig{}, &router);
+  add_detectors(pipeline, params);
+  const auto detect_start = Clock::now();
+  for (const auto& alert : parsed.alerts) pipeline.on_alert(alert);
+  run.detect_seconds = seconds_since(detect_start);
+
+  run.alerts = parsed.alerts.size();
+  run.verdicts = pipeline.notifications().size();
+  run.kept = pipeline.alerts_after_filter();
+  const auto audit = router.audit_log();
+  run.bhr_calls = audit.size();
+  std::ostringstream out;
+  out.precision(17);
+  for (const auto& note : pipeline.notifications()) {
+    render_verdict(out, note.ts, note.entity, note.detector, note.reason, note.score,
+                   note.source);
+  }
+  render_audit(out, audit);
+  run.rendered = out.str();
+  return run;
+}
+
+struct DaemonRun {
+  std::size_t shards = 0;
+  double detect_seconds = 0.0;
+  bool identical = false;
+};
+
+DaemonRun run_daemon(const alerts::AlertBatch& batch, const fg::ModelParams& params,
+                     std::size_t shards, const SerialRun& serial) {
+  testbed::DaemonConfig config;
+  config.shards = shards;
+  bhr::BlackHoleRouter router;
+  testbed::DetectionDaemon daemon(config, &router);
+  add_detectors(daemon, params);
+  const auto start = Clock::now();
+  for (std::size_t row = 0; row < batch.size(); ++row) daemon.submit(batch, row);
+  daemon.drain_idle();
+  DaemonRun run;
+  run.shards = shards;
+  run.detect_seconds = seconds_since(start);
+
+  std::ostringstream out;
+  out.precision(17);
+  for (const auto& alert : daemon.drain_alerts(alerts::DaemonAlert::kVerdict)) {
+    const auto& v = static_cast<const alerts::VerdictAlert&>(*alert);
+    render_verdict(out, v.ts, v.entity, v.detector, v.reason, v.score, v.source);
+  }
+  render_audit(out, router.audit_log());
+  run.identical = out.str() == serial.rendered && daemon.stats().kept == serial.kept;
+  return run;
+}
+
+struct SteadyRun {
+  std::size_t passes = 0;
+  std::uint64_t submitted = 0;
+  std::uint64_t drained_alerts = 0;
+  double seconds = 0.0;
+  std::vector<std::uint64_t> depth_histogram;  ///< log2 buckets of the deepest ring
+  alerts::DaemonStats stats;
+};
+
+/// Cheap detector so the stopwatch times the daemon (routing, rings,
+/// merge), not factor-graph math; repeated passes of the same batch give
+/// a steady-state stream of arbitrary length.
+SteadyRun run_steady(const alerts::AlertBatch& batch, double min_seconds) {
+  testbed::DetectionDaemon daemon(testbed::DaemonConfig{}, nullptr);
+  daemon.add_detector("critical-alert",
+                      [] { return std::make_unique<detect::CriticalAlertDetector>(); });
+  const auto bucket_of = [](std::size_t depth) {
+    std::size_t bucket = 0;
+    while (depth != 0) {
+      ++bucket;
+      depth >>= 1;
+    }
+    return bucket;  // 0 -> empty ring, k -> depth in [2^(k-1), 2^k)
+  };
+  SteadyRun run;
+  run.depth_histogram.assign(1, 0);
+  const auto start = Clock::now();
+  do {
+    ++run.passes;
+    for (std::size_t row = 0; row < batch.size(); ++row) {
+      daemon.submit(batch, row);
+      if (++run.submitted % 256 == 0) {
+        const auto depths = daemon.ring_depths();
+        const std::size_t bucket = bucket_of(*std::max_element(depths.begin(), depths.end()));
+        if (bucket >= run.depth_histogram.size()) run.depth_histogram.resize(bucket + 1, 0);
+        ++run.depth_histogram[bucket];
+      }
+    }
+    // Operator pull: keep the (unbounded-by-design) typed queue drained.
+    run.drained_alerts += daemon.drain_alerts().size();
+  } while (seconds_since(start) < min_seconds);
+  daemon.drain_idle();
+  run.seconds = seconds_since(start);
+  run.drained_alerts += daemon.drain_alerts().size();
+  run.stats = daemon.stats();
+  return run;
+}
+
+int usage_error(const char* flag, const char* value) {
+  std::fprintf(stderr, "bench_daemon: %s expects a number, got '%s'\n", flag, value);
+  return 2;
 }
 
 }  // namespace
@@ -100,17 +232,21 @@ int main(int argc, char** argv) {
   double min_seconds = 1.0;  // steady-state measurement window
   std::string out_path = "BENCH_daemon.json";
   for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--alerts") == 0) budget = std::stoull(argv[i + 1]);
-    if (std::strcmp(argv[i], "--seconds") == 0) min_seconds = std::stod(argv[i + 1]);
+    if (std::strcmp(argv[i], "--alerts") == 0) {
+      const auto value = util::parse_num<std::size_t>(argv[i + 1]);
+      if (!value) return usage_error(argv[i], argv[i + 1]);
+      budget = *value;
+    }
+    if (std::strcmp(argv[i], "--seconds") == 0) {
+      const auto value = util::parse_double(argv[i + 1]);
+      if (!value) return usage_error(argv[i], argv[i + 1]);
+      min_seconds = *value;
+    }
     if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
   }
 
   std::printf("synthesizing ~%zu alerts...\n", budget);
-  const auto stream = synthesize(budget);
-  const std::string log_text = alerts::write_notice_log(stream);
-  const auto batch = alerts::parse_notice_batch(log_text);
-  std::printf("%zu alerts, %s of notice log\n", batch.size(),
-              util::fmt_bytes(log_text.size()).c_str());
+  const std::string log_text = alerts::write_notice_log(synthesize(budget));
 
   incidents::CorpusConfig train_config;
   train_config.repetition_scale = 0.02;
@@ -118,112 +254,82 @@ int main(int argc, char** argv) {
   const auto params =
       fg::learn_params(incidents::CorpusGenerator(train_config).generate());
 
-  // --- phase 1: verdict-stream oracle against the serial pipeline --------
-  bhr::BlackHoleRouter serial_router;
-  testbed::AlertPipeline serial(testbed::PipelineConfig{}, &serial_router);
-  add_detectors(serial, params);
-  const auto serial_start = Clock::now();
-  for (const auto& alert : stream) serial.on_alert(alert);
-  const double serial_seconds = seconds_since(serial_start);
+  // --- phase 1: serial baseline -----------------------------------------
+  const SerialRun serial = run_serial(log_text, params);
+  const double serial_seconds = serial.parse_seconds + serial.detect_seconds;
+  const auto alert_count = static_cast<double>(serial.alerts);
+  std::printf("%zu alerts, %s of notice log\n", serial.alerts,
+              util::fmt_bytes(log_text.size()).c_str());
+  std::printf("serial:     %.2fs (parse %.2fs)  %.0f alerts/s  (%zu verdicts, %zu BHR calls)\n",
+              serial_seconds, serial.parse_seconds, alert_count / serial_seconds,
+              serial.verdicts, serial.bhr_calls);
 
-  bhr::BlackHoleRouter daemon_router;
-  testbed::DetectionDaemon oracle_daemon(testbed::DaemonConfig{}, &daemon_router);
-  add_detectors(oracle_daemon, params);
-  const auto oracle_start = Clock::now();
-  for (std::size_t row = 0; row < batch.size(); ++row) {
-    oracle_daemon.submit(batch, row);
+  // --- phase 2: daemon at 1..8 shards against the serial oracle -----------
+  const auto parse_start = Clock::now();
+  const auto batch = alerts::parse_notice_batch(log_text);  // the copy is timed too
+  const double parse_seconds = seconds_since(parse_start);
+  std::vector<DaemonRun> runs;
+  bool identical = batch.size() == serial.alerts;
+  for (const std::size_t shards : {1, 2, 4, 8}) {
+    const DaemonRun run = run_daemon(batch, params, shards, serial);
+    const double seconds = parse_seconds + run.detect_seconds;
+    identical = identical && run.identical;
+    std::printf("daemon(%zu): %.2fs (parse %.2fs)  %.0f alerts/s  speedup %.2fx  output %s\n",
+                shards, seconds, parse_seconds, alert_count / seconds, serial_seconds / seconds,
+                run.identical ? "identical" : "DIFFERS");
+    runs.push_back(run);
   }
-  oracle_daemon.drain_idle();
-  const double oracle_seconds = seconds_since(oracle_start);
-  const auto verdicts = oracle_daemon.drain_alerts(alerts::DaemonAlert::kVerdict);
 
-  const std::string serial_rendered = render_serial(serial.notifications());
-  const std::string daemon_rendered = render_verdicts(verdicts);
-  const bool identical = serial_rendered == daemon_rendered &&
-                         daemon_router.audit_log().size() ==
-                             serial_router.audit_log().size();
-  std::printf("serial:  %.2fs  %.0f alerts/s  (%zu notifications)\n", serial_seconds,
-              static_cast<double>(stream.size()) / serial_seconds,
-              serial.notifications().size());
-  std::printf("daemon:  %.2fs  %.0f alerts/s  verdict stream %s\n", oracle_seconds,
-              static_cast<double>(batch.size()) / oracle_seconds,
-              identical ? "identical" : "DIFFERS");
-
-  // --- phase 2: sustained throughput + ring-depth histogram --------------
-  // Cheap detector so the stopwatch times the daemon (routing, rings,
-  // merge), not factor-graph math; repeated passes of the same batch give
-  // a steady-state stream of arbitrary length.
-  testbed::DaemonConfig steady_config;
-  testbed::DetectionDaemon steady(steady_config, nullptr);
-  steady.add_detector("critical-alert",
-                      [] { return std::make_unique<detect::CriticalAlertDetector>(); });
-  std::vector<std::uint64_t> depth_histogram(1, 0);  // log2 buckets, grown on demand
-  const auto bucket_of = [](std::size_t depth) {
-    std::size_t bucket = 0;
-    while (depth != 0) {
-      ++bucket;
-      depth >>= 1;
-    }
-    return bucket;  // 0 -> empty ring, k -> depth in [2^(k-1), 2^k)
-  };
-  std::uint64_t submitted = 0;
-  std::uint64_t drained_alerts = 0;
-  std::size_t passes = 0;
-  const auto steady_start = Clock::now();
-  do {
-    ++passes;
-    for (std::size_t row = 0; row < batch.size(); ++row) {
-      steady.submit(batch, row);
-      if (++submitted % 256 == 0) {
-        const auto depths = steady.ring_depths();
-        const std::size_t deepest = *std::max_element(depths.begin(), depths.end());
-        const std::size_t bucket = bucket_of(deepest);
-        if (bucket >= depth_histogram.size()) depth_histogram.resize(bucket + 1, 0);
-        ++depth_histogram[bucket];
-      }
-    }
-    // Operator pull: keep the (unbounded-by-design) typed queue drained.
-    drained_alerts += steady.drain_alerts().size();
-  } while (seconds_since(steady_start) < min_seconds);
-  steady.drain_idle();
-  const double steady_seconds = seconds_since(steady_start);
-  drained_alerts += steady.drain_alerts().size();
-  const auto stats = steady.stats();
-  const double sustained = static_cast<double>(submitted) / steady_seconds;
-  std::printf("steady:  %zu passes, %llu submits in %.2fs -> %.0f alerts/s sustained\n",
-              passes, static_cast<unsigned long long>(submitted), steady_seconds,
-              sustained);
-  std::printf("         max ring depth %llu / %llu, %llu rejected, %llu queue alerts\n",
-              static_cast<unsigned long long>(stats.max_ring_depth),
-              static_cast<unsigned long long>(stats.ring_capacity),
-              static_cast<unsigned long long>(stats.rejected),
-              static_cast<unsigned long long>(drained_alerts));
-  std::printf("         %llu worker parks, %llu wakeups\n",
-              static_cast<unsigned long long>(stats.worker_parks),
-              static_cast<unsigned long long>(stats.worker_wakeups));
+  // --- phase 3: sustained throughput + ring-depth histogram --------------
+  const SteadyRun steady = run_steady(batch, min_seconds);
+  const double sustained = static_cast<double>(steady.submitted) / steady.seconds;
+  std::printf("steady:     %zu passes, %llu submits in %.2fs -> %.0f alerts/s sustained\n",
+              steady.passes, static_cast<unsigned long long>(steady.submitted),
+              steady.seconds, sustained);
+  std::printf("            max ring depth %llu / %llu, %llu rejected, %llu queue alerts\n",
+              static_cast<unsigned long long>(steady.stats.max_ring_depth),
+              static_cast<unsigned long long>(steady.stats.ring_capacity),
+              static_cast<unsigned long long>(steady.stats.rejected),
+              static_cast<unsigned long long>(steady.drained_alerts));
+  std::printf("            %llu worker parks, %llu wakeups\n",
+              static_cast<unsigned long long>(steady.stats.worker_parks),
+              static_cast<unsigned long long>(steady.stats.worker_wakeups));
 
   std::ostringstream json;
   json << "{\n"
        << "  \"bench\": \"daemon\",\n"
-       << "  \"alerts\": " << batch.size() << ",\n"
-       << "  \"serial\": {\"seconds\": " << serial_seconds << ", \"alerts_per_s\": "
-       << static_cast<double>(stream.size()) / serial_seconds << "},\n"
-       << "  \"oracle\": {\"seconds\": " << oracle_seconds << ", \"alerts_per_s\": "
-       << static_cast<double>(batch.size()) / oracle_seconds
-       << ", \"verdicts\": " << verdicts.size()
-       << ", \"identical_output\": " << (identical ? "true" : "false") << "},\n"
-       << "  \"steady\": {\"passes\": " << passes << ", \"submitted\": " << submitted
-       << ", \"seconds\": " << steady_seconds << ", \"alerts_per_s\": " << sustained
-       << ", \"rejected\": " << stats.rejected
-       << ", \"max_ring_depth\": " << stats.max_ring_depth
-       << ", \"ring_capacity\": " << stats.ring_capacity
-       << ", \"worker_parks\": " << stats.worker_parks
-       << ", \"worker_wakeups\": " << stats.worker_wakeups
-       << ", \"queue_alerts_drained\": " << drained_alerts << "},\n"
+       << "  \"host\": " << bench::host_json() << ",\n"
+       << "  \"alerts\": " << serial.alerts << ",\n"
+       << "  \"log_bytes\": " << log_text.size() << ",\n"
+       << "  \"serial\": {\"parse_seconds\": " << serial.parse_seconds
+       << ", \"detect_seconds\": " << serial.detect_seconds
+       << ", \"seconds\": " << serial_seconds
+       << ", \"alerts_per_s\": " << alert_count / serial_seconds
+       << ", \"verdicts\": " << serial.verdicts << ", \"bhr_calls\": " << serial.bhr_calls
+       << "},\n"
+       << "  \"batch_parse_seconds\": " << parse_seconds << ",\n"
+       << "  \"sharded\": [";
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const double seconds = parse_seconds + runs[i].detect_seconds;
+    json << (i == 0 ? "\n" : ",\n") << "    {\"shards\": " << runs[i].shards
+         << ", \"detect_seconds\": " << runs[i].detect_seconds
+         << ", \"seconds\": " << seconds << ", \"alerts_per_s\": " << alert_count / seconds
+         << ", \"speedup_vs_serial\": " << serial_seconds / seconds
+         << ", \"identical_output\": " << (runs[i].identical ? "true" : "false") << "}";
+  }
+  json << "\n  ],\n"
+       << "  \"steady\": {\"passes\": " << steady.passes
+       << ", \"submitted\": " << steady.submitted << ", \"seconds\": " << steady.seconds
+       << ", \"alerts_per_s\": " << sustained << ", \"rejected\": " << steady.stats.rejected
+       << ", \"max_ring_depth\": " << steady.stats.max_ring_depth
+       << ", \"ring_capacity\": " << steady.stats.ring_capacity
+       << ", \"worker_parks\": " << steady.stats.worker_parks
+       << ", \"worker_wakeups\": " << steady.stats.worker_wakeups
+       << ", \"queue_alerts_drained\": " << steady.drained_alerts << "},\n"
        << "  \"ring_depth_histogram_log2\": [";
-  for (std::size_t i = 0; i < depth_histogram.size(); ++i) {
+  for (std::size_t i = 0; i < steady.depth_histogram.size(); ++i) {
     if (i != 0) json << ", ";
-    json << depth_histogram[i];
+    json << steady.depth_histogram[i];
   }
   json << "],\n"
        << "  \"identical_output\": " << (identical ? "true" : "false") << "\n"
@@ -232,5 +338,8 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   out << json.str();
   std::printf("wrote %s\n", out_path.c_str());
+  if (!identical) {
+    std::fprintf(stderr, "bench_daemon: daemon output differs from the serial pipeline\n");
+  }
   return identical ? 0 : 1;
 }

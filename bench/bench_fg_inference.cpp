@@ -21,7 +21,6 @@
 // records the host and build it came from.
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -30,13 +29,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fg/bp.hpp"
 #include "fg/model.hpp"
 #include "incidents/generator.hpp"
 #include "util/rng.hpp"
+
+#include "host_info.hpp"
 
 namespace {
 
@@ -193,31 +193,6 @@ void emit_json(std::ostringstream& json, const SweepResult& s, bool last) {
        << ", \"oracle_max_error\": " << s.oracle_max_error << "}" << (last ? "\n" : ",\n");
 }
 
-std::string compiler() {
-#if defined(__clang__)
-  return "clang " __clang_version__;
-#elif defined(__GNUC__)
-  return "gcc " __VERSION__;
-#else
-  return "unknown";
-#endif
-}
-
-/// `git describe --always --dirty` of the source tree, or "unknown".
-std::string git_revision() {
-  std::string revision;
-  if (FILE* pipe = popen("git -C \"" AT_SOURCE_ROOT "\" describe --always --dirty 2>/dev/null",
-                         "r")) {
-    char buffer[128];
-    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) revision += buffer;
-    pclose(pipe);
-  }
-  while (!revision.empty() && std::isspace(static_cast<unsigned char>(revision.back()))) {
-    revision.pop_back();
-  }
-  return revision.empty() ? "unknown" : revision;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -255,10 +230,8 @@ int main(int argc, char** argv) {
   }
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"fg_inference\",\n  \"host\": {\"nproc\": "
-       << std::thread::hardware_concurrency() << ", \"compiler\": \"" << compiler()
-       << "\", \"build_type\": \"" << AT_BUILD_TYPE << "\", \"git_sha\": \"" << git_revision()
-       << "\"},\n  \"alerts_per_entity\": " << per_entity << ",\n  \"threshold\": "
+  json << "{\n  \"bench\": \"fg_inference\",\n  \"host\": " << bench::host_json()
+       << ",\n  \"alerts_per_entity\": " << per_entity << ",\n  \"threshold\": "
        << kThreshold << ",\n  \"sweeps\": [\n";
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
     emit_json(json, sweeps[i], i + 1 == sweeps.size());

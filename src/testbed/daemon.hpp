@@ -1,7 +1,7 @@
 #pragma once
 // Always-on detection daemon: the streaming redesign of the sharded alert
-// pipeline (docs/daemon.md). Producers (monitors, log tailers, the batch
-// facades) submit raw alerts; a lock-serialized coordinator runs the
+// pipeline (docs/daemon.md). Producers (monitors, log tailers, notice-log
+// replay) submit raw alerts; a lock-serialized coordinator runs the
 // shared-state periodic-scan filter and routes kept alerts into per-shard
 // bounded SPSC rings; one dedicated worker thread per shard drains its
 // ring continuously, running the per-entity detector stack; and every
@@ -118,8 +118,7 @@ class DetectionDaemon final : public alerts::AlertSink {
   SubmitResult try_submit(alerts::Alert&& alert) AT_ACQUIRES(mu_);
   /// Zero-copy submit of one parsed batch row; the row is materialized by
   /// the owning shard only if the filter keeps it. The batch must stay
-  /// alive and unmodified until drain_idle() returns (the batch facades
-  /// guarantee this).
+  /// alive and unmodified until drain_idle() returns.
   SubmitResult try_submit(const alerts::AlertBatch& batch, std::size_t row)
       AT_ACQUIRES(mu_);
 

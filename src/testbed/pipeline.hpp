@@ -65,8 +65,8 @@ class AlertPipeline final : public alerts::AlertSink {
   [[nodiscard]] const incidents::ScanFilter& filter() const noexcept { return filter_; }
 
   /// Demux key: one attack entity per substream (host first, then source
-  /// address, then user). Shared with ShardedAlertPipeline, whose shard
-  /// assignment must agree with this keying exactly.
+  /// address, then user). DetectionDaemon::shard_of must agree with this
+  /// keying exactly, so that one entity's alerts always share a shard.
   [[nodiscard]] static std::string entity_key(const alerts::Alert& alert);
 
  private:

@@ -62,12 +62,22 @@ std::uint64_t Rng::zipf(std::uint64_t n, double s) noexcept {
   // search on a locally computed partial-sum estimate would need a table, so
   // use rejection sampling (Devroye) which is table-free and exact enough.
   const double b = std::pow(2.0, s - 1.0);
+  // At s == 1 the test below is 0/0 (b - 1 == t - 1 == 0) and would reject
+  // forever; use its s -> 1 limit, v * x * ln(1 + 1/x) / ln 2 <= 1, which
+  // is the exact acceptance ratio for 1/x against the log-uniform proposal.
+  const bool harmonic = s == 1.0;
   for (;;) {
     const double u = uniform();
     const double v = uniform();
     const double x = std::floor(std::pow(static_cast<double>(n) + 1.0, u));
     // x in [1, n+1); clamp into range.
     if (x < 1.0 || x > static_cast<double>(n)) continue;
+    if (harmonic) {
+      if (v * x * std::log1p(1.0 / x) / std::numbers::ln2 <= 1.0) {
+        return static_cast<std::uint64_t>(x);
+      }
+      continue;
+    }
     const double t = std::pow(1.0 + 1.0 / x, s - 1.0);
     if (v * x * (t - 1.0) / (b - 1.0) <= t / b) {
       return static_cast<std::uint64_t>(x);

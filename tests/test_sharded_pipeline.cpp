@@ -1,5 +1,5 @@
-// ShardedAlertPipeline determinism: any shard count must reproduce the
-// serial AlertPipeline exactly — notifications, BHR audit trail, and
+// Sharded determinism: DetectionDaemon at any shard count must reproduce
+// the serial AlertPipeline exactly — verdicts, BHR audit trail, and
 // counters — on a realistic day of noise + incidents. Plus the batch-parse
 // property: parse_notice_batch agrees with parse_notice_line on every line,
 // including malformed, comment, and blank ones.
@@ -10,19 +10,20 @@
 #include <string>
 #include <vector>
 
+#include "alerts/queue.hpp"
 #include "alerts/zeeklog.hpp"
 #include "bhr/bhr.hpp"
 #include "detect/detector.hpp"
 #include "fg/model.hpp"
 #include "incidents/generator.hpp"
 #include "incidents/noise.hpp"
-#include "testbed/sharded_pipeline.hpp"
+#include "testbed/daemon.hpp"
 
 namespace at::testbed {
 namespace {
 
 /// Seeded ~100k-alert day: background noise with incident timelines folded
-/// in, the same shape the ingest bench uses.
+/// in, the same shape bench_daemon uses.
 const std::vector<alerts::Alert>& corpus_100k() {
   static const std::vector<alerts::Alert> stream = [] {
     incidents::DailyNoiseModel noise;
@@ -91,24 +92,27 @@ const SerialRun& serial_run() {
   return run;
 }
 
-void expect_matches_serial(const ShardedAlertPipeline& pipeline,
-                           const bhr::BlackHoleRouter& router) {
+/// Drains the idle daemon's verdicts and checks them, its counters and the
+/// router's audit trail against the serial run.
+void expect_matches_serial(DetectionDaemon& daemon, const bhr::BlackHoleRouter& router) {
   const SerialRun& serial = serial_run();
-  EXPECT_EQ(pipeline.alerts_in(), serial.alerts_in);
-  EXPECT_EQ(pipeline.alerts_after_filter(), serial.kept);
-  EXPECT_EQ(pipeline.tracked_entities(), serial.tracked);
-  EXPECT_EQ(pipeline.evicted_entities(), serial.evicted);
+  const auto stats = daemon.stats();
+  EXPECT_EQ(stats.submitted, serial.alerts_in);
+  EXPECT_EQ(stats.kept, serial.kept);
+  EXPECT_EQ(stats.tracked_entities, serial.tracked);
+  EXPECT_EQ(stats.evicted_entities, serial.evicted);
 
-  const auto& notes = pipeline.notifications();
-  ASSERT_EQ(notes.size(), serial.notifications.size());
-  for (std::size_t i = 0; i < notes.size(); ++i) {
+  const auto verdicts = daemon.drain_alerts(alerts::DaemonAlert::kVerdict);
+  ASSERT_EQ(verdicts.size(), serial.notifications.size());
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
     SCOPED_TRACE("notification " + std::to_string(i));
-    EXPECT_EQ(notes[i].ts, serial.notifications[i].ts);
-    EXPECT_EQ(notes[i].entity, serial.notifications[i].entity);
-    EXPECT_EQ(notes[i].detector, serial.notifications[i].detector);
-    EXPECT_EQ(notes[i].reason, serial.notifications[i].reason);
-    EXPECT_EQ(notes[i].score, serial.notifications[i].score);
-    EXPECT_EQ(notes[i].source, serial.notifications[i].source);
+    const auto& verdict = static_cast<const alerts::VerdictAlert&>(*verdicts[i]);
+    EXPECT_EQ(verdict.ts, serial.notifications[i].ts);
+    EXPECT_EQ(verdict.entity, serial.notifications[i].entity);
+    EXPECT_EQ(verdict.detector, serial.notifications[i].detector);
+    EXPECT_EQ(verdict.reason, serial.notifications[i].reason);
+    EXPECT_EQ(verdict.score, serial.notifications[i].score);
+    EXPECT_EQ(verdict.source, serial.notifications[i].source);
   }
 
   const auto& audit = router.audit_log();
@@ -123,43 +127,45 @@ void expect_matches_serial(const ShardedAlertPipeline& pipeline,
   }
 }
 
+DaemonConfig config_with_shards(std::size_t shards) {
+  DaemonConfig config;
+  config.shards = shards;
+  return config;
+}
+
 class ShardedDeterminismTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ShardedDeterminismTest, SpanIngestMatchesSerial) {
-  ShardedPipelineConfig config;
-  config.shards = GetParam();
   bhr::BlackHoleRouter router;
-  ShardedAlertPipeline pipeline(config, &router);
-  add_detectors(pipeline);
-  pipeline.ingest(corpus_100k());
-  pipeline.flush();
-  EXPECT_EQ(pipeline.shard_count(), GetParam());
-  expect_matches_serial(pipeline, router);
+  DetectionDaemon daemon(config_with_shards(GetParam()), &router);
+  add_detectors(daemon);
+  for (const auto& alert : corpus_100k()) daemon.submit(alert);
+  daemon.drain_idle();
+  EXPECT_EQ(daemon.shard_count(), GetParam());
+  expect_matches_serial(daemon, router);
 }
 
 TEST_P(ShardedDeterminismTest, BatchIngestMatchesSerial) {
   const auto batch = alerts::parse_notice_batch(alerts::write_notice_log(corpus_100k()));
   ASSERT_EQ(batch.size(), corpus_100k().size());
-  ShardedPipelineConfig config;
-  config.shards = GetParam();
   bhr::BlackHoleRouter router;
-  ShardedAlertPipeline pipeline(config, &router);
-  add_detectors(pipeline);
-  pipeline.ingest(batch);
-  pipeline.flush();
-  expect_matches_serial(pipeline, router);
+  DetectionDaemon daemon(config_with_shards(GetParam()), &router);
+  add_detectors(daemon);
+  for (std::size_t row = 0; row < batch.size(); ++row) daemon.submit(batch, row);
+  // Zero-copy rows must not outlive the batch: drain before it goes away.
+  daemon.drain_idle();
+  expect_matches_serial(daemon, router);
 }
 
 TEST_P(ShardedDeterminismTest, StreamingSinkMatchesSerial) {
-  ShardedPipelineConfig config;
-  config.shards = GetParam();
-  config.batch_size = 1000;  // force many intermediate drains
+  auto config = config_with_shards(GetParam());
+  config.ring_capacity = 1000;  // small rings: exercise the full-ring backpressure path
   bhr::BlackHoleRouter router;
-  ShardedAlertPipeline pipeline(config, &router);
-  add_detectors(pipeline);
-  for (const auto& alert : corpus_100k()) pipeline.on_alert(alert);
-  pipeline.flush();
-  expect_matches_serial(pipeline, router);
+  DetectionDaemon daemon(config, &router);
+  add_detectors(daemon);
+  for (const auto& alert : corpus_100k()) daemon.on_alert(alert);
+  daemon.drain_idle();
+  expect_matches_serial(daemon, router);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardedDeterminismTest, ::testing::Values(1, 2, 8));

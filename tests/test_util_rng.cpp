@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <string>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -125,6 +127,53 @@ TEST(Rng, ZipfRanksWithinRange) {
   }
   // Rank 1 must dominate under a zipf law.
   EXPECT_GT(ones, 1000u);
+}
+
+/// Rng::zipf as it stood before the s == 1 fix, kept verbatim: at s != 1
+/// the fixed function must draw the same sequence bit for bit (the
+/// alert-path benchmark's live_flows workload draws zipf(n, 1.1)).
+std::uint64_t reference_zipf(Rng& rng, std::uint64_t n, double s) {
+  if (n <= 1) return 1;
+  const double b = std::pow(2.0, s - 1.0);
+  for (;;) {
+    const double u = rng.uniform();
+    const double v = rng.uniform();
+    const double x = std::floor(std::pow(static_cast<double>(n) + 1.0, u));
+    if (x < 1.0 || x > static_cast<double>(n)) continue;
+    const double t = std::pow(1.0 + 1.0 / x, s - 1.0);
+    if (v * x * (t - 1.0) / (b - 1.0) <= t / b) {
+      return static_cast<std::uint64_t>(x);
+    }
+  }
+}
+
+TEST(Rng, ZipfExponentOneTerminatesAndOtherExponentsUnchanged) {
+  // s == 1 used to reject forever (0/0 in the acceptance test). Its mass
+  // is exactly 1/k over [1, n], so rank 1 carries 1/H_n.
+  constexpr int kDraws = 10000;
+  constexpr std::uint64_t kRanks = 1000;
+  Rng rng(23);
+  int ones = 0;
+  for (int i = 0; i < kDraws; ++i) {
+    const auto rank = rng.zipf(kRanks, 1.0);
+    ASSERT_GE(rank, 1u);
+    ASSERT_LE(rank, kRanks);
+    if (rank == 1) ++ones;
+  }
+  double harmonic = 0.0;
+  for (std::uint64_t k = 1; k <= kRanks; ++k) harmonic += 1.0 / static_cast<double>(k);
+  // 1/H_1000 ~= 0.1336; the binomial standard deviation of the share over
+  // 10K draws is ~0.0034, so 0.015 is a > 4-sigma band.
+  EXPECT_NEAR(static_cast<double>(ones) / kDraws, 1.0 / harmonic, 0.015);
+
+  for (const double s : {0.5, 1.1, 2.0}) {
+    SCOPED_TRACE("s = " + std::to_string(s));
+    Rng fixed(31);
+    Rng reference(31);
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(fixed.zipf(kRanks, s), reference_zipf(reference, kRanks, s));
+    }
+  }
 }
 
 TEST(Rng, WeightedIndexRespectsWeights) {

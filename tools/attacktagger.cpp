@@ -8,14 +8,12 @@
 //   attacktagger train   --out FILE [--seed N]
 //       learn factor-graph parameters and save them (versioned format).
 //   attacktagger detect  --model FILE --log FILE [--threshold P] [--shards N]
-//       stream a notice log through per-entity detectors; print pages.
-//       With --shards N the log is batch-parsed (zero copy) and run through
-//       the sharded pipeline (scan filter + BHR blocking, N entity shards).
-//   attacktagger daemon  --model FILE --log FILE [--threshold P] [--shards N]
 //                        [--ring SLOTS]
-//       replay a notice log through the always-on DetectionDaemon,
-//       printing typed alerts (verdicts, BHR actions, checkpoints,
-//       lifecycle) as they drain, then the counter table (docs/daemon.md).
+//       replay a notice log through the DetectionDaemon (scan filter,
+//       per-entity detectors on N shards, BHR blocking), printing typed
+//       alerts (verdicts, BHR actions, checkpoints, lifecycle) as they
+//       drain, then the counter table (docs/daemon.md). The verdict lines
+//       are the same at every shard count.
 //   attacktagger fig1    --out DIR
 //       build the Figure 1 graph, lay it out, export DOT/GEXF/CSV.
 //   attacktagger replay
@@ -29,6 +27,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string>
 
 #include "alerts/zeeklog.hpp"
 #include "analysis/insights.hpp"
@@ -39,7 +38,6 @@
 #include "incidents/report.hpp"
 #include "replay/ransomware.hpp"
 #include "testbed/daemon.hpp"
-#include "testbed/sharded_pipeline.hpp"
 #include "util/parse.hpp"
 #include "util/strings.hpp"
 #include "viz/export.hpp"
@@ -168,74 +166,12 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
   }
   const double threshold = num_flag<double>(flags, "threshold", "0.75");
   auto log_text = read_file(flag(flags, "log", "notices.log"));
-
-  const std::size_t shards = num_flag<std::size_t>(flags, "shards", "0");
-  if (shards > 0) {
-    // Batch path: zero-copy parse into the sharded pipeline, which adds
-    // the periodic-scan filter and BHR blocking the live testbed runs.
-    const auto batch = alerts::parse_notice_batch(std::move(log_text));
-    std::printf("loaded model; %zu notices (%zu malformed); %zu shards\n", batch.size(),
-                batch.malformed, shards);
-    testbed::ShardedPipelineConfig config;
-    config.shards = shards;
-    bhr::BlackHoleRouter router;
-    testbed::ShardedAlertPipeline pipeline(config, &router);
-    auto compiled = fg::compile_params(*params);
-    pipeline.add_detector("factor-graph", [compiled, threshold] {
-      return std::make_unique<detect::FactorGraphDetector>(compiled, threshold);
-    });
-    pipeline.ingest(batch);
-    pipeline.flush();
-    for (const auto& note : pipeline.notifications()) {
-      std::printf("PAGE %s entity=%s %s\n", util::format_datetime(note.ts).c_str(),
-                  note.entity.c_str(), note.reason.c_str());
-    }
-    std::printf("%llu kept of %llu alerts, %zu entities, %zu pages, %zu BHR calls\n",
-                static_cast<unsigned long long>(pipeline.alerts_after_filter()),
-                static_cast<unsigned long long>(pipeline.alerts_in()),
-                pipeline.tracked_entities(), pipeline.notifications().size(),
-                router.audit_log().size());
-    return 0;
-  }
-
-  const auto log = alerts::read_notice_log(log_text);
-  std::printf("loaded model; %zu notices (%zu malformed)\n", log.alerts.size(),
-              log.malformed);
-
-  // Per-entity streams, keyed like the live pipeline (host first).
-  std::map<std::string, detect::FactorGraphDetector> entities;
-  std::map<std::string, std::size_t> indices;
-  std::size_t pages = 0;
-  for (const auto& alert : log.alerts) {
-    const std::string key = !alert.host.empty()
-                                ? alert.host
-                                : (alert.src ? alert.src->str() : alert.user);
-    auto [it, inserted] = entities.try_emplace(key, *params, threshold);
-    const auto detection = it->second.observe(alert, indices[key]++);
-    if (detection) {
-      ++pages;
-      std::printf("PAGE %s entity=%s %s\n", util::format_datetime(alert.ts).c_str(),
-                  key.c_str(), detection->reason.c_str());
-    }
-  }
-  std::printf("%zu entities, %zu pages\n", entities.size(), pages);
-  return 0;
-}
-
-int cmd_daemon(const std::map<std::string, std::string>& flags) {
-  const auto model_text = read_file(flag(flags, "model", "model.attacktagger"));
-  const auto params = fg::read_params(model_text);
-  if (!params) {
-    std::fprintf(stderr, "error: model file is not a valid attacktagger model\n");
-    return 1;
-  }
-  const double threshold = num_flag<double>(flags, "threshold", "0.75");
-  auto log_text = read_file(flag(flags, "log", "notices.log"));
   const auto batch = alerts::parse_notice_batch(std::move(log_text));
 
   testbed::DaemonConfig config;
-  config.shards = num_flag<std::size_t>(flags, "shards", "8");
-  config.ring_capacity = num_flag<std::size_t>(flags, "ring", "8192");
+  config.shards = num_flag<std::size_t>(flags, "shards", std::to_string(config.shards));
+  config.ring_capacity =
+      num_flag<std::size_t>(flags, "ring", std::to_string(config.ring_capacity));
   bhr::BlackHoleRouter router;
   testbed::DetectionDaemon daemon(config, &router);
   auto compiled = fg::compile_params(*params);
@@ -360,8 +296,8 @@ int cmd_vrt(const std::map<std::string, std::string>& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: attacktagger <corpus|mine|train|detect|daemon|fig1|replay|vrt|"
-                 "appendix> [--flag value ...]\n");
+                 "usage: attacktagger <corpus|mine|train|detect|fig1|replay|vrt|appendix> "
+                 "[--flag value ...]\n");
     return 2;
   }
   const std::string command = argv[1];
@@ -371,7 +307,6 @@ int main(int argc, char** argv) {
     if (command == "mine") return cmd_mine(flags);
     if (command == "train") return cmd_train(flags);
     if (command == "detect") return cmd_detect(flags);
-    if (command == "daemon") return cmd_daemon(flags);
     if (command == "fig1") return cmd_fig1(flags);
     if (command == "replay") return cmd_replay(flags);
     if (command == "vrt") return cmd_vrt(flags);
