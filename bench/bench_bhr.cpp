@@ -34,6 +34,8 @@
 #include "net/flow.hpp"
 #include "util/rng.hpp"
 
+#include "host_info.hpp"
+
 namespace {
 
 using namespace at;
@@ -415,6 +417,7 @@ int main(int argc, char** argv) {
   std::ostringstream json;
   json << "{\n"
        << "  \"bench\": \"bhr\",\n"
+       << "  \"host\": " << bench::host_json() << ",\n"
        << "  \"oracle\": {\"ops\": " << oracle_steps
        << ", \"probes_checked\": " << probes_checked << "},\n"
        << "  \"table\": {\"scanner_nets\": " << table.scanner_nets

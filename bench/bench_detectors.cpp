@@ -3,7 +3,8 @@
 // preempts attacks that the critical-alert baseline only confirms after
 // damage, and keeps precision where single-alert thresholds drown. Also
 // runs the Insight-2 prefix sweep (recall vs observed core alerts 1..8)
-// and a factor-graph threshold sweep.
+// and a factor-graph threshold sweep. The factor-graph rows cover both
+// inference modes (stage chain, entity) with and without timing.
 
 #include <benchmark/benchmark.h>
 
@@ -54,20 +55,28 @@ std::unique_ptr<detect::Detector> make_detector(int which) {
       return std::make_unique<detect::CriticalAlertDetector>();
     case 3:
       return std::make_unique<detect::ThresholdDetector>(alerts::Severity::kWarning);
-    default:
+    case 4:
       // Insight-3 ablation: factor graph conditioned on gap buckets too.
       return std::make_unique<detect::FactorGraphDetector>(
           detect::FactorGraphDetector::train(workbench().split.train, 0.75,
                                              /*use_timing=*/true));
+    default:
+      // Entity model (chain plus user state U, P(malicious)), untimed (5)
+      // and timed (6).
+      return std::make_unique<detect::FactorGraphDetector>(
+          fg::learn_params(workbench().split.train), 0.75, alerts::AttackStage::kInProgress,
+          /*use_timing=*/which == 6, detect::FgInference::kEntity);
   }
 }
+
+constexpr int kDetectors = 7;
 
 void report_all() {
   static std::once_flag once;
   std::call_once(once, [] {
     util::TextTable table({"detector", "precision", "recall", "preemption rate",
                            "mean lead (events)", "mean lead (days)", "benign-day FPs"});
-    for (int which = 0; which < 5; ++which) {
+    for (int which = 0; which < kDetectors; ++which) {
       auto detector = make_detector(which);
       const auto result =
           detect::evaluate(*detector, workbench().attacks, workbench().benign);
@@ -130,7 +139,7 @@ void BM_Detector_Evaluate(benchmark::State& state) {
   state.SetItemsProcessed(alerts * static_cast<std::int64_t>(state.iterations()));
   report_all();
 }
-BENCHMARK(BM_Detector_Evaluate)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
+BENCHMARK(BM_Detector_Evaluate)->DenseRange(0, kDetectors - 1)
     ->Unit(benchmark::kMillisecond)->Iterations(2);
 
 void BM_Detector_Training(benchmark::State& state) {

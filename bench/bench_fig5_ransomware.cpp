@@ -1,13 +1,20 @@
 // Figure 5 + Section V — the PostgreSQL ransomware case study: recursive
 // lateral movement over stolen SSH keys, preemptive detection at the
 // C2-communication stage, and the twelve-day early warning before the
-// matching production incident. Prints the replayed case-study timeline.
+// matching production incident. Prints the replayed case-study timeline,
+// and the lead each factor-graph mode (stage chain / entity, untimed /
+// timed) would buy on the same replay.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 #include <mutex>
+#include <string>
+#include <vector>
 
+#include "detect/detector.hpp"
+#include "fg/model.hpp"
 #include "replay/background.hpp"
 #include "replay/ransomware.hpp"
 #include "util/strings.hpp"
@@ -127,6 +134,57 @@ void BM_Fig5_CaseStudyUnderNoise(benchmark::State& state) {
           : 0.0;
 }
 BENCHMARK(BM_Fig5_CaseStudyUnderNoise)->Unit(benchmark::kMillisecond)->Iterations(3);
+
+void BM_Fig5_LeadByModel(benchmark::State& state) {
+  // One replay with the three other factor-graph modes registered beside
+  // the deployed set (TestbedConfig{}: stage chain, untimed). Each mode's
+  // first page gives its lead; their pages block sources too, so this is
+  // a separate run from the headline replay above.
+  struct Mode {
+    bool timing;
+    detect::FgInference inference;
+  };
+  constexpr Mode kShadows[] = {{true, detect::FgInference::kForwardFilter},
+                               {false, detect::FgInference::kEntity},
+                               {true, detect::FgInference::kEntity}};
+  for (auto _ : state) {
+    testbed::Testbed bed(testbed::TestbedConfig{}, training());
+    const auto compiled = fg::compile_params(fg::learn_params(training()));
+    std::vector<std::string> names = {"factor-graph"};
+    for (const Mode mode : kShadows) {
+      auto make = [compiled, mode] {
+        return std::make_unique<detect::FactorGraphDetector>(
+            compiled, 0.75, alerts::AttackStage::kInProgress, mode.timing, mode.inference);
+      };
+      names.push_back(make()->name());
+      bed.pipeline().add_detector(names.back(), make);
+    }
+    bed.deploy(0);
+    replay::RansomwareScenario ransomware;
+    std::vector<replay::Scenario*> scenarios{&ransomware};
+    replay::run_scenarios(bed, scenarios, 0);
+    util::TextTable table({"factor-graph mode", "pages after entry", "lead (days)"});
+    for (const std::string& name : names) {
+      const auto note = replay::first_notification_after(bed, 0, name);
+      if (!note) {
+        table.add_row({name, "never", "-"});
+        continue;
+      }
+      const double lead = static_cast<double>(ransomware.second_wave_time() - note->ts) /
+                          util::kDay;
+      state.counters[name] = lead;
+      table.add_row(
+          {name,
+           util::fmt_double(static_cast<double>(note->ts - ransomware.entry_time()) /
+                                util::kMinute,
+                            1) +
+               " min",
+           util::fmt_double(lead, 2)});
+    }
+    std::printf("=== Figure 5 lead by factor-graph mode ===\n%s\n", table.render().c_str());
+  }
+}
+BENCHMARK(BM_Fig5_LeadByModel)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 void BM_Fig5_SpreadScaling(benchmark::State& state) {
   // Lateral-movement fan-out vs federation size (Fig 5's recursion).

@@ -37,6 +37,8 @@
 #include "sim/engine.hpp"
 #include "util/annotated_mutex.hpp"
 
+#include "host_info.hpp"
+
 namespace {
 
 using namespace at;
@@ -298,7 +300,8 @@ int main(int argc, char** argv) {
 
   const bool identical = hot.identical() && cancels.identical() && far.identical();
   std::ostringstream json;
-  json << "{\n  \"bench\": \"sim_engine\",\n  \"events\": " << events
+  json << "{\n  \"bench\": \"sim_engine\",\n  \"host\": " << bench::host_json()
+       << ",\n  \"events\": " << events
        << ",\n  \"workloads\": [\n";
   emit_json(json, hot, false);
   emit_json(json, cancels, false);

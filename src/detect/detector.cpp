@@ -88,8 +88,7 @@ FactorGraphDetector::FactorGraphDetector(std::shared_ptr<const fg::CompiledParam
       stage_(stage),
       use_timing_(use_timing),
       inference_(inference),
-      filter_(compiled),
-      entity_(std::move(compiled)) {}
+      filter_(std::move(compiled), inference == FgInference::kEntity ? 1.0 : 0.0) {}
 
 FactorGraphDetector FactorGraphDetector::train(const incidents::Corpus& training,
                                                double threshold, bool use_timing) {
@@ -98,33 +97,30 @@ FactorGraphDetector FactorGraphDetector::train(const incidents::Corpus& training
 }
 
 std::string FactorGraphDetector::name() const {
-  if (inference_ == FgInference::kEntity) return "factor-graph-entity";
+  if (inference_ == FgInference::kEntity) {
+    return use_timing_ ? "factor-graph-entity-timed" : "factor-graph-entity";
+  }
   return use_timing_ ? "factor-graph-timed" : "factor-graph";
 }
 
 void FactorGraphDetector::reset() {
   filter_.reset();
-  entity_.reset();
   last_ts_.reset();
   fired_ = false;
 }
 
 double FactorGraphDetector::score() const noexcept {
-  return inference_ == FgInference::kEntity ? entity_.p_malicious()
+  return inference_ == FgInference::kEntity ? filter_.p_malicious()
                                             : filter_.p_at_least(stage_);
 }
 
 std::optional<Detection> FactorGraphDetector::observe(const alerts::Alert& alert,
                                                       std::size_t index) {
   if (fired_) return std::nullopt;
-  if (inference_ == FgInference::kEntity) {
-    entity_.observe(alert.type);
-  } else {
-    std::optional<fg::GapBucket> gap;
-    if (use_timing_ && last_ts_) gap = fg::bucket_for_gap(alert.ts - *last_ts_);
-    last_ts_ = alert.ts;
-    filter_.observe(alert.type, gap);
-  }
+  std::optional<fg::GapBucket> gap;
+  if (use_timing_ && last_ts_) gap = fg::bucket_for_gap(alert.ts - *last_ts_);
+  last_ts_ = alert.ts;
+  filter_.observe(alert.type, gap);
   const double p = score();
   if (p >= threshold_) {
     fired_ = true;

@@ -9,7 +9,7 @@
 //     the noisy single-alert baseline of Remark 2.
 //   - RuleBasedDetector: match known pre-damage signature subsequences
 //     (the testbed's rule-based model, ref [5]).
-//   - FactorGraphDetector: AttackTagger — forward-filtered stage posterior
+//   - FactorGraphDetector: AttackTagger — the filtered stage posterior
 //     (or, in entity mode, the exact user-state posterior) crossing a
 //     probability threshold (ref [6]).
 
@@ -119,21 +119,21 @@ class RuleBasedDetector final : public Detector {
   bool fired_ = false;
 };
 
-/// Which model a FactorGraphDetector thresholds.
+/// Which model a FactorGraphDetector thresholds. Both run one
+/// fg::EntityFilter; they differ in its coupling and in the score read out.
 enum class FgInference : std::uint8_t {
-  /// Streaming forward filter on the stage chain (the default):
+  /// Stage chain alone (the default): the filter at coupling 0, scoring
   /// P(stage >= threshold stage | alerts).
   kForwardFilter,
-  /// Entity-augmented model (chain plus user state U), inferred exactly
-  /// by fg::EntityFilter: P(U = malicious | alerts).
+  /// Entity-augmented model (chain plus user state U) at coupling 1,
+  /// scoring P(U = malicious | alerts).
   kEntity,
 };
 
 /// AttackTagger: factor-graph stage inference with a posterior threshold.
-/// With `use_timing` the forward filter also conditions on inter-alert gap
-/// buckets (Insight 3: probe bursts vs manual-stage pauses are themselves
-/// evidence). Entity mode ignores `use_timing`: the entity model has no
-/// gap factor.
+/// With `use_timing`, in either mode, the filter also conditions on
+/// inter-alert gap buckets (Insight 3: probe bursts vs manual-stage pauses
+/// are themselves evidence).
 class FactorGraphDetector final : public Detector {
  public:
   FactorGraphDetector(fg::ModelParams params, double threshold = 0.75,
@@ -153,7 +153,6 @@ class FactorGraphDetector final : public Detector {
                                    double threshold = 0.75, bool use_timing = false);
 
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] const fg::ModelParams& params() const noexcept { return filter_.params(); }
   [[nodiscard]] FgInference inference() const noexcept { return inference_; }
   /// The thresholded posterior after the last absorbed alert (frozen once
   /// the detector has fired).
@@ -167,8 +166,7 @@ class FactorGraphDetector final : public Detector {
   alerts::AttackStage stage_;
   bool use_timing_;
   FgInference inference_;
-  fg::ForwardFilter filter_;  ///< forward mode
-  fg::EntityFilter entity_;   ///< entity mode
+  fg::EntityFilter filter_;
   std::optional<util::SimTime> last_ts_;
   bool fired_ = false;
 };

@@ -1,7 +1,6 @@
 #include "fg/model.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "util/logdomain.hpp"
 
@@ -79,35 +78,6 @@ ModelParams learn_params(const incidents::Corpus& corpus, const LearnOptions& op
   return params;
 }
 
-FactorGraph build_chain(const ModelParams& params,
-                        std::span<const alerts::AlertType> observed) {
-  FactorGraph graph;
-  if (observed.empty()) return graph;
-
-  std::vector<VarId> stages;
-  stages.reserve(observed.size());
-  for (std::size_t t = 0; t < observed.size(); ++t) {
-    stages.push_back(graph.add_variable(kStages, "stage_" + std::to_string(t)));
-  }
-  // Prior factor on the first stage.
-  graph.add_factor({stages[0]}, params.log_prior, "prior");
-  // Emission factor per event: phi_t(s) = log P(alert_t | s).
-  for (std::size_t t = 0; t < observed.size(); ++t) {
-    std::vector<double> table(kStages);
-    for (std::size_t s = 0; s < kStages; ++s) {
-      table[s] = params.emission(static_cast<alerts::AttackStage>(s), observed[t]);
-    }
-    graph.add_factor({stages[t]}, std::move(table), "emit_" + std::to_string(t));
-  }
-  // Transition factor per adjacent pair; layout [prev, next], next fastest,
-  // matching ModelParams::log_transition.
-  for (std::size_t t = 1; t < observed.size(); ++t) {
-    graph.add_factor({stages[t - 1], stages[t]}, params.log_transition,
-                     "trans_" + std::to_string(t));
-  }
-  return graph;
-}
-
 std::shared_ptr<const CompiledParams> compile_params(ModelParams params) {
   auto compiled = std::make_shared<CompiledParams>();
   compiled->params = std::move(params);
@@ -123,64 +93,6 @@ std::shared_ptr<const CompiledParams> compile_params(ModelParams params) {
   return compiled;
 }
 
-ForwardFilter::ForwardFilter(ModelParams params)
-    : ForwardFilter(compile_params(std::move(params))) {}
-
-ForwardFilter::ForwardFilter(std::shared_ptr<const CompiledParams> compiled)
-    : compiled_(std::move(compiled)) {
-  reset();
-}
-
-void ForwardFilter::reset() {
-  belief_.assign(kStages, 0.0);
-  count_ = 0;
-}
-
-const std::vector<double>& ForwardFilter::observe(alerts::AlertType type,
-                                                  std::optional<GapBucket> gap) {
-  // Same recurrence as before compilation, on the pre-exponentiated
-  // tables — factors and evaluation order are unchanged, so posteriors
-  // are bit-identical to the log-table implementation.
-  const CompiledParams& c = *compiled_;
-  const std::size_t t = static_cast<std::size_t>(type);
-  double next[kStages];
-  if (count_ == 0) {
-    for (std::size_t s = 0; s < kStages; ++s) {
-      next[s] = c.prior[s] * c.emission[s * alerts::kNumAlertTypes + t];
-    }
-  } else {
-    for (std::size_t s = 0; s < kStages; ++s) {
-      double predicted = 0.0;
-      for (std::size_t p = 0; p < kStages; ++p) {
-        predicted += belief_[p] * c.transition[p * kStages + s];
-      }
-      next[s] = predicted * c.emission[s * alerts::kNumAlertTypes + t];
-      if (gap && !c.gap.empty()) {
-        next[s] *= c.gap[s * kNumGapBuckets + static_cast<std::size_t>(*gap)];
-      }
-    }
-  }
-  double total = 0.0;
-  for (const double v : next) total += v;
-  if (total <= 0.0) {
-    // All-zero likelihood (impossible observation under the model): keep
-    // the previous belief rather than dividing by zero.
-    ++count_;
-    return belief_;
-  }
-  for (std::size_t s = 0; s < kStages; ++s) belief_[s] = next[s] / total;
-  ++count_;
-  return belief_;
-}
-
-double ForwardFilter::p_at_least(alerts::AttackStage stage) const {
-  double total = 0.0;
-  for (std::size_t s = static_cast<std::size_t>(stage); s < kStages; ++s) {
-    total += belief_[s];
-  }
-  return total;
-}
-
 EntityFilter::EntityFilter(std::shared_ptr<const CompiledParams> compiled, double coupling)
     : compiled_(std::move(compiled)), mismatch_(util::safe_exp(-coupling)) {}
 
@@ -190,11 +102,13 @@ void EntityFilter::reset() noexcept {
   count_ = 0;
 }
 
-void EntityFilter::observe(alerts::AlertType type) {
+void EntityFilter::observe(alerts::AlertType type, std::optional<GapBucket> gap) {
   // One forward step per value of U on the U-conditioned chain: U's
-  // coupling column multiplies the emission.
+  // coupling column, then the gap factor, multiply the emission.
   const CompiledParams& c = *compiled_;
   const std::size_t t = static_cast<std::size_t>(type);
+  const bool timed = gap && count_ > 0 && !c.gap.empty();
+  const std::size_t g = timed ? static_cast<std::size_t>(*gap) : 0;
   constexpr auto kAttack = static_cast<std::size_t>(alerts::AttackStage::kInProgress);
   double next[2][kStages];
   double total[2] = {0.0, 0.0};
@@ -210,17 +124,19 @@ void EntityFilter::observe(alerts::AlertType type) {
       }
       const double couple = (s >= kAttack) == (u == 1) ? 1.0 : mismatch_;
       next[u][s] = predicted * c.emission[s * kTypes + t] * couple;
+      if (timed) next[u][s] *= c.gap[s * kNumGapBuckets + g];
       total[u] += next[u][s];
     }
   }
-  ++count_;
-  // Impossible under either branch: keep the previous state rather than
-  // divide by zero (the ForwardFilter guard).
+  // Impossible under either branch: keep the previous state, count
+  // included, rather than divide by zero. A skipped first alert thus
+  // leaves the filter fresh, and the next alert starts from the prior.
   if (total[0] <= 0.0 || total[1] <= 0.0) return;
   for (std::size_t u = 0; u < 2; ++u) {
     for (std::size_t s = 0; s < kStages; ++s) belief_[u][s] = next[u][s] / total[u];
   }
   log_odds_ += std::log(total[1]) - std::log(total[0]);
+  ++count_;
 }
 
 double EntityFilter::p_malicious() const noexcept {
@@ -234,6 +150,13 @@ std::array<double, alerts::kNumStages> EntityFilter::last_stage() const noexcept
     mixed[s] = (1.0 - p) * belief_[0][s] + p * belief_[1][s];
   }
   return mixed;
+}
+
+double EntityFilter::p_at_least(alerts::AttackStage stage) const noexcept {
+  const auto last = last_stage();
+  double total = 0.0;
+  for (std::size_t s = static_cast<std::size_t>(stage); s < kStages; ++s) total += last[s];
+  return total;
 }
 
 std::vector<alerts::AttackStage> decode_stages(const ModelParams& params,
@@ -274,41 +197,6 @@ std::vector<alerts::AttackStage> decode_stages(const ModelParams& params,
     if (t > 0) best = back[t][best];
   }
   return path;
-}
-
-FactorGraph build_entity_graph(const ModelParams& params,
-                               std::span<const alerts::AlertType> observed,
-                               double coupling) {
-  FactorGraph graph = build_chain(params, observed);
-  if (observed.empty()) return graph;
-  const VarId user = graph.add_variable(2, "user_state");
-  // Uniform prior on U; the evidence flows through the couplings.
-  graph.add_factor({user}, {std::log(0.5), std::log(0.5)}, "user_prior");
-  // Coupling table over (stage, U), U fastest: a legitimate user (U=0) is
-  // consistent with benign/suspicious stages, a malicious one (U=1) with
-  // in_progress/compromised.
-  std::vector<double> table(kStages * 2);
-  for (std::size_t s = 0; s < kStages; ++s) {
-    const bool attack_stage = s >= static_cast<std::size_t>(alerts::AttackStage::kInProgress);
-    table[s * 2 + 0] = attack_stage ? -coupling : 0.0;  // U = legitimate
-    table[s * 2 + 1] = attack_stage ? 0.0 : -coupling;  // U = malicious
-  }
-  for (VarId stage = 0; stage < static_cast<VarId>(observed.size()); ++stage) {
-    graph.add_factor({stage, user}, table, "couple_" + std::to_string(stage));
-  }
-  return graph;
-}
-
-std::vector<double> chain_posterior_last(const ModelParams& params,
-                                         std::span<const alerts::AlertType> observed,
-                                         const BpOptions& options) {
-  if (observed.empty()) throw std::invalid_argument("chain_posterior_last: empty sequence");
-  const FactorGraph graph = build_chain(params, observed);
-  BpOptions opts = options;
-  // A chain of n variables needs ~n rounds of flooding BP to be exact.
-  opts.max_iterations = std::max<std::size_t>(opts.max_iterations, observed.size() + 2);
-  const BpResult result = run_bp(graph, opts);
-  return result.marginals.back();
 }
 
 }  // namespace at::fg

@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "alerts/taxonomy.hpp"
-#include "fg/bp.hpp"
-#include "fg/graph.hpp"
 #include "incidents/generator.hpp"
 #include "util/annotations.hpp"
 #include "util/time_utils.hpp"
@@ -74,14 +72,8 @@ struct LearnOptions {
 [[nodiscard]] ModelParams learn_params(const incidents::Corpus& corpus,
                                        const LearnOptions& options = {});
 
-/// Build the chain factor graph for an observed alert-type sequence:
-/// one stage variable per event, an emission factor per event, and a
-/// transition factor per adjacent pair (plus a prior factor on the first).
-[[nodiscard]] FactorGraph build_chain(const ModelParams& params,
-                                      std::span<const alerts::AlertType> observed);
-
 /// Exponentiated (linear-domain) parameter tables, immutable and shared:
-/// every ForwardFilter built from one CompiledParams costs a refcount bump
+/// every EntityFilter built from one CompiledParams costs a refcount bump
 /// instead of four vector copies, and observe() stops paying ~20 exp()
 /// calls per event. Values are bit-identical to exponentiating the log
 /// tables on the fly, so filters built either way agree exactly. This is
@@ -97,43 +89,6 @@ struct CompiledParams {
 
 [[nodiscard]] std::shared_ptr<const CompiledParams> compile_params(ModelParams params);
 
-/// Streaming forward filter over the chain (O(stages^2) per event):
-/// maintains P(stage_t | alerts_1..t). This is what the online detector
-/// runs; it is algebraically identical to sum-product BP restricted to the
-/// forward direction of the chain (verified in tests).
-class ForwardFilter {
- public:
-  /// Compiles a private table set; the filter — and anything embedding it —
-  /// stays freely copyable and movable.
-  explicit ForwardFilter(ModelParams params);
-  /// Shares an existing table set (the cheap per-entity constructor).
-  explicit ForwardFilter(std::shared_ptr<const CompiledParams> compiled);
-
-  /// Absorb one observation; returns the posterior over the current stage.
-  /// `gap` (time since the previous alert of this stream) enables the
-  /// time-aware emission term; pass nullopt to ignore timing.
-  const std::vector<double>& observe(alerts::AlertType type,
-                                     std::optional<GapBucket> gap = std::nullopt);
-
-  [[nodiscard]] const std::vector<double>& posterior() const noexcept { return belief_; }
-  [[nodiscard]] double p_at_least(alerts::AttackStage stage) const;
-  [[nodiscard]] std::size_t observed() const noexcept { return count_; }
-  [[nodiscard]] const ModelParams& params() const noexcept { return compiled_->params; }
-  void reset();
-
- private:
-  std::shared_ptr<const CompiledParams> compiled_;
-  std::vector<double> belief_;  ///< linear, normalized
-  std::size_t count_ = 0;
-};
-
-/// Full-sequence posterior of the *last* stage via sum-product BP on the
-/// chain. Test oracle for ForwardFilter and the bench workload for
-/// inference-cost scaling.
-[[nodiscard]] std::vector<double> chain_posterior_last(const ModelParams& params,
-                                                       std::span<const alerts::AlertType> observed,
-                                                       const BpOptions& options = {});
-
 /// Most likely stage sequence for the full observation (Viterbi on the
 /// chain) — what the original AttackTagger emits to tag each event for
 /// forensics. Equivalent to max-product BP on the chain factor graph
@@ -145,29 +100,40 @@ class ForwardFilter {
 /// per-event stage chain plus one global binary *user-state* variable U
 /// (legitimate / malicious) coupled to every stage variable. The coupling
 /// factor rewards consistency: a malicious user explains in_progress and
-/// compromised stages, a legitimate one explains benign/suspicious.
+/// compromised stages, a legitimate one explains benign/suspicious. An
+/// optional gap factor P(gap bucket | stage) on every event after the first
+/// adds inter-alert timing as evidence (Insight 3).
 ///
 /// The graph is loopy, but conditioned on U it is a plain chain whose
-/// emissions absorb U's coupling column. EntityFilter runs one normalized
-/// forward filter per value of U and accumulates the difference of their
-/// log normalizers, so P(U = malicious | alerts) = sigmoid(log Z(1) -
-/// log Z(0)) exactly — nine doubles of state per entity, constant in the
-/// history length, O(2 * stages^2) per alert. Timing is not part of this
-/// model (no gap factor), matching build_entity_graph.
+/// emissions absorb U's coupling column (and the gap factor, which is per
+/// node). EntityFilter runs one normalized forward filter per value of U
+/// and accumulates the difference of their log normalizers, so
+/// P(U = malicious | alerts) = sigmoid(log Z(1) - log Z(0)) exactly — nine
+/// doubles of state per entity, constant in the history length,
+/// O(2 * stages^2) per alert.
+///
+/// At coupling 0 the coupling factor is 1 for every stage, both branches
+/// compute the same numbers and the log-odds stays 0: last_stage() is then
+/// the plain forward filter over the stage chain, P(stage_t | alerts).
 class EntityFilter {
  public:
-  /// `coupling` > 0 is the log-strength of the U<->stage consistency
-  /// factor (the same value build_entity_graph takes).
+  /// `coupling` >= 0 is the log-strength of the U<->stage consistency
+  /// factor (the same value build_entity_graph takes); 0 decouples U.
   explicit EntityFilter(std::shared_ptr<const CompiledParams> compiled, double coupling = 1.0);
 
-  /// Absorb one alert. An observation either branch assigns zero
-  /// likelihood (impossible with smoothed, learned parameters) is skipped,
-  /// as in ForwardFilter.
-  void observe(alerts::AlertType type) AT_HOT;
+  /// Absorb one alert. `gap` (time since the previous alert of this stream)
+  /// multiplies in the timing factor from the second absorbed alert on;
+  /// nullopt ignores timing. An observation either branch assigns zero
+  /// likelihood (impossible with smoothed, learned parameters) is skipped:
+  /// the state, including the absorbed-alert count, is left as it was.
+  void observe(alerts::AlertType type, std::optional<GapBucket> gap = std::nullopt) AT_HOT;
 
   [[nodiscard]] double p_malicious() const noexcept;
   /// Posterior over the current (last observed) stage, U summed out.
   [[nodiscard]] std::array<double, alerts::kNumStages> last_stage() const noexcept;
+  /// P(current stage >= `stage` | alerts), U summed out.
+  [[nodiscard]] double p_at_least(alerts::AttackStage stage) const noexcept;
+  /// Alerts absorbed (skipped impossible ones excluded).
   [[nodiscard]] std::size_t observed() const noexcept { return count_; }
   void reset() noexcept;
 
@@ -182,11 +148,5 @@ class EntityFilter {
   double log_odds_ = 0.0;
   std::size_t count_ = 0;
 };
-
-/// Build the loopy entity graph itself: the enumerate_exact / run_bp
-/// oracle for EntityFilter. Variable 0..n-1 are the stages; variable n is U.
-[[nodiscard]] FactorGraph build_entity_graph(const ModelParams& params,
-                                             std::span<const alerts::AlertType> observed,
-                                             double coupling = 1.0);
 
 }  // namespace at::fg

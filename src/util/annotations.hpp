@@ -12,8 +12,8 @@
 //                   must be free of blocking calls (blocking-in-hot-path)
 //                   and must spell atomic memory orders explicitly
 //                   (atomic-order). The sim::Engine drain loop (run/
-//                   run_until/step) and shard drain loops (run_shard) are
-//                   implicit roots and do not need the marker.
+//                   run_until/step) is an implicit root and does not need
+//                   the marker.
 //
 //   AT_ACQUIRES(...) on a function definition (suffix position): this
 //                   function acquires AND releases the named mutexes

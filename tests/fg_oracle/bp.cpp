@@ -1,7 +1,8 @@
-#include "fg/bp.hpp"
+#include "fg_oracle/bp.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "util/logdomain.hpp"
@@ -34,18 +35,38 @@ void to_distribution(const double* log_belief, std::size_t size, std::vector<dou
   }
   double total = 0.0;
   for (std::size_t i = 0; i < size; ++i) {
-    // at_lint: allow(banned-call) — this exp() IS the posterior readout
-    // (log-belief → linear probability, once per readout, not per
-    // observation); hot-path exps go through CompiledParams' tables.
     out[i] = std::exp(log_belief[i] - peak);
     total += out[i];
   }
   for (double& v : out) v /= total;
 }
 
-}  // namespace
+/// BP storage: the SoA edge layout over a FactorGraph plus the flat
+/// log-domain message pools and inner-loop scratch.
+struct Workspace {
+  // One edge per (factor, scope-slot) pair; edges of a factor are
+  // contiguous, so factor f's slot k is edge factor_edge[f] + k.
+  std::vector<VarId> edge_var;          ///< target variable of each edge
+  std::vector<std::uint32_t> edge_card; ///< its cardinality
+  std::vector<std::size_t> edge_off;    ///< offset into the message pools
+  std::vector<std::size_t> factor_edge; ///< size num_factors + 1
+  // Incident CSR: edge ids touching each variable.
+  std::vector<std::size_t> var_edge_off;  ///< size num_variables + 1
+  std::vector<std::uint32_t> var_edge;
+  // Flat message pools (log domain), one `edge_card` slice per edge.
+  std::vector<double> to_var;     ///< factor -> variable
+  std::vector<double> to_factor;  ///< variable -> factor
+  // Inner-loop scratch.
+  std::vector<double> message;
+  std::vector<double> log_belief;
+  std::vector<std::size_t> cards;
+  std::vector<std::size_t> idx;
 
-void BpWorkspace::bind(const FactorGraph& graph) {
+  /// Build the layout for `graph` and zero all messages.
+  void bind(const FactorGraph& graph);
+};
+
+void Workspace::bind(const FactorGraph& graph) {
   const std::size_t num_vars = graph.num_variables();
   const std::size_t num_factors = graph.num_factors();
 
@@ -81,11 +102,14 @@ void BpWorkspace::bind(const FactorGraph& graph) {
   to_factor.assign(pool, 0.0);
 }
 
-void run_bp(const FactorGraph& graph, const BpOptions& options, BpWorkspace& ws,
-            BpResult& result) {
+}  // namespace
+
+BpResult run_bp(const FactorGraph& graph, const BpOptions& options) {
   const std::size_t num_vars = graph.num_variables();
   const std::size_t num_factors = graph.num_factors();
+  Workspace ws;
   ws.bind(graph);
+  BpResult result;
 
   result.converged = false;
   result.iterations = 0;
@@ -179,12 +203,6 @@ void run_bp(const FactorGraph& graph, const BpOptions& options, BpWorkspace& ws,
         std::max_element(ws.log_belief.begin(), ws.log_belief.begin() + static_cast<std::ptrdiff_t>(card)) -
         ws.log_belief.begin());
   }
-}
-
-BpResult run_bp(const FactorGraph& graph, const BpOptions& options) {
-  BpWorkspace ws;
-  BpResult result;
-  run_bp(graph, options, ws, result);
   return result;
 }
 

@@ -1,4 +1,4 @@
-#include "fg/graph.hpp"
+#include "fg_oracle/graph.hpp"
 
 #include <stdexcept>
 

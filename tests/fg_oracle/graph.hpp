@@ -1,13 +1,14 @@
 #pragma once
-// Discrete factor graph representation.
+// Discrete factor graph representation, the oracle side of the model.
 //
 // The paper's preemption model is a probabilistic graphical model over
 // hidden per-event attack stages (Cao et al., AttackTagger). This library
-// implements general discrete factor graphs in log space plus the belief-
-// propagation inference the detector runs online. Variables are discrete
-// with small cardinality (4 attack stages); factors hold log-potential
-// tables over their scope, flattened row-major with the *last* scope
-// variable varying fastest.
+// implements general discrete factor graphs in log space, plus (bp.hpp)
+// belief propagation and exact enumeration over them, so tests and benches
+// can check the closed-form filter the detector runs online. Variables are
+// discrete with small cardinality (4 attack stages); factors hold
+// log-potential tables over their scope, flattened row-major with the
+// *last* scope variable varying fastest.
 
 #include <cstddef>
 #include <cstdint>

@@ -1,7 +1,9 @@
 // Detector-level oracles for the entity mode of FactorGraphDetector: its
 // per-alert score and firing index must equal exact enumeration of the
-// entity graph over every prefix, batched and per-alert feeding through
-// the SessionPipeline must agree, and reset() must forget the history.
+// entity graph over every prefix (timed and untimed), batched and
+// per-alert feeding through the SessionPipeline must agree, reset() must
+// forget the history, and an impossible first alert must not freeze
+// either mode.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +12,10 @@
 
 #include "detect/detector.hpp"
 #include "detect/session_pipeline.hpp"
-#include "fg/bp.hpp"
 #include "fg/model.hpp"
+#include "fg_oracle/chain.hpp"
 #include "incidents/generator.hpp"
+#include "util/logdomain.hpp"
 #include "util/rng.hpp"
 
 namespace at::detect {
@@ -66,44 +69,59 @@ class EntityDetectorOracle : public ::testing::TestWithParam<int> {};
 TEST_P(EntityDetectorOracle, ScoreAndFiringMatchEnumeration) {
   // Nine-alert streams (enumeration stays cheap), every other one drawn
   // mostly from attack-stage alert types so the threshold actually trips.
+  // Timed runs space alerts by a random step from burst to days, and the
+  // oracle graph carries the gap bucket the detector derives.
   std::vector<AlertType> attack_pool;
   for (const auto& info : alerts::all_alert_info()) {
     if (info.typical_stage >= alerts::AttackStage::kInProgress) attack_pool.push_back(info.type);
   }
+  constexpr util::SimTime kSteps[] = {5, 10 * util::kMinute, 3 * util::kHour, 2 * util::kDay};
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 101);
   const double threshold = 0.75;
-  std::size_t fired = 0;
-  for (int stream = 0; stream < 6; ++stream) {
-    FactorGraphDetector detector(compiled(), threshold, alerts::AttackStage::kInProgress,
-                                 false, FgInference::kEntity);
-    std::vector<AlertType> prefix;
-    std::optional<std::size_t> expected_fire;
-    for (std::size_t i = 0; i < 9; ++i) {
-      Alert alert;
-      alert.ts = static_cast<util::SimTime>(i * 60);
-      alert.type = stream % 2 == 1 && rng.uniform_int(0, 3) != 0
-                       ? attack_pool[static_cast<std::size_t>(rng.uniform_int(
-                             0, static_cast<std::int64_t>(attack_pool.size()) - 1))]
-                       : static_cast<AlertType>(rng.uniform_int(
-                             0, static_cast<std::int64_t>(alerts::kNumAlertTypes) - 1));
-      prefix.push_back(alert.type);
-      const double exact =
-          fg::enumerate_exact(fg::build_entity_graph(model(), prefix)).marginals.back()[1];
-      if (!expected_fire && exact >= threshold) expected_fire = i;
+  for (const bool timed : {false, true}) {
+    std::size_t fired = 0;
+    for (int stream = 0; stream < 6; ++stream) {
+      FactorGraphDetector detector(compiled(), threshold, alerts::AttackStage::kInProgress,
+                                   timed, FgInference::kEntity);
+      std::vector<AlertType> prefix;
+      std::vector<std::optional<fg::GapBucket>> gaps;
+      std::optional<std::size_t> expected_fire;
+      util::SimTime ts = 0;
+      for (std::size_t i = 0; i < 9; ++i) {
+        const util::SimTime step =
+            i == 0 ? 0
+                   : kSteps[static_cast<std::size_t>(
+                         rng.uniform_int(0, static_cast<std::int64_t>(std::size(kSteps)) - 1))];
+        ts += step;
+        Alert alert;
+        alert.ts = ts;
+        alert.type = stream % 2 == 1 && rng.uniform_int(0, 3) != 0
+                         ? attack_pool[static_cast<std::size_t>(rng.uniform_int(
+                               0, static_cast<std::int64_t>(attack_pool.size()) - 1))]
+                         : static_cast<AlertType>(rng.uniform_int(
+                               0, static_cast<std::int64_t>(alerts::kNumAlertTypes) - 1));
+        prefix.push_back(alert.type);
+        gaps.push_back(timed && i > 0 ? std::optional(fg::bucket_for_gap(step)) : std::nullopt);
+        const double exact =
+            fg::enumerate_exact(fg::build_entity_graph(model(), prefix, 1.0, gaps))
+                .marginals.back()[1];
+        if (!expected_fire && exact >= threshold) expected_fire = i;
 
-      const auto detection = detector.observe(alert, i);
-      ASSERT_EQ(detection.has_value(), expected_fire == i)
-          << "stream " << stream << " alert " << i;
-      if (expected_fire && *expected_fire < i) continue;  // fired: score frozen
-      EXPECT_NEAR(detector.score(), exact, 1e-9) << "stream " << stream << " alert " << i;
-      if (detection) {
-        EXPECT_EQ(detection->alert_index, i);
-        EXPECT_EQ(detection->score, detector.score());
-        ++fired;
+        const auto detection = detector.observe(alert, i);
+        ASSERT_EQ(detection.has_value(), expected_fire == i)
+            << "stream " << stream << " alert " << i << " timed " << timed;
+        if (expected_fire && *expected_fire < i) continue;  // fired: score frozen
+        EXPECT_NEAR(detector.score(), exact, 1e-9)
+            << "stream " << stream << " alert " << i << " timed " << timed;
+        if (detection) {
+          EXPECT_EQ(detection->alert_index, i);
+          EXPECT_EQ(detection->score, detector.score());
+          ++fired;
+        }
       }
     }
+    EXPECT_GT(fired, 0u) << "no stream crossed the threshold, timed " << timed;
   }
-  EXPECT_GT(fired, 0u) << "no stream crossed the threshold";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EntityDetectorOracle, ::testing::Range(0, 5));
@@ -148,6 +166,12 @@ TEST(FgInferenceModes, NamesAndResetBehaviour) {
   FactorGraphDetector filter(compiled(), 0.75);
   EXPECT_EQ(entity.name(), "factor-graph-entity");
   EXPECT_EQ(filter.name(), "factor-graph");
+  EXPECT_EQ(FactorGraphDetector(compiled(), 0.75, alerts::AttackStage::kInProgress, true,
+                                FgInference::kEntity)
+                .name(),
+            "factor-graph-entity-timed");
+  EXPECT_EQ(FactorGraphDetector(compiled(), 0.75, alerts::AttackStage::kInProgress, true).name(),
+            "factor-graph-timed");
 
   // After reset the entity filter must forget the history entirely:
   // the same campaign gives the same firing index twice.
@@ -176,6 +200,44 @@ TEST(FgInferenceModes, NamesAndResetBehaviour) {
   FactorGraphDetector fresh(compiled(), 0.75, alerts::AttackStage::kInProgress, false,
                             FgInference::kEntity);
   EXPECT_EQ(run(fresh), first);
+}
+
+TEST(FgInferenceModes, ImpossibleFirstAlertLeavesTheFilterFresh) {
+  // A model with a -inf emission column (read_params accepts one) makes
+  // that alert type impossible. Skipped first, it must leave the filter as
+  // if it never arrived: the detector then fires on the same alert as it
+  // does on the stream without it, in every mode.
+  fg::ModelParams params = model();
+  const auto impossible = AlertType::kJobCompleted;
+  for (std::size_t s = 0; s < alerts::kNumStages; ++s) {
+    params.log_emission[s * alerts::kNumAlertTypes + static_cast<std::size_t>(impossible)] =
+        util::kLogZero;
+  }
+  const auto tables = fg::compile_params(params);
+  const AlertType campaign[] = {AlertType::kDownloadSensitive, AlertType::kCompileSource,
+                                AlertType::kLogTampering, AlertType::kC2Communication};
+  auto fire_index = [&](bool timed, FgInference inference, bool lead_with_impossible) {
+    FactorGraphDetector detector(tables, 0.75, alerts::AttackStage::kInProgress, timed,
+                                 inference);
+    std::vector<AlertType> stream;
+    if (lead_with_impossible) stream.push_back(impossible);
+    stream.insert(stream.end(), std::begin(campaign), std::end(campaign));
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      Alert alert;
+      alert.ts = static_cast<util::SimTime>(i) * util::kHour;
+      alert.type = stream[i];
+      if (const auto d = detector.observe(alert, i)) return std::optional(d->alert_index);
+    }
+    return std::optional<std::size_t>();
+  };
+  for (const bool timed : {false, true}) {
+    for (const FgInference inference : {FgInference::kForwardFilter, FgInference::kEntity}) {
+      const auto clean = fire_index(timed, inference, false);
+      ASSERT_TRUE(clean.has_value()) << "timed " << timed;
+      EXPECT_EQ(fire_index(timed, inference, true), *clean + 1)
+          << "timed " << timed << " entity " << (inference == FgInference::kEntity);
+    }
+  }
 }
 
 }  // namespace

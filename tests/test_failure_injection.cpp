@@ -101,10 +101,10 @@ TEST(FailureInjection, SingleIncidentTrainingCorpus) {
   incidents::Corpus tiny;
   tiny.incidents.push_back(corpus().incidents[0]);
   const auto params = fg::learn_params(tiny);
-  fg::ForwardFilter filter(params);
+  fg::EntityFilter filter(fg::compile_params(params), 0.0);
   filter.observe(AlertType::kDownloadSensitive);
   double total = 0.0;
-  for (const auto p : filter.posterior()) total += p;
+  for (const auto p : filter.last_stage()) total += p;
   EXPECT_NEAR(total, 1.0, 1e-9);
 }
 

@@ -1,12 +1,14 @@
-// Factor-graph library: graph construction, BP exactness on trees (vs the
-// enumeration oracle), max-product MAP, loopy behaviour, and the
-// AttackTagger chain model (learning, forward filter == BP).
+// Factor-graph oracle library (tests/fg_oracle): graph construction, BP
+// exactness on trees (vs the enumeration oracle), max-product MAP, loopy
+// behaviour; and the AttackTagger chain model (learning, the filter at
+// coupling 0 == BP on the chain, timed and untimed).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "fg/model.hpp"
+#include "fg_oracle/chain.hpp"
 #include "incidents/generator.hpp"
 #include "util/logdomain.hpp"
 
@@ -180,6 +182,11 @@ const incidents::Corpus& training() {
   return corpus;
 }
 
+/// The stage-chain forward filter: EntityFilter with U decoupled.
+EntityFilter forward_filter(const ModelParams& params) {
+  return EntityFilter(compile_params(params), 0.0);
+}
+
 TEST(ModelTest, LearnedDistributionsNormalize) {
   const auto params = learn_params(training());
   double prior = 0.0;
@@ -238,8 +245,9 @@ TEST(ChainTest, BuildShape) {
 }
 
 TEST(ChainTest, ForwardFilterMatchesBpOnChain) {
-  // The streaming forward filter and full sum-product BP must agree on the
-  // posterior of the last stage for any observation sequence.
+  // The streaming filter at coupling 0 and full sum-product BP must agree
+  // on the posterior of the last stage for any observation sequence, with
+  // and without gap buckets.
   const auto params = learn_params(training());
   const std::vector<std::vector<AlertType>> sequences = {
       {AlertType::kPortScan},
@@ -250,20 +258,26 @@ TEST(ChainTest, ForwardFilterMatchesBpOnChain) {
        AlertType::kDbPayloadEncoding, AlertType::kDbFileExport,
        AlertType::kDataExfiltrationBulk},
   };
-  for (const auto& sequence : sequences) {
-    ForwardFilter filter(params);
-    for (const auto type : sequence) filter.observe(type);
-    const auto bp_posterior = chain_posterior_last(params, sequence);
-    for (std::size_t s = 0; s < alerts::kNumStages; ++s) {
-      EXPECT_NEAR(filter.posterior()[s], bp_posterior[s], 1e-6)
-          << "sequence len " << sequence.size() << " stage " << s;
+  for (const bool timed : {false, true}) {
+    for (const auto& sequence : sequences) {
+      std::vector<std::optional<GapBucket>> gaps(sequence.size());
+      for (std::size_t t = 1; timed && t < sequence.size(); ++t) {
+        gaps[t] = static_cast<GapBucket>(t % kNumGapBuckets);
+      }
+      EntityFilter filter = forward_filter(params);
+      for (std::size_t t = 0; t < sequence.size(); ++t) filter.observe(sequence[t], gaps[t]);
+      const auto bp_posterior = chain_posterior_last(params, sequence, gaps);
+      for (std::size_t s = 0; s < alerts::kNumStages; ++s) {
+        EXPECT_NEAR(filter.last_stage()[s], bp_posterior[s], 1e-6)
+            << "sequence len " << sequence.size() << " stage " << s << " timed " << timed;
+      }
     }
   }
 }
 
 TEST(ChainTest, AttackSequenceRaisesPosterior) {
   const auto params = learn_params(training());
-  ForwardFilter filter(params);
+  EntityFilter filter = forward_filter(params);
   filter.observe(AlertType::kDownloadSensitive);
   filter.observe(AlertType::kCompileSource);
   filter.observe(AlertType::kLogTampering);
@@ -272,7 +286,7 @@ TEST(ChainTest, AttackSequenceRaisesPosterior) {
 
 TEST(ChainTest, BenignSequenceStaysLow) {
   const auto params = learn_params(training());
-  ForwardFilter filter(params);
+  EntityFilter filter = forward_filter(params);
   for (int i = 0; i < 10; ++i) {
     filter.observe(AlertType::kLoginSuccess);
     filter.observe(AlertType::kJobSubmitted);
@@ -286,7 +300,7 @@ TEST(ChainTest, ScanNoiseAloneDoesNotEscalate) {
   // Remark 2: mass scans have high false-positive rates; conditional
   // probabilities must keep them below the firing region.
   const auto params = learn_params(training());
-  ForwardFilter filter(params);
+  EntityFilter filter = forward_filter(params);
   for (int i = 0; i < 200; ++i) {
     filter.observe(i % 2 ? AlertType::kPortScan : AlertType::kSshBruteforce);
   }
@@ -295,7 +309,7 @@ TEST(ChainTest, ScanNoiseAloneDoesNotEscalate) {
 
 TEST(ChainTest, ResetClearsState) {
   const auto params = learn_params(training());
-  ForwardFilter filter(params);
+  EntityFilter filter = forward_filter(params);
   filter.observe(AlertType::kDownloadSensitive);
   filter.observe(AlertType::kCompileSource);
   filter.reset();
@@ -307,12 +321,12 @@ TEST(ChainTest, ResetClearsState) {
 TEST(ChainTest, PosteriorAlwaysNormalized) {
   const auto params = learn_params(training());
   util::Rng rng(5);
-  ForwardFilter filter(params);
+  EntityFilter filter = forward_filter(params);
   for (int i = 0; i < 500; ++i) {
     filter.observe(static_cast<AlertType>(
         rng.uniform_int(0, static_cast<std::int64_t>(alerts::kNumAlertTypes) - 1)));
     double total = 0.0;
-    for (const auto p : filter.posterior()) {
+    for (const auto p : filter.last_stage()) {
       ASSERT_GE(p, 0.0);
       total += p;
     }

@@ -1,7 +1,7 @@
 // Entity-augmented factor graph: the user-state model. EntityFilter, its
 // exact streaming inference, is verified against joint enumeration of the
-// loopy entity graph and for its semantic behaviour (malicious posterior
-// tracks the attack content).
+// loopy entity graph (timed and untimed) and for its semantic behaviour
+// (malicious posterior tracks the attack content).
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "fg/model.hpp"
+#include "fg_oracle/chain.hpp"
 #include "incidents/generator.hpp"
 #include "util/rng.hpp"
 
@@ -33,15 +34,23 @@ std::shared_ptr<const CompiledParams> compiled() {
   return c;
 }
 
-EntityFilter filter_over(const std::vector<AlertType>& observed, double coupling = 1.0) {
+EntityFilter filter_over(const std::vector<AlertType>& observed, double coupling = 1.0,
+                         const std::vector<std::optional<GapBucket>>& gaps = {}) {
   EntityFilter filter(compiled(), coupling);
-  for (const AlertType type : observed) filter.observe(type);
+  for (std::size_t t = 0; t < observed.size(); ++t) {
+    filter.observe(observed[t], gaps.empty() ? std::nullopt : gaps[t]);
+  }
   return filter;
 }
 
 AlertType random_type(util::Rng& rng) {
   return static_cast<AlertType>(
       rng.uniform_int(0, static_cast<std::int64_t>(alerts::kNumAlertTypes) - 1));
+}
+
+GapBucket random_gap(util::Rng& rng) {
+  return static_cast<GapBucket>(
+      rng.uniform_int(0, static_cast<std::int64_t>(kNumGapBuckets) - 1));
 }
 
 TEST(EntityGraph, Shape) {
@@ -65,22 +74,30 @@ class EntityVsExact : public ::testing::TestWithParam<int> {};
 
 TEST_P(EntityVsExact, LoopyBpTracksEnumeration) {
   // The loopy entity graph, enumerated exactly, against the filter: every
-  // length 1..9 twice per seed (216 sequences over the 12 seeds), the
-  // second draw with a random coupling strength.
+  // length 1..9 four times per seed (432 sequences over the 12 seeds):
+  // unit and random coupling strength, each untimed and with a random gap
+  // bucket on every alert (gap factors on the graph's second node on).
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 71 + 11);
   for (std::size_t n = 1; n <= 9; ++n) {
     for (const bool unit_coupling : {true, false}) {
-      std::vector<AlertType> observed;
-      for (std::size_t i = 0; i < n; ++i) observed.push_back(random_type(rng));
-      const double coupling = unit_coupling ? 1.0 : 0.25 + 2.75 * rng.uniform();
-      const auto exact = enumerate_exact(build_entity_graph(params(), observed, coupling));
-      const EntityFilter filter = filter_over(observed, coupling);
-      EXPECT_NEAR(filter.p_malicious(), exact.marginals.back()[1], kExact)
-          << "n=" << n << " coupling=" << coupling;
-      const auto last = filter.last_stage();
-      for (std::size_t s = 0; s < alerts::kNumStages; ++s) {
-        EXPECT_NEAR(last[s], exact.marginals[n - 1][s], kExact)
-            << "n=" << n << " stage=" << s << " coupling=" << coupling;
+      for (const bool timed : {false, true}) {
+        std::vector<AlertType> observed;
+        std::vector<std::optional<GapBucket>> gaps(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          observed.push_back(random_type(rng));
+          if (timed) gaps[i] = random_gap(rng);
+        }
+        const double coupling = unit_coupling ? 1.0 : 0.25 + 2.75 * rng.uniform();
+        const auto exact =
+            enumerate_exact(build_entity_graph(params(), observed, coupling, gaps));
+        const EntityFilter filter = filter_over(observed, coupling, gaps);
+        EXPECT_NEAR(filter.p_malicious(), exact.marginals.back()[1], kExact)
+            << "n=" << n << " coupling=" << coupling << " timed=" << timed;
+        const auto last = filter.last_stage();
+        for (std::size_t s = 0; s < alerts::kNumStages; ++s) {
+          EXPECT_NEAR(last[s], exact.marginals[n - 1][s], kExact)
+              << "n=" << n << " stage=" << s << " coupling=" << coupling << " timed=" << timed;
+        }
       }
     }
   }

@@ -41,14 +41,15 @@ TEST(ParamsIo, LoadedModelDetectsIdentically) {
   const std::vector<alerts::AlertType> attack = {alerts::AlertType::kDownloadSensitive,
                                                  alerts::AlertType::kCompileSource,
                                                  alerts::AlertType::kLogTampering};
-  ForwardFilter original(trained());
-  ForwardFilter reloaded(*back);
+  EntityFilter original(compile_params(trained()));
+  EntityFilter reloaded(compile_params(*back));
   for (const auto type : attack) {
-    original.observe(type);
-    reloaded.observe(type);
+    original.observe(type, GapBucket::kHours);
+    reloaded.observe(type, GapBucket::kHours);
   }
+  EXPECT_EQ(original.p_malicious(), reloaded.p_malicious());
   for (std::size_t s = 0; s < alerts::kNumStages; ++s) {
-    EXPECT_EQ(original.posterior()[s], reloaded.posterior()[s]);
+    EXPECT_EQ(original.last_stage()[s], reloaded.last_stage()[s]);
   }
 }
 

@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "detect/sessionizer.hpp"
-#include "fg/bp.hpp"
 #include "fg/model.hpp"
+#include "fg_oracle/chain.hpp"
 #include "incidents/generator.hpp"
 
 namespace at {

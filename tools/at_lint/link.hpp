@@ -61,7 +61,7 @@ struct ProjectGraph {
   std::vector<LockEdge> propagated_lock_edges;
 
   /// Hot-path reachability (BFS from AT_HOT functions and the intrinsic
-  /// drain-loop roots: Engine run/run_until/step in src/sim/, run_shard).
+  /// drain-loop roots: Engine run/run_until/step in src/sim/).
   std::vector<char> hot;
   std::vector<char> hot_root;
   std::vector<std::size_t> hot_parent;  ///< BFS parent, kNone at roots
