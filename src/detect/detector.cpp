@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 namespace at::detect {
 
@@ -22,8 +23,40 @@ std::optional<Detection> ThresholdDetector::observe(const alerts::Alert& alert,
 }
 
 RuleBasedDetector::RuleBasedDetector(std::vector<Signature> signatures)
-    : signatures_(std::move(signatures)) {
-  progress_.assign(signatures_.size(), 0);
+    : table_(compile(std::move(signatures))), progress_(table_->signatures.size(), 0) {}
+
+std::shared_ptr<const RuleBasedDetector::Table> RuleBasedDetector::compile(
+    std::vector<Signature> signatures) {
+  std::vector<std::vector<std::uint32_t>> by_type(alerts::kNumAlertTypes);
+  for (std::size_t s = 0; s < signatures.size(); ++s) {
+    const Signature& signature = signatures[s];
+    if (signature.alerts.size() > kMaxSignatureLength) {
+      throw std::invalid_argument("signature " + signature.name + " has " +
+                                  std::to_string(signature.alerts.size()) +
+                                  " alerts; the limit is " +
+                                  std::to_string(kMaxSignatureLength));
+    }
+    for (const alerts::AlertType type : signature.alerts) {
+      const auto t = static_cast<std::size_t>(type);
+      if (t >= alerts::kNumAlertTypes) {
+        throw std::invalid_argument("signature " + signature.name +
+                                    " names unknown alert type " + std::to_string(t));
+      }
+      // Signatures are visited in ascending order, so a repeated type
+      // within one signature is already the list's last entry.
+      auto& list = by_type[t];
+      if (list.empty() || list.back() != s) list.push_back(static_cast<std::uint32_t>(s));
+    }
+  }
+  auto table = std::make_shared<Table>();
+  table->offsets.reserve(by_type.size() + 1);
+  table->offsets.push_back(0);
+  for (const auto& list : by_type) {
+    table->members.insert(table->members.end(), list.begin(), list.end());
+    table->offsets.push_back(static_cast<std::uint32_t>(table->members.size()));
+  }
+  table->signatures = std::move(signatures);
+  return table;
 }
 
 RuleBasedDetector RuleBasedDetector::train(const std::vector<incidents::Incident>& training,
@@ -50,7 +83,9 @@ RuleBasedDetector RuleBasedDetector::train(const std::vector<incidents::Incident
 }
 
 void RuleBasedDetector::add_signature(Signature signature) {
-  signatures_.push_back(std::move(signature));
+  std::vector<Signature> signatures = table_->signatures;
+  signatures.push_back(std::move(signature));
+  table_ = compile(std::move(signatures));
   progress_.push_back(0);
 }
 
@@ -62,13 +97,22 @@ void RuleBasedDetector::reset() {
 std::optional<Detection> RuleBasedDetector::observe(const alerts::Alert& alert,
                                                     std::size_t index) {
   if (fired_) return std::nullopt;
-  for (std::size_t s = 0; s < signatures_.size(); ++s) {
-    const auto& signature = signatures_[s].alerts;
-    if (progress_[s] < signature.size() && signature[progress_[s]] == alert.type) {
-      ++progress_[s];
-      if (progress_[s] == signature.size()) {
+  // The type may come from a parsed log: one outside the taxonomy matches
+  // nothing.
+  const auto type = static_cast<std::size_t>(alert.type);
+  if (type >= alerts::kNumAlertTypes) return std::nullopt;
+  // Only the signatures containing this type can advance; visiting them in
+  // ascending order fires the same signature a scan of all of them would.
+  const Table& table = *table_;
+  for (std::uint32_t k = table.offsets[type]; k < table.offsets[type + 1]; ++k) {
+    const std::uint32_t s = table.members[k];
+    const auto& signature = table.signatures[s].alerts;
+    std::uint8_t& progress = progress_[s];
+    if (progress < signature.size() && signature[progress] == alert.type) {
+      ++progress;
+      if (progress == signature.size()) {
         fired_ = true;
-        return Detection{index, alert.ts, 1.0, "matched " + signatures_[s].name};
+        return Detection{index, alert.ts, 1.0, "matched " + table.signatures[s].name};
       }
     }
   }

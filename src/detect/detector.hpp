@@ -13,6 +13,7 @@
 //     (or, in entity mode, the exact user-state posterior) crossing a
 //     probability threshold (ref [6]).
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -89,6 +90,10 @@ class ThresholdDetector final : public Detector {
 };
 
 /// Matches known signature subsequences (learned from training incidents).
+/// The signatures live in an immutable table shared by every copy, so a
+/// per-entity matcher is the table pointer, one progress byte per
+/// signature and the fired flag: copying one costs a refcount bump and a
+/// single small allocation.
 class RuleBasedDetector final : public Detector {
  public:
   struct Signature {
@@ -96,6 +101,11 @@ class RuleBasedDetector final : public Detector {
     std::vector<alerts::AlertType> alerts;
   };
 
+  /// Longest signature a one-byte progress counter can track.
+  static constexpr std::size_t kMaxSignatureLength = 255;
+
+  /// Throws std::invalid_argument if a signature is longer than
+  /// kMaxSignatureLength or names an alert type outside the taxonomy.
   explicit RuleBasedDetector(std::vector<Signature> signatures);
 
   /// Extract signatures from training incidents: the pre-damage prefix of
@@ -105,17 +115,31 @@ class RuleBasedDetector final : public Detector {
                                  std::size_t max_len = 4, std::size_t min_len = 2);
 
   [[nodiscard]] std::string name() const override { return "rule-based"; }
-  [[nodiscard]] std::size_t signature_count() const noexcept { return signatures_.size(); }
+  [[nodiscard]] std::size_t signature_count() const noexcept {
+    return table_->signatures.size();
+  }
   /// Add a signature at runtime — the paper's feedback loop where alerts
-  /// from a preempted attack refine the deployed ruleset.
+  /// from a preempted attack refine the deployed ruleset. Copy-on-write:
+  /// this matcher gets a new table; other copies keep the old one.
+  /// Throws std::invalid_argument as the constructor does.
   void add_signature(Signature signature);
   void reset() override;
   std::optional<Detection> observe(const alerts::Alert& alert, std::size_t index) override
       AT_HOT;
 
  private:
-  std::vector<Signature> signatures_;
-  std::vector<std::size_t> progress_;  ///< matched prefix length per signature
+  /// The compiled ruleset: the signatures, plus for each alert type the
+  /// ascending indices of the signatures containing it (each once), laid
+  /// out as one flat array sliced by `offsets`.
+  struct Table {
+    std::vector<Signature> signatures;
+    std::vector<std::uint32_t> offsets;  ///< kNumAlertTypes + 1 entries
+    std::vector<std::uint32_t> members;
+  };
+  static std::shared_ptr<const Table> compile(std::vector<Signature> signatures);
+
+  std::shared_ptr<const Table> table_;
+  std::vector<std::uint8_t> progress_;  ///< matched prefix length per signature
   bool fired_ = false;
 };
 

@@ -37,10 +37,8 @@ AlertPipeline::EntityState& AlertPipeline::state_for(const std::string& key) {
   auto it = entities_.find(key);
   if (it != entities_.end()) return it->second;
   EntityState state;
-  for (const auto& [name, factory] : factories_) {
-    state.detectors.push_back(factory());
-    state.names.push_back(name);
-  }
+  state.detectors.reserve(factories_.size());
+  for (const auto& factory : factories_) state.detectors.push_back(factory.second());
   return entities_.emplace(key, std::move(state)).first->second;
 }
 
@@ -61,7 +59,7 @@ void AlertPipeline::on_alert(const alerts::Alert& alert) {
     Notification note;
     note.ts = alert.ts;
     note.entity = key;
-    note.detector = state.names[d];
+    note.detector = factories_[d].first;
     note.reason = detection->reason;
     note.score = detection->score;
     // Host-local alerts carry no address; fall back to the entity's most
@@ -70,7 +68,7 @@ void AlertPipeline::on_alert(const alerts::Alert& alert) {
     notifications_.push_back(note);
     if (router_ != nullptr && note.source && detection->score >= config_.block_score_floor) {
       router_->block(*note.source, alert.ts, config_.block_ttl,
-                     state.names[d] + ": " + detection->reason, "attacktagger-pipeline");
+                     factories_[d].first + ": " + detection->reason, "attacktagger-pipeline");
     }
   }
 }

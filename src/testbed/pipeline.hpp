@@ -71,8 +71,9 @@ class AlertPipeline final : public alerts::AlertSink {
 
  private:
   struct EntityState {
+    /// One per factory, in registration order (factories_[d] names
+    /// detectors[d]).
     std::vector<std::unique_ptr<detect::Detector>> detectors;
-    std::vector<std::string> names;
     std::size_t index = 0;  ///< alerts observed on this substream
     /// Most recent external source seen on this entity; used as the block
     /// target when the firing alert itself is host-local.

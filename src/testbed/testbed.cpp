@@ -23,14 +23,13 @@ Testbed::Testbed(TestbedConfig config, const incidents::Corpus& training)
     return std::make_unique<detect::FactorGraphDetector>(
         compiled, threshold, alerts::AttackStage::kInProgress, false, inference);
   });
-  auto rules = std::make_shared<detect::RuleBasedDetector>(
-      detect::RuleBasedDetector::train(training.incidents));
-  pipeline_->add_detector("rule-based", [rules] {
-    // Each entity gets a fresh matcher over the shared signature set.
-    auto copy = std::make_unique<detect::RuleBasedDetector>(*rules);
-    copy->reset();
-    return copy;
-  });
+  pipeline_->add_detector(
+      "rule-based", [rules = detect::RuleBasedDetector::train(training.incidents)] {
+        // Each entity gets a fresh matcher over the shared signature set:
+        // the copy shares the compiled signature table and owns only its
+        // progress bytes.
+        return std::make_unique<detect::RuleBasedDetector>(rules);
+      });
 
   // Monitors feed the correlator (cross-monitor dedup), which feeds the
   // pipeline.

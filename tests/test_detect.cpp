@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "detect/eval.hpp"
 
 namespace at::detect {
@@ -97,6 +100,93 @@ TEST(RuleBasedDetectorTest, TrainExtractsPreDamagePrefixes) {
   EXPECT_GT(detector.signature_count(), 10u);
   // Signatures are capped at 43 distinct cores (some prefixes coincide).
   EXPECT_LE(detector.signature_count(), 43u);
+}
+
+/// A training incident's signature (its pre-damage core prefix, capped at
+/// four alerts) that a fresh copy of `trained` completes exactly at its last
+/// alert, with no other signature firing earlier.
+std::vector<AlertType> signature_firing_at_end(const RuleBasedDetector& trained) {
+  for (const auto& incident : corpus().incidents) {
+    auto core = incident.core_sequence();
+    core.erase(std::find_if(core.begin(), core.end(),
+                            [](AlertType t) { return alerts::is_critical(t); }),
+               core.end());
+    if (core.size() > 4) core.resize(4);
+    if (core.size() < 2) continue;
+    RuleBasedDetector probe = trained;
+    const auto hit = feed(probe, core);
+    if (hit && hit->alert_index == core.size() - 1) return core;
+  }
+  ADD_FAILURE() << "no training signature fires at its last alert";
+  return {};
+}
+
+TEST(RuleBasedDetectorTest, CopiesMatchIndependently) {
+  const auto trained = RuleBasedDetector::train(corpus().incidents, 4, 2);
+  const auto signature = signature_firing_at_end(trained);
+  ASSERT_GE(signature.size(), 2u);
+  RuleBasedDetector a = trained;
+  RuleBasedDetector b = trained;
+  a.reset();
+  b.reset();
+  // A sees all but the last alert of the signature.
+  for (std::size_t i = 0; i + 1 < signature.size(); ++i) {
+    ASSERT_FALSE(a.observe(make_alert(static_cast<util::SimTime>(i), signature[i]), i));
+  }
+  // B sees only the completing alert: A's progress must not carry over.
+  const AlertType last = signature.back();
+  EXPECT_FALSE(b.observe(make_alert(100, last), 0));
+  // A completes; B, fed a stream of its own, is unaffected by A firing.
+  EXPECT_TRUE(a.observe(make_alert(101, last), signature.size() - 1));
+  EXPECT_FALSE(b.observe(make_alert(102, AlertType::kLoginSuccess), 1));
+  const auto b_hit = feed(b, signature);
+  ASSERT_TRUE(b_hit.has_value());
+  EXPECT_EQ(b_hit->alert_index, signature.size() - 1);
+  // B's reset and match leave A fired.
+  EXPECT_FALSE(a.observe(make_alert(103, signature.front()), signature.size()));
+}
+
+TEST(RuleBasedDetectorTest, AddSignatureIsLocalToOneCopy) {
+  const auto trained = RuleBasedDetector::train(corpus().incidents, 4, 2);
+  const std::vector<AlertType> motif = {AlertType::kLogout, AlertType::kJobCompleted,
+                                        AlertType::kLogout};
+  RuleBasedDetector a = trained;
+  RuleBasedDetector b = trained;
+  ASSERT_FALSE(feed(a, motif)) << "the trained ruleset already catches the motif";
+  a.add_signature({"motif", motif});
+  EXPECT_EQ(a.signature_count(), trained.signature_count() + 1);
+  EXPECT_EQ(b.signature_count(), trained.signature_count());
+  EXPECT_FALSE(feed(b, motif));
+  RuleBasedDetector copy_of_a = a;
+  const auto hit = feed(copy_of_a, motif);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->alert_index, motif.size() - 1);
+  EXPECT_EQ(hit->reason, "matched motif");
+  EXPECT_TRUE(feed(a, motif));
+}
+
+TEST(RuleBasedDetectorTest, RejectsOverlongSignature) {
+  // A one-byte progress counter tracks at most 255 alerts.
+  const std::vector<AlertType> longest(255, AlertType::kPortScan);
+  const std::vector<AlertType> overlong(256, AlertType::kPortScan);
+  EXPECT_THROW(RuleBasedDetector({{"overlong", overlong}}), std::invalid_argument);
+  RuleBasedDetector detector({{"longest", longest}});
+  EXPECT_THROW(detector.add_signature({"overlong", overlong}), std::invalid_argument);
+  EXPECT_EQ(detector.signature_count(), 1u);
+  const auto hit = feed(detector, longest);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->alert_index, longest.size() - 1);
+}
+
+TEST(RuleBasedDetectorTest, RejectsUnknownAlertType) {
+  // The compiled table has one slot per taxonomy type; a signature naming
+  // any other value could never be indexed.
+  const auto unknown = static_cast<AlertType>(255);
+  EXPECT_THROW(RuleBasedDetector({{"bad", {AlertType::kPortScan, unknown}}}),
+               std::invalid_argument);
+  RuleBasedDetector detector({{"ok", {AlertType::kPortScan}}});
+  EXPECT_THROW(detector.add_signature({"bad", {unknown}}), std::invalid_argument);
+  EXPECT_EQ(detector.signature_count(), 1u);
 }
 
 TEST(FactorGraphDetectorTest, FiresOnAttackNotOnBenign) {

@@ -1,7 +1,10 @@
-// Zero-allocation guarantees for the hot inference path: the per-alert
-// filter (EntityFilter) and a non-firing FactorGraphDetector never touch
-// the heap. Verified by counting global operator new/delete hits around
-// the calls — the contract the per-alert pipelines rely on.
+// Allocation guarantees for the per-entity detectors. On the hot path, the
+// per-alert filter (EntityFilter), a non-firing FactorGraphDetector and a
+// non-firing RuleBasedDetector never touch the heap. Per entity, copying
+// the trained rule matcher (what the pipelines' factories do for every new
+// entity) allocates exactly once: its progress bytes, the compiled
+// signature table being shared. Verified by counting global operator
+// new/delete hits around the calls.
 //
 // The counting replacements are malloc-backed and unconditionally defined:
 // under ASan the sanitizer interposes malloc itself, so the counters keep
@@ -118,3 +121,54 @@ TEST(FgAllocation, ForwardDetectorObserveAllocatesNothing) {
 
 }  // namespace
 }  // namespace at::fg
+
+namespace at::detect {
+namespace {
+
+/// The deployed ruleset: trained on the testbed's fixed training corpus.
+const RuleBasedDetector& trained_rules() {
+  static const RuleBasedDetector rules = [] {
+    incidents::CorpusConfig config;
+    config.repetition_scale = 0.02;
+    config.seed = 7;
+    config.threads = 1;
+    return RuleBasedDetector::train(incidents::CorpusGenerator(config).generate().incidents);
+  }();
+  return rules;
+}
+
+TEST(RuleMatcherAllocation, CopyAllocatesOnce) {
+  const RuleBasedDetector& rules = trained_rules();
+  ASSERT_EQ(rules.signature_count(), 39u);
+  const auto allocated = fg::allocations_during([&] {
+    RuleBasedDetector copy(rules);
+    copy.reset();
+  });
+  EXPECT_EQ(allocated, 1u) << "copying the rule matcher deep-copied its signatures";
+}
+
+TEST(RuleMatcherAllocation, NonFiringObserveAllocatesNothing) {
+  RuleBasedDetector matcher(trained_rules());
+  matcher.reset();
+  // Benign activity, a probe and an out-of-taxonomy value: no signature
+  // completes, so every call takes the non-firing path.
+  const alerts::AlertType stream[] = {alerts::AlertType::kLoginSuccess,
+                                      alerts::AlertType::kPortScan,
+                                      alerts::AlertType::kJobSubmitted,
+                                      static_cast<alerts::AlertType>(255)};
+  alerts::Alert alert;
+  std::size_t index = 0;
+  const auto allocated = fg::allocations_during([&] {
+    for (int round = 0; round < 64; ++round) {
+      for (const alerts::AlertType type : stream) {
+        alert.type = type;
+        alert.ts += 45;
+        if (matcher.observe(alert, index++)) ADD_FAILURE() << "matcher fired";
+      }
+    }
+  });
+  EXPECT_EQ(allocated, 0u) << "non-firing RuleBasedDetector::observe touched the heap";
+}
+
+}  // namespace
+}  // namespace at::detect
