@@ -79,8 +79,9 @@ struct DaemonAlert {
 [[nodiscard]] const char* category_name(std::uint32_t category) noexcept;
 
 /// A shard worker raised an exception while processing an alert. The entry
-/// is counted as finished so the daemon still drains; the substream that
-/// threw keeps its pre-alert detector state.
+/// is counted as finished so the daemon still drains. Nothing is rolled
+/// back: the detectors ahead of the thrower observed the alert and their
+/// verdicts still release; the thrower and those after it never see it.
 struct WorkerErrorAlert final : DaemonAlert {
   std::uint64_t shard = 0;
   std::string message;

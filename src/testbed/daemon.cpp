@@ -3,22 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <functional>
 #include <limits>
-
-#include "util/rng.hpp"
 
 namespace at::testbed {
 
 namespace {
-
-// Tag constants decorrelate the three key namespaces ("host:"/"ip:"/"user:")
-// before hashing so e.g. a host named like a dotted quad cannot collide
-// into another entity's shard stream. Must stay in sync with
-// AlertPipeline::entity_key's precedence.
-constexpr std::uint64_t kHostTag = 0x686f7374ULL;
-constexpr std::uint64_t kIpTag = 0x6970ULL;
-constexpr std::uint64_t kUserTag = 0x75736572ULL;
 
 // Idle-worker spin: an idle worker keeps polling its ring, yielding between
 // polls, for about one park/wake round trip before it parks on its shard's
@@ -51,8 +40,7 @@ DetectionDaemon::DetectionDaemon(DaemonConfig config, bhr::BlackHoleRouter* rout
   if (config_.outbound_capacity < 64) config_.outbound_capacity = 64;
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(i, config_.ring_capacity, config_.outbound_capacity));
+    shards_.push_back(std::make_unique<Shard>(i, config_));
   }
 }
 
@@ -116,20 +104,6 @@ void DetectionDaemon::stop() {
   running_.store(false, std::memory_order_release);
 }
 
-std::size_t DetectionDaemon::shard_of(std::string_view host,
-                                      const std::optional<net::Ipv4>& src,
-                                      std::string_view user) const noexcept {
-  std::uint64_t h;
-  if (!host.empty()) {
-    h = util::mix64(std::hash<std::string_view>{}(host) ^ kHostTag);
-  } else if (src) {
-    h = util::mix64(static_cast<std::uint64_t>(src->value()) ^ kIpTag);
-  } else {
-    h = util::mix64(std::hash<std::string_view>{}(user) ^ kUserTag);
-  }
-  return static_cast<std::size_t>(h % shards_.size());
-}
-
 void DetectionDaemon::broadcast_checkpoint(util::SimTime ts) {
   ++checkpoints_count_;
   {
@@ -178,7 +152,7 @@ SubmitResult DetectionDaemon::route(std::string_view host,
                                     util::SimTime ts, InOp& op, Shard*& to_wake) {
   if (!accepting_) return SubmitResult::kStopped;
   ensure_started();
-  Shard& shard = *shards_[shard_of(host, src, user)];
+  Shard& shard = *shards_[EntityRef::of(host, src, user).hash() % shards_.size()];
   // Capacity check before any counter/filter mutation: a rejected submit
   // must be a pure no-op so the caller can retry the same alert without
   // double-counting. Worst case this alert needs one slot for itself plus
@@ -203,14 +177,11 @@ SubmitResult DetectionDaemon::route(std::string_view host,
   if (ts > last_ts_) last_ts_ = ts;
   if (!filter_.keep(type, ts, src, host)) return SubmitResult::kFiltered;
   ++alerts_kept_;
-  const auto& pc = config_.pipeline;
-  if (pc.entity_idle_ttl > 0 &&
-      alerts_in_ % std::max<std::size_t>(1, pc.eviction_check_every) == 0) {
-    // Global eviction checkpoint, same schedule as AlertPipeline::
-    // maybe_evict: every Nth ingested alert, timed at that alert's ts and
-    // ordered before it. The broadcast may have consumed the slot the
-    // capacity check reserved for this op in other shards, but never the
-    // target's second reserved slot.
+  if (eviction_due(config_.pipeline, alerts_in_)) {
+    // Global eviction checkpoint, the serial pipeline's schedule: timed at
+    // this alert's ts and ordered before it. The broadcast may have
+    // consumed the slot the capacity check reserved for this op in other
+    // shards, but never the target's second reserved slot.
     broadcast_checkpoint(ts);
   }
   const std::uint64_t seq = alerts_kept_;
@@ -231,71 +202,54 @@ SubmitResult DetectionDaemon::route(std::string_view host,
   return SubmitResult::kAccepted;
 }
 
-// The submit wrappers wake a parked target worker after mu_ is released,
-// so the futex syscall never lengthens the coordinator's critical section.
+SubmitResult DetectionDaemon::submit_op(InOp& op, bool blocking) {
+  for (;;) {
+    Shard* to_wake = nullptr;
+    SubmitResult result;
+    {
+      util::LockGuard lock(mu_);
+      const alerts::AlertBatch* batch = op.batch;
+      result = batch != nullptr
+                   ? route(batch->host[op.row], batch->src_at(op.row), batch->user[op.row],
+                           batch->type[op.row], batch->ts[op.row], op, to_wake)
+                   : route(op.alert.host, op.alert.src, op.alert.user, op.alert.type,
+                           op.alert.ts, op, to_wake);
+    }
+    // The futex wake happens off mu_, so it never lengthens the
+    // coordinator's critical section.
+    if (to_wake != nullptr) wake(*to_wake);
+    if (result != SubmitResult::kRejected || !blocking) return result;
+    pump();
+    std::this_thread::yield();
+  }
+}
 
 SubmitResult DetectionDaemon::try_submit(const alerts::Alert& alert) {
-  Shard* to_wake = nullptr;
-  SubmitResult result;
-  {
-    util::LockGuard lock(mu_);
-    InOp op;
-    op.alert = alert;
-    result = route(op.alert.host, op.alert.src, op.alert.user, op.alert.type,
-                   op.alert.ts, op, to_wake);
-  }
-  if (to_wake != nullptr) wake(*to_wake);
-  return result;
+  return try_submit(alerts::Alert(alert));
 }
 
 SubmitResult DetectionDaemon::try_submit(alerts::Alert&& alert) {
-  Shard* to_wake = nullptr;
-  SubmitResult result;
-  {
-    util::LockGuard lock(mu_);
-    InOp op;
-    op.alert = std::move(alert);
-    result = route(op.alert.host, op.alert.src, op.alert.user, op.alert.type,
-                   op.alert.ts, op, to_wake);
-    // A rejected op was never pushed; hand the alert back for the retry.
-    if (result == SubmitResult::kRejected) alert = std::move(op.alert);
-  }
-  if (to_wake != nullptr) wake(*to_wake);
+  InOp op{.alert = std::move(alert)};
+  const SubmitResult result = submit_op(op, false);
+  // A rejected op was never pushed; hand the alert back for the retry.
+  if (result == SubmitResult::kRejected) alert = std::move(op.alert);
   return result;
 }
 
 SubmitResult DetectionDaemon::try_submit(const alerts::AlertBatch& batch,
                                          std::size_t row) {
-  Shard* to_wake = nullptr;
-  SubmitResult result;
-  {
-    util::LockGuard lock(mu_);
-    InOp op;
-    op.batch = &batch;
-    op.row = row;
-    result = route(batch.host[row], batch.src_at(row), batch.user[row], batch.type[row],
-                   batch.ts[row], op, to_wake);
-  }
-  if (to_wake != nullptr) wake(*to_wake);
-  return result;
+  InOp op{.batch = &batch, .row = row, .alert = {}};
+  return submit_op(op, false);
 }
 
 SubmitResult DetectionDaemon::submit(alerts::Alert alert) {
-  for (;;) {
-    const SubmitResult result = try_submit(std::move(alert));
-    if (result != SubmitResult::kRejected) return result;
-    pump();
-    std::this_thread::yield();
-  }
+  InOp op{.alert = std::move(alert)};
+  return submit_op(op, true);
 }
 
 SubmitResult DetectionDaemon::submit(const alerts::AlertBatch& batch, std::size_t row) {
-  for (;;) {
-    const SubmitResult result = try_submit(batch, row);
-    if (result != SubmitResult::kRejected) return result;
-    pump();
-    std::this_thread::yield();
-  }
+  InOp op{.batch = &batch, .row = row, .alert = {}};
+  return submit_op(op, true);
 }
 
 void DetectionDaemon::on_alert(const alerts::Alert& alert) { submit(alert); }
@@ -304,7 +258,7 @@ void DetectionDaemon::on_alert(alerts::Alert&& alert) { submit(std::move(alert))
 
 // ---------------------------------------------------------------- workers
 
-void DetectionDaemon::worker_loop(std::size_t index, const Factories& factories) {
+void DetectionDaemon::worker_loop(std::size_t index, const DetectorFactories& factories) {
   using Clock = std::chrono::steady_clock;
   Shard& shard = *shards_[index];
   // Start of the current idle spin; empty while busy. Only a worker that
@@ -346,100 +300,56 @@ void DetectionDaemon::park(Shard& shard) const {
 }
 
 std::size_t DetectionDaemon::drain_shard(Shard& shard,
-                                         const Factories& factories) AT_HOT {
+                                         const DetectorFactories& factories) AT_HOT {
   std::size_t done = 0;
   while (InOp* op = shard.in.front()) {
     if (op->is_checkpoint) {
-      apply_checkpoint(shard, op->checkpoint_ts);
+      shard.entities.evict_idle(op->checkpoint_ts);
+      shard.evicted.store(shard.entities.evicted(), std::memory_order_relaxed);
       shard.checkpoints_applied.fetch_add(1, std::memory_order_release);
     } else {
+      const auto emit = [&shard, seq = op->seq](Verdict&& verdict) {
+        Outbound out{seq, std::move(verdict)};
+        while (!shard.out.try_push(std::move(out))) {
+          // Outbound full: the consumer is behind. Stall this shard only;
+          // its ingest ring fills next and producers see kRejected —
+          // pressure ends at the edge instead of queueing inside. A
+          // producer-side pump (or any consumer drain) makes room.
+          std::this_thread::yield();
+        }
+      };
+      std::optional<std::string> failure;
       try {
         if (op->batch != nullptr) {
-          const alerts::Alert alert = op->batch->materialize(op->row);
-          process(shard, factories, alert, op->seq);
+          shard.entities.observe(factories, op->batch->materialize(op->row), emit);
         } else {
-          process(shard, factories, op->alert, op->seq);
+          shard.entities.observe(factories, op->alert, emit);
         }
       } catch (const std::exception& error) {
-        // The entry still counts as finished (the daemon must stay
-        // drainable); the substream keeps its pre-alert detector state.
-        auto report = std::make_unique<alerts::WorkerErrorAlert>();
-        report->ts = op->batch != nullptr ? op->batch->ts[op->row] : op->alert.ts;
-        report->shard = shard.index;
-        report->message = error.what();
-        queue_.post(std::move(report));
+        failure = error.what();
       } catch (...) {
+        failure = "unknown exception";
+      }
+      if (failure) {
+        // The entry still counts as finished (the daemon must stay
+        // drainable), and nothing is rolled back: the entity's index,
+        // last_seen and last_src have advanced, the detectors ahead of the
+        // thrower observed the alert and their verdicts still release; the
+        // thrower and the detectors after it never see this alert.
         auto report = std::make_unique<alerts::WorkerErrorAlert>();
         report->ts = op->batch != nullptr ? op->batch->ts[op->row] : op->alert.ts;
         report->shard = shard.index;
-        report->message = "unknown exception";
+        report->message = std::move(*failure);
         queue_.post(std::move(report));
       }
       shard.completed.store(op->seq, std::memory_order_release);
     }
+    shard.entity_count.store(shard.entities.size(), std::memory_order_relaxed);
     shard.in.pop();
     shard.finished_entries.fetch_add(1, std::memory_order_release);
     ++done;
   }
   return done;
-}
-
-void DetectionDaemon::process(Shard& shard, const Factories& factories,
-                              const alerts::Alert& alert, std::uint64_t seq) const {
-  const std::string key = AlertPipeline::entity_key(alert);
-  auto it = shard.entities.find(key);
-  if (it == shard.entities.end()) {
-    EntityState state;
-    state.detectors.reserve(factories.size());
-    for (const auto& [name, factory] : factories) state.detectors.push_back(factory());
-    it = shard.entities.emplace(key, std::move(state)).first;
-    shard.entity_count.store(shard.entities.size(), std::memory_order_relaxed);
-  }
-  EntityState& state = it->second;
-  const std::size_t index = state.index++;
-  state.last_seen = alert.ts;
-  if (alert.src) state.last_src = alert.src;
-  for (std::size_t d = 0; d < state.detectors.size(); ++d) {
-    auto detection = state.detectors[d]->observe(alert, index);
-    if (!detection) continue;
-    Outbound out;
-    out.seq = seq;
-    out.note.ts = alert.ts;
-    out.note.entity = key;
-    out.note.detector = factories[d].first;
-    out.note.reason = std::move(detection->reason);
-    out.note.score = detection->score;
-    out.note.source = alert.src ? alert.src : state.last_src;
-    if (router_ != nullptr && out.note.source &&
-        out.note.score >= config_.pipeline.block_score_floor) {
-      out.wants_block = true;
-      out.block_reason = factories[d].first + ": " + out.note.reason;
-    }
-    push_outbound(shard, std::move(out));
-  }
-}
-
-void DetectionDaemon::apply_checkpoint(Shard& shard, util::SimTime now) const {
-  const auto ttl = config_.pipeline.entity_idle_ttl;
-  for (auto it = shard.entities.begin(); it != shard.entities.end();) {
-    if (now - it->second.last_seen > ttl) {
-      it = shard.entities.erase(it);
-      shard.evicted.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ++it;
-    }
-  }
-  shard.entity_count.store(shard.entities.size(), std::memory_order_relaxed);
-}
-
-void DetectionDaemon::push_outbound(Shard& shard, Outbound&& out) const {
-  while (!shard.out.try_push(std::move(out))) {
-    // Outbound full: the consumer is behind. Stall this shard only; its
-    // ingest ring fills next and producers see kRejected — pressure ends
-    // at the edge instead of queueing inside. A producer-side pump (or any
-    // consumer drain) makes room.
-    std::this_thread::yield();
-  }
 }
 
 // ------------------------------------------------------------------ merge
@@ -480,28 +390,27 @@ void DetectionDaemon::pump_locked() {
         merge_scratch_.begin(), merge_scratch_.end(),
         [](const Outbound& a, const Outbound& b) { return a.seq < b.seq; });
     for (Outbound& out : merge_scratch_) {
-      auto verdict = std::make_unique<alerts::VerdictAlert>();
-      verdict->ts = out.note.ts;
-      verdict->seq = out.seq;
-      verdict->entity = std::move(out.note.entity);
-      verdict->detector = std::move(out.note.detector);
-      verdict->reason = std::move(out.note.reason);
-      verdict->score = out.note.score;
-      verdict->source = out.note.source;
-      const auto source = out.note.source;
-      const auto ts = out.note.ts;
-      queue_.post(std::move(verdict));
+      Notification& note = out.verdict.note;
+      auto released = std::make_unique<alerts::VerdictAlert>();
+      released->ts = note.ts;
+      released->seq = out.seq;
+      released->entity = std::move(note.entity);
+      released->detector = std::move(note.detector);
+      released->reason = std::move(note.reason);
+      released->score = note.score;
+      released->source = note.source;
+      queue_.post(std::move(released));
       ++verdicts_;
-      if (out.wants_block && router_ != nullptr) {
-        const bool accepted = router_->block(*source, ts, config_.pipeline.block_ttl,
-                                             out.block_reason, "attacktagger-pipeline");
+      if (out.verdict.block && router_ != nullptr) {
+        const bool accepted = router_->block(*note.source, note.ts, config_.pipeline.block_ttl,
+                                             out.verdict.block_reason, "attacktagger-pipeline");
         ++bhr_actions_;
         auto action = std::make_unique<alerts::BhrActionAlert>();
-        action->ts = ts;
+        action->ts = note.ts;
         action->action = alerts::BhrActionAlert::Action::kBlock;
-        action->source = *source;
+        action->source = *note.source;
         action->ttl = config_.pipeline.block_ttl;
-        action->reason = std::move(out.block_reason);
+        action->reason = std::move(out.verdict.block_reason);
         action->accepted = accepted;
         queue_.post(std::move(action));
       }

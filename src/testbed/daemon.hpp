@@ -4,7 +4,8 @@
 // replay) submit raw alerts; a lock-serialized coordinator runs the
 // shared-state periodic-scan filter and routes kept alerts into per-shard
 // bounded SPSC rings; one dedicated worker thread per shard drains its
-// ring continuously, running the per-entity detector stack; and every
+// ring continuously, running its EntityTable (the per-entity detector
+// stack the serial AlertPipeline also runs, testbed/pipeline.hpp); and every
 // outward-facing result — detector verdicts, BHR actions, checkpoint
 // completions, overflow warnings, lifecycle transitions — is posted to a
 // typed alerts::AlertQueue the operator drains by category mask.
@@ -31,7 +32,7 @@
 // Thread roles:
 //   - submitters: any threads; serialized by mu_.
 //   - shard workers: one per shard, owned by the daemon; the only threads
-//     touching a shard's entity map. An idle worker yields briefly, then
+//     touching a shard's EntityTable. An idle worker yields briefly, then
 //     parks on its shard's wake epoch (a futex-backed eventcount); the
 //     submitter that routes the next entry to a parked shard wakes it once,
 //     after releasing mu_, and stop() wakes every shard before joining.
@@ -45,14 +46,12 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "alerts/alert.hpp"
 #include "alerts/queue.hpp"
 #include "alerts/zeeklog.hpp"
-#include "detect/detector.hpp"
 #include "incidents/annotate.hpp"
 #include "net/ipv4.hpp"
 #include "testbed/pipeline.hpp"
@@ -167,15 +166,6 @@ class DetectionDaemon final : public alerts::AlertSink {
   [[nodiscard]] const incidents::ScanFilter& filter() const AT_ACQUIRES(mu_);
 
  private:
-  /// Same shape as AlertPipeline::EntityState: detector instances plus
-  /// substream bookkeeping, owned exclusively by one shard worker.
-  struct EntityState {
-    std::vector<std::unique_ptr<detect::Detector>> detectors;
-    std::size_t index = 0;
-    std::optional<net::Ipv4> last_src;
-    util::SimTime last_seen = 0;
-  };
-
   /// One ingest-ring entry: a routed kept alert (owning or zero-copy batch
   /// row) or a broadcast eviction checkpoint.
   struct InOp {
@@ -187,20 +177,17 @@ class DetectionDaemon final : public alerts::AlertSink {
     alerts::Alert alert;  ///< set for owning submits
   };
 
-  /// One outbound-ring entry: a detector verdict plus its BHR intent.
+  /// One outbound-ring entry: a detector verdict of kept alert `seq`.
   struct Outbound {
     std::uint64_t seq = 0;
-    Notification note;
-    bool wants_block = false;
-    std::string block_reason;
+    Verdict verdict;
   };
 
   struct Shard {
     util::SpscRing<InOp> in;
     util::SpscRing<Outbound> out;
     std::size_t index = 0;
-    // Worker-owned detector state (no lock: one worker per shard).
-    std::unordered_map<std::string, EntityState> entities;
+    EntityTable entities;  ///< worker-owned (no lock: one worker per shard)
     // Watermarks. routed: last seq the coordinator pushed here (mu_ side);
     // completed: last seq the worker finished (its outbound entries, if
     // any, were pushed before the store). pushed/finished count every ring
@@ -226,15 +213,17 @@ class DetectionDaemon final : public alerts::AlertSink {
     std::atomic<std::uint64_t> parks{0};    ///< blocking waits entered
     std::atomic<std::uint64_t> wakeups{0};  ///< wakes issued by submitters
 
-    Shard(std::size_t idx, std::size_t in_capacity, std::size_t out_capacity)
-        : in(in_capacity), out(out_capacity), index(idx) {}
+    Shard(std::size_t idx, const DaemonConfig& config)
+        : in(config.ring_capacity),
+          out(config.outbound_capacity),
+          index(idx),
+          entities(config.pipeline) {}
   };
 
-  using Factories = std::vector<std::pair<std::string, DetectorFactory>>;
-
-  [[nodiscard]] std::size_t shard_of(std::string_view host,
-                                     const std::optional<net::Ipv4>& src,
-                                     std::string_view user) const noexcept;
+  /// Every submit lands here: lock, route, then wake a parked target once
+  /// mu_ is released. Blocking retries a kRejected result, pumping the
+  /// merge side between attempts; `op` is untouched by a rejected attempt.
+  SubmitResult submit_op(InOp& op, bool blocking) AT_ACQUIRES(mu_);
   /// Shared coordinator step: capacity-check, count, filter, checkpoint,
   /// route. The capacity check happens before any state mutates, so a
   /// kRejected submit is a true no-op and the retry cannot double-count.
@@ -256,15 +245,11 @@ class DetectionDaemon final : public alerts::AlertSink {
 
   // Worker side. The factories table is frozen before workers start and is
   // passed by reference so no mu_-guarded member is read off-lock.
-  void worker_loop(std::size_t index, const Factories& factories);
+  void worker_loop(std::size_t index, const DetectorFactories& factories);
   /// Block until the shard's wake epoch moves, unless work or stop_ shows
   /// up after parked is published.
   void park(Shard& shard) const;
-  std::size_t drain_shard(Shard& shard, const Factories& factories);
-  void process(Shard& shard, const Factories& factories, const alerts::Alert& alert,
-               std::uint64_t seq) const;
-  void apply_checkpoint(Shard& shard, util::SimTime now) const;
-  void push_outbound(Shard& shard, Outbound&& out) const;
+  std::size_t drain_shard(Shard& shard, const DetectorFactories& factories);
 
   // Merge side.
   [[nodiscard]] std::uint64_t frontier() const;
@@ -278,7 +263,7 @@ class DetectionDaemon final : public alerts::AlertSink {
   // Coordinator state.
   mutable util::Mutex mu_;
   incidents::ScanFilter filter_ AT_GUARDED_BY(mu_);
-  Factories factories_ AT_GUARDED_BY(mu_);  ///< frozen once workers start
+  DetectorFactories factories_ AT_GUARDED_BY(mu_);  ///< frozen once workers start
   std::uint64_t alerts_in_ AT_GUARDED_BY(mu_) = 0;
   std::uint64_t alerts_kept_ AT_GUARDED_BY(mu_) = 0;
   std::uint64_t checkpoints_count_ AT_GUARDED_BY(mu_) = 0;

@@ -1,76 +1,87 @@
 #include "testbed/pipeline.hpp"
 
+#include <algorithm>
+
+#include "util/rng.hpp"
+
 namespace at::testbed {
 
-AlertPipeline::AlertPipeline(PipelineConfig config, bhr::BlackHoleRouter* router)
-    : config_(config), router_(router), filter_(config.scan_filter_window) {}
+namespace {
 
-void AlertPipeline::add_detector(std::string name, DetectorFactory factory) {
-  factories_.emplace_back(std::move(name), std::move(factory));
+// Tag constants decorrelate the three key namespaces ("host:"/"ip:"/"user:")
+// before hashing so e.g. a host named like a dotted quad cannot collide
+// into another entity's shard stream.
+constexpr std::uint64_t kHostTag = 0x686f7374ULL;
+constexpr std::uint64_t kIpTag = 0x6970ULL;
+constexpr std::uint64_t kUserTag = 0x75736572ULL;
+
+}  // namespace
+
+bool eviction_due(const PipelineConfig& config, std::uint64_t alerts_in) noexcept {
+  return config.entity_idle_ttl > 0 &&
+         alerts_in % std::max<std::size_t>(1, config.eviction_check_every) == 0;
 }
 
-void AlertPipeline::maybe_evict(util::SimTime now) {
-  if (config_.entity_idle_ttl <= 0) return;
-  if (alerts_in_ % std::max<std::size_t>(1, config_.eviction_check_every) != 0) return;
-  for (auto it = entities_.begin(); it != entities_.end();) {
-    if (now - it->second.last_seen > config_.entity_idle_ttl) {
-      it = entities_.erase(it);
-      ++evicted_;
-    } else {
-      ++it;
-    }
+EntityRef EntityRef::of(std::string_view host, const std::optional<net::Ipv4>& src,
+                        std::string_view user) noexcept {
+  if (!host.empty()) return {Kind::kHost, host, {}};
+  if (src) return {Kind::kIp, {}, *src};
+  return {Kind::kUser, user, {}};
+}
+
+std::string EntityRef::key() const {
+  switch (kind) {
+    case Kind::kHost: return std::string("host:").append(name);
+    case Kind::kIp: return "ip:" + ip.str();
+    case Kind::kUser: break;
   }
+  return std::string("user:").append(name);
 }
 
-std::string AlertPipeline::entity_key(const alerts::Alert& alert) {
-  // Per the paper's threat model one attack is tracked per entity. Host
-  // keying aggregates everything observed on one machine (inbound probes,
-  // process activity, outbound beacons) into one substream — the view the
-  // per-host factor graph reasons over; alerts with no host context fall
-  // back to the source address.
-  if (!alert.host.empty()) return "host:" + alert.host;
-  if (alert.src) return "ip:" + alert.src->str();
-  return "user:" + alert.user;
+std::uint64_t EntityRef::hash() const noexcept {
+  switch (kind) {
+    case Kind::kHost: return util::mix64(std::hash<std::string_view>{}(name) ^ kHostTag);
+    case Kind::kIp: return util::mix64(static_cast<std::uint64_t>(ip.value()) ^ kIpTag);
+    case Kind::kUser: break;
+  }
+  return util::mix64(std::hash<std::string_view>{}(name) ^ kUserTag);
 }
 
-AlertPipeline::EntityState& AlertPipeline::state_for(const std::string& key) {
+EntityTable::EntityState& EntityTable::state_for(const DetectorFactories& factories,
+                                                 const std::string& key) {
   auto it = entities_.find(key);
   if (it != entities_.end()) return it->second;
   EntityState state;
-  state.detectors.reserve(factories_.size());
-  for (const auto& factory : factories_) state.detectors.push_back(factory.second());
+  state.detectors.reserve(factories.size());
+  for (const auto& factory : factories) state.detectors.push_back(factory.second());
   return entities_.emplace(key, std::move(state)).first->second;
+}
+
+void EntityTable::evict_idle(util::SimTime now) {
+  evicted_ += std::erase_if(entities_, [&](const auto& entry) {
+    return now - entry.second.last_seen > idle_ttl_;
+  });
+}
+
+AlertPipeline::AlertPipeline(PipelineConfig config, bhr::BlackHoleRouter* router)
+    : config_(config), router_(router), filter_(config.scan_filter_window), entities_(config) {}
+
+void AlertPipeline::add_detector(std::string name, DetectorFactory factory) {
+  factories_.emplace_back(std::move(name), std::move(factory));
 }
 
 void AlertPipeline::on_alert(const alerts::Alert& alert) {
   ++alerts_in_;
   if (!filter_.keep(alert)) return;
   ++alerts_kept_;
-
-  maybe_evict(alert.ts);
-  const std::string key = entity_key(alert);
-  EntityState& state = state_for(key);
-  const std::size_t index = state.index++;
-  state.last_seen = alert.ts;
-  if (alert.src) state.last_src = alert.src;
-  for (std::size_t d = 0; d < state.detectors.size(); ++d) {
-    const auto detection = state.detectors[d]->observe(alert, index);
-    if (!detection) continue;
-    Notification note;
-    note.ts = alert.ts;
-    note.entity = key;
-    note.detector = factories_[d].first;
-    note.reason = detection->reason;
-    note.score = detection->score;
-    // Host-local alerts carry no address; fall back to the entity's most
-    // recent external peer (the attacker's entry address).
-    note.source = alert.src ? alert.src : state.last_src;
-    notifications_.push_back(note);
-    if (router_ != nullptr && note.source && detection->score >= config_.block_score_floor) {
-      router_->block(*note.source, alert.ts, config_.block_ttl,
-                     factories_[d].first + ": " + detection->reason, "attacktagger-pipeline");
+  if (eviction_due(config_, alerts_in_)) entities_.evict_idle(alert.ts);
+  entities_.observe(factories_, alert, [this](Verdict&& verdict) {
+    const Notification& note = notifications_.emplace_back(std::move(verdict.note));
+    if (router_ != nullptr && verdict.block) {
+      router_->block(*note.source, note.ts, config_.block_ttl, std::move(verdict.block_reason),
+                     "attacktagger-pipeline");
     }
-  }
+  });
 }
 
 }  // namespace at::testbed

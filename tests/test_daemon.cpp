@@ -6,16 +6,20 @@
 // eviction checkpoints complete in ordinal order; and idle workers parked on
 // their wake epoch are woken by every submit and by stop(), never losing a
 // wakeup (DaemonWake*, each under a watchdog so a lost wakeup fails instead
-// of hanging).
+// of hanging). EntityCore* runs the per-entity behaviours (score floor,
+// last-source fallback, idle eviction) through both front-ends; DaemonFault*
+// pins what a throwing detector leaves behind.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -505,6 +509,285 @@ TEST(DaemonWake, JitteredSubmitsRaceTheParkPointAndMatchOracle) {
     append(verdicts, daemon.drain_alerts(alerts::DaemonAlert::kVerdict));
     expect_serial_stream(verdicts, serial, router, serial_router);
     EXPECT_GT(daemon.stats().worker_wakeups, 0u);
+  }
+}
+
+/// Fires on every critical alert with a fixed score.
+class FixedScoreDetector final : public detect::Detector {
+ public:
+  explicit FixedScoreDetector(double score) : score_(score) {}
+  [[nodiscard]] std::string name() const override { return "fixed-score"; }
+  void reset() override {}
+  std::optional<detect::Detection> observe(const alerts::Alert& alert,
+                                           std::size_t index) override {
+    if (!alert.critical()) return std::nullopt;
+    return detect::Detection{index, alert.ts, score_, "critical #" + std::to_string(index)};
+  }
+
+ private:
+  double score_;
+};
+
+/// Each scenario runs through the serial AlertPipeline, then through the
+/// daemon at 1 and 3 shards: both front-ends own the same per-entity core,
+/// so they must release the same verdicts and BHR audit trail and track and
+/// evict the same entities. Scenario checks then read the serial side.
+class EntityCore : public ::testing::Test {
+ protected:
+  void run(const std::vector<alerts::Alert>& timeline, const auto& add) {
+    serial_ = std::make_unique<AlertPipeline>(config_, &serial_router_);
+    add(*serial_);
+    for (const auto& alert : timeline) serial_->on_alert(alert);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards");
+      DaemonConfig config;
+      config.pipeline = config_;
+      config.shards = shards;
+      bhr::BlackHoleRouter router;
+      DetectionDaemon daemon(config, &router);
+      add(daemon);
+      for (const auto& alert : timeline) {
+        ASSERT_EQ(daemon.submit(alert), SubmitResult::kAccepted);
+      }
+      daemon.drain_idle();
+      expect_serial_stream(daemon.drain_alerts(alerts::DaemonAlert::kVerdict), *serial_,
+                           router, serial_router_);
+      const auto stats = daemon.stats();
+      EXPECT_EQ(stats.tracked_entities, serial_->tracked_entities());
+      EXPECT_EQ(stats.evicted_entities, serial_->evicted_entities());
+    }
+  }
+
+  /// Entities b (seen at 9) and a (seen at 10) fire, then go quiet until
+  /// 110, when c's alert sweeps first: a has idled exactly 100, b 101.
+  /// Then a and b raise a second critical alert, which re-fires only on a
+  /// fresh (evicted and re-created) entity.
+  void run_idle_scenario() {
+    run({make_alert(9, alerts::AlertType::kPrivilegeEscalation, "pg-b"),
+         make_alert(10, alerts::AlertType::kPrivilegeEscalation, "pg-a"),
+         make_alert(110, alerts::AlertType::kNewBinaryExecuted, "pg-c"),
+         make_alert(110, alerts::AlertType::kPrivilegeEscalation, "pg-a"),
+         make_alert(110, alerts::AlertType::kPrivilegeEscalation, "pg-b")},
+        [](auto& sink) {
+          sink.add_detector("critical-alert",
+                            [] { return std::make_unique<detect::CriticalAlertDetector>(); });
+        });
+  }
+
+  PipelineConfig config_;
+  bhr::BlackHoleRouter serial_router_;
+  std::unique_ptr<AlertPipeline> serial_;
+};
+
+TEST_F(EntityCore, VerdictBelowScoreFloorNotifiesWithoutBlocking) {
+  config_.block_score_floor = 0.5;
+  const auto first = net::Ipv4::parse("203.0.113.7");
+  const auto second = net::Ipv4::parse("198.51.100.9");
+  run({make_alert(10, alerts::AlertType::kPrivilegeEscalation, "pg-1", first),
+       make_alert(20, alerts::AlertType::kDataExfiltrationBulk, "", second)},
+      [](auto& sink) {
+        sink.add_detector("low", [] { return std::make_unique<FixedScoreDetector>(0.4); });
+        sink.add_detector("floor", [] { return std::make_unique<FixedScoreDetector>(0.5); });
+        sink.add_detector("high", [] { return std::make_unique<FixedScoreDetector>(0.9); });
+      });
+
+  // Every family notifies on both alerts, with the alert's own source.
+  const auto& notes = serial_->notifications();
+  ASSERT_EQ(notes.size(), 6u);
+  for (std::size_t i = 0; i < notes.size(); ++i) {
+    EXPECT_EQ(notes[i].detector, (std::vector<std::string>{"low", "floor", "high"}[i % 3]));
+    EXPECT_EQ(notes[i].source, i < 3 ? first : second);
+  }
+  EXPECT_EQ(notes[0].score, 0.4);
+  // Only scores at or above the floor block: "floor" and "high", per alert.
+  const auto audit = serial_router_.audit_log();
+  ASSERT_EQ(audit.size(), 4u);
+  EXPECT_EQ(audit[0].source, first);
+  EXPECT_EQ(audit[1].source, first);
+  EXPECT_EQ(audit[2].source, second);
+  EXPECT_EQ(audit[3].source, second);
+}
+
+TEST_F(EntityCore, HostLocalAlertBlocksEntitysLastExternalSource) {
+  const auto probe = net::Ipv4::parse("203.0.113.7");
+  const auto entry = net::Ipv4::parse("198.51.100.9");
+  run({make_alert(10, alerts::AlertType::kLoginFailure, "pg-1", probe),
+       make_alert(20, alerts::AlertType::kLoginFailure, "pg-1", entry),
+       make_alert(30, alerts::AlertType::kPrivilegeEscalation, "pg-1"),
+       make_alert(40, alerts::AlertType::kPrivilegeEscalation, "pg-2")},
+      [](auto& sink) {
+        sink.add_detector("critical-alert",
+                          [] { return std::make_unique<detect::CriticalAlertDetector>(); });
+      });
+
+  const auto& notes = serial_->notifications();
+  ASSERT_EQ(notes.size(), 2u);
+  EXPECT_EQ(notes[0].entity, "host:pg-1");
+  EXPECT_EQ(notes[0].source, entry);  // the most recent external peer
+  EXPECT_EQ(notes[1].entity, "host:pg-2");
+  EXPECT_EQ(notes[1].source, std::nullopt);  // no peer ever seen: nothing to block
+  const auto audit = serial_router_.audit_log();
+  ASSERT_EQ(audit.size(), 1u);
+  EXPECT_EQ(audit[0].method, "block");
+  EXPECT_EQ(audit[0].source, entry);
+  EXPECT_EQ(audit[0].ts, 30);
+}
+
+TEST_F(EntityCore, IdleExactlyTtlIsKeptOneMoreIsEvicted) {
+  config_.entity_idle_ttl = 100;
+  config_.eviction_check_every = 1;
+  run_idle_scenario();
+
+  EXPECT_EQ(serial_->evicted_entities(), 1u);  // b
+  EXPECT_EQ(serial_->tracked_entities(), 3u);  // a, c and the new b
+  const auto& notes = serial_->notifications();
+  ASSERT_EQ(notes.size(), 3u);
+  EXPECT_EQ(notes[2].entity, "host:pg-b");  // a kept its fired detector
+  EXPECT_EQ(notes[2].ts, 110);
+}
+
+TEST_F(EntityCore, ZeroIdleTtlNeverEvicts) {
+  config_.entity_idle_ttl = 0;
+  config_.eviction_check_every = 1;
+  run_idle_scenario();
+
+  EXPECT_EQ(serial_->evicted_entities(), 0u);
+  EXPECT_EQ(serial_->tracked_entities(), 3u);
+  EXPECT_EQ(serial_->notifications().size(), 2u);  // neither a nor b re-fires
+}
+
+/// Never fires; throws on the one alert of `host` at `ts`.
+class TripwireDetector final : public detect::Detector {
+ public:
+  TripwireDetector(std::string host, util::SimTime ts) : host_(std::move(host)), ts_(ts) {}
+  [[nodiscard]] std::string name() const override { return "tripwire"; }
+  void reset() override {}
+  std::optional<detect::Detection> observe(const alerts::Alert& alert, std::size_t) override {
+    if (alert.host == host_ && alert.ts == ts_) throw std::runtime_error("tripwire");
+    return std::nullopt;
+  }
+
+ private:
+  std::string host_;
+  util::SimTime ts_;
+};
+
+/// One detector throws on one alert of one entity. The daemon reports it
+/// once and keeps draining; nothing is rolled back for that entity (the
+/// detector ahead of the thrower still pages, the alert's source still
+/// becomes the entity's last source) and every other entity matches the
+/// serial oracle.
+TEST(DaemonFault, ThrowingDetectorReportsAndKeepsDraining) {
+  const Watchdog watchdog("DaemonFault.ThrowingDetector", kWatchdogLimit);
+  const std::string victim = "pg-victim";
+  const auto probe = net::Ipv4::parse("198.51.100.66");
+  const auto pivot = net::Ipv4::parse("198.51.100.77");
+  constexpr util::SimTime kThrowTs = 405;
+  auto timeline = mixed_timeline();
+  // Critical alerts on the other entities: host-local ones page and block
+  // through each host's last source, the bare-address one through its own.
+  for (int k = 0; k < 7; ++k) {
+    timeline.push_back(make_alert(500 + 20 * k, alerts::AlertType::kPrivilegeEscalation,
+                                  "pg-" + std::to_string(k)));
+  }
+  timeline.push_back(make_alert(700, alerts::AlertType::kDataExfiltrationBulk, "",
+                                net::Ipv4::parse("203.0.113.7")));
+  timeline.push_back(make_alert(100, alerts::AlertType::kLoginFailure, victim, probe));
+  timeline.push_back(make_alert(kThrowTs, alerts::AlertType::kPrivilegeEscalation, victim, pivot));
+  timeline.push_back(make_alert(900, alerts::AlertType::kDataExfiltrationBulk, victim));
+  std::stable_sort(timeline.begin(), timeline.end(),
+                   [](const auto& a, const auto& b) { return a.ts < b.ts; });
+
+  bhr::BlackHoleRouter serial_router;
+  AlertPipeline serial(PipelineConfig{}, &serial_router);
+  add_detectors(serial);
+  for (const auto& alert : timeline) serial.on_alert(alert);
+  const std::string victim_key = "host:" + victim;
+  const auto is_victim_call = [&](const bhr::ApiCall& call) {
+    return call.source == probe || call.source == pivot;
+  };
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    DaemonConfig config;
+    config.shards = shards;
+    bhr::BlackHoleRouter router;
+    DetectionDaemon daemon(config, &router);
+    daemon.add_detector("critical-alert",
+                        [] { return std::make_unique<detect::CriticalAlertDetector>(); });
+    daemon.add_detector("tripwire",
+                        [&] { return std::make_unique<TripwireDetector>(victim, kThrowTs); });
+    daemon.add_detector("threshold", [] {
+      return std::make_unique<detect::ThresholdDetector>(alerts::Severity::kCritical);
+    });
+    for (const auto& alert : timeline) {
+      ASSERT_NE(daemon.submit(alert), SubmitResult::kStopped);
+    }
+    daemon.drain_idle();
+    const auto verdicts = daemon.drain_alerts(alerts::DaemonAlert::kVerdict);
+    const auto errors = daemon.drain_alerts(alerts::DaemonAlert::kError);
+    daemon.stop();
+    EXPECT_FALSE(daemon.running());
+    const auto lifecycle = daemon.drain_alerts(alerts::DaemonAlert::kLifecycle);
+    ASSERT_FALSE(lifecycle.empty());
+    EXPECT_EQ(static_cast<const alerts::LifecycleAlert&>(*lifecycle.back()).phase,
+              alerts::LifecycleAlert::Phase::kStopped);
+
+    ASSERT_EQ(errors.size(), 1u);
+    const auto& error = static_cast<const alerts::WorkerErrorAlert&>(*errors.front());
+    EXPECT_EQ(error.ts, kThrowTs);
+    EXPECT_EQ(error.message, "tripwire");
+    EXPECT_EQ(daemon.stats().kept, serial.alerts_after_filter());
+
+    // Other entities: the serial oracle's verdicts, in order.
+    std::vector<const alerts::VerdictAlert*> others;
+    std::vector<const alerts::VerdictAlert*> hit;
+    for (const auto& alert : verdicts) {
+      const auto* verdict = static_cast<const alerts::VerdictAlert*>(alert.get());
+      (verdict->entity == victim_key ? hit : others).push_back(verdict);
+    }
+    std::vector<Notification> expected;
+    for (const auto& note : serial.notifications()) {
+      if (note.entity != victim_key) expected.push_back(note);
+    }
+    ASSERT_EQ(others.size(), expected.size());
+    EXPECT_GT(others.size(), 0u);
+    for (std::size_t i = 0; i < others.size(); ++i) {
+      SCOPED_TRACE("verdict " + std::to_string(i));
+      EXPECT_EQ(others[i]->ts, expected[i].ts);
+      EXPECT_EQ(others[i]->entity, expected[i].entity);
+      EXPECT_EQ(others[i]->detector, expected[i].detector);
+      EXPECT_EQ(others[i]->reason, expected[i].reason);
+      EXPECT_EQ(others[i]->score, expected[i].score);
+      EXPECT_EQ(others[i]->source, expected[i].source);
+    }
+
+    // The victim: critical-alert, ahead of the thrower, paged on the
+    // throwing alert; threshold, behind it, never saw that alert and paged
+    // on the next critical one, blaming the throwing alert's source.
+    ASSERT_EQ(hit.size(), 2u);
+    EXPECT_EQ(hit[0]->detector, "critical-alert");
+    EXPECT_EQ(hit[0]->ts, kThrowTs);
+    EXPECT_EQ(hit[0]->source, pivot);
+    EXPECT_EQ(hit[1]->detector, "threshold");
+    EXPECT_EQ(hit[1]->ts, 900);
+    EXPECT_EQ(hit[1]->source, pivot);
+
+    // BHR audit trail: the serial one once the victim's sources are set aside.
+    auto audit = router.audit_log();
+    auto serial_audit = serial_router.audit_log();
+    std::erase_if(audit, is_victim_call);
+    std::erase_if(serial_audit, is_victim_call);
+    ASSERT_EQ(audit.size(), serial_audit.size());
+    EXPECT_GT(audit.size(), 0u);
+    for (std::size_t i = 0; i < audit.size(); ++i) {
+      SCOPED_TRACE("api call " + std::to_string(i));
+      EXPECT_EQ(audit[i].ts, serial_audit[i].ts);
+      EXPECT_EQ(audit[i].method, serial_audit[i].method);
+      EXPECT_EQ(audit[i].source, serial_audit[i].source);
+      EXPECT_EQ(audit[i].client, serial_audit[i].client);
+      EXPECT_EQ(audit[i].ok, serial_audit[i].ok);
+    }
   }
 }
 

@@ -88,7 +88,7 @@ ctest --test-dir build-ci --output-on-failure -j "$JOBS" || fail "ctest"
 if [[ "$SKIP_SANITIZERS" == "1" ]]; then
   echo "=== [5/5] sanitizers: SKIPPED (--skip-sanitizers) ==="
 else
-  echo "=== [5/5] ASan+UBSan: zeeklog, traffic-plane tables, factor-graph + rule-matcher unit tests ==="
+  echo "=== [5/5] ASan+UBSan: zeeklog, traffic-plane tables, factor-graph + rule-matcher unit tests, entity core + daemon faults ==="
   cmake -B build-asan -S . -DAT_SANITIZE=address,undefined \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build build-asan -j "$JOBS" --target at_tests > /dev/null \
@@ -99,10 +99,10 @@ else
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/at_tests \
-      --gtest_filter='ZeekLog*:ZeeklogMalformed*:ZeekMonitor*:BpTest*:ChainTest*:EnumerateTest*:FactorGraphTest*:ModelTest*:EntityGraph*:*EntityVsExact*:EntityFilter*:*ForwardModeDifferential*:*EntityDetectorOracle*:FgInferenceModes*:TimedModel*:FlatMap*:ScanRecorder*:CorrelatorTest*:SshAuditorTest*:RuleBasedDetectorTest*:*RuleMatcherDifferential*' \
+      --gtest_filter='ZeekLog*:ZeeklogMalformed*:ZeekMonitor*:BpTest*:ChainTest*:EnumerateTest*:FactorGraphTest*:ModelTest*:EntityGraph*:*EntityVsExact*:EntityFilter*:*ForwardModeDifferential*:*EntityDetectorOracle*:FgInferenceModes*:TimedModel*:FlatMap*:ScanRecorder*:CorrelatorTest*:SshAuditorTest*:RuleBasedDetectorTest*:*RuleMatcherDifferential*:EntityCore*:DaemonFault*' \
     || fail "sanitized tests"
 
-  echo "=== [5/5] TSan: epoch reclamation + concurrent BHR readers + daemon ==="
+  echo "=== [5/5] TSan: epoch reclamation + concurrent BHR readers + daemon + entity core ==="
   # The lock-free paths' race coverage: a missing acquire/release edge in
   # the trie's COW publishes, the epoch pin protocol, the daemon's rings and
   # frontier, or its worker park/wake protocol shows up here.
@@ -112,7 +112,7 @@ else
     || fail "tsan build"
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/at_tests \
-      --gtest_filter='Epoch*:BhrConcurrent*:LpmTrie*:SpscRing*:Daemon*:AlertQueue*:*ShardedDeterminism*' \
+      --gtest_filter='Epoch*:BhrConcurrent*:LpmTrie*:SpscRing*:Daemon*:AlertQueue*:*ShardedDeterminism*:EntityCore*' \
     || fail "tsan tests"
 fi
 
