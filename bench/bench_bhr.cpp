@@ -15,15 +15,23 @@
 //      churning blocks through the RCU write path.
 //   4. Expiry cost: one simulated day (86,400 once-per-second ticks)
 //      reaping staggered TTLs off the timing wheel; reports us/tick.
+//   5. Control plane: ns per block() for the scanner-net fill and for
+//      scattered TTL'd hosts with near-unique reasons, ns per unblock(),
+//      and the metadata tier's heap bytes per blocked host for both
+//      fills. query() on sampled hosts must equal a naive std::map model,
+//      or the process exits nonzero.
 //
 // Standalone main (not google-benchmark): the artifact is a machine-
 // readable BENCH_bhr.json at the repo root.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -32,9 +40,14 @@
 #include "bhr/bhr.hpp"
 #include "net/cidr.hpp"
 #include "net/flow.hpp"
+#include "util/epoch.hpp"
 #include "util/rng.hpp"
 
 #include "host_info.hpp"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace {
 
@@ -354,6 +367,211 @@ ExpiryResult run_expiry_day(std::size_t entries) {
   return result;
 }
 
+// --- phase 5: control plane -------------------------------------------------
+
+/// Bytes in use on the heap (0 where glibc's mallinfo2 is unavailable).
+std::size_t heap_in_use() {
+#if defined(__GLIBC__)
+  return mallinfo2().uordblks;
+#else
+  return 0;
+#endif
+}
+
+struct HostBlock {
+  std::uint32_t ip = 0;
+  util::SimTime ttl = 0;  ///< 0 = permanent
+};
+
+std::string fg_reason(std::size_t i) {
+  return "factor-graph: P(stage >= in_progress) = 0.9" + std::to_string(i);
+}
+
+/// The metadata tier's heap bytes per blocked host: a fresh router's heap
+/// growth over `blocks` minus a bare LpmTrie's over the same host writes
+/// (its timing-wheel events and audit records included). Reasons are built
+/// inside the measured loop, so their text counts: one shared reason, or a
+/// near-unique one per block, as factor-graph reasons (which embed the
+/// score) are. Retired trie nodes are freed before each reading.
+double metadata_bytes_per_host(const std::vector<HostBlock>& blocks, bool unique_reasons) {
+  util::EpochDomain& epochs = util::EpochDomain::global();
+  epochs.flush();
+  std::size_t base = heap_in_use();
+  double trie_bytes = 0.0;
+  {
+    bhr::LpmTrie trie;
+    bhr::LpmTrie::MutationReport report;
+    for (const HostBlock& b : blocks) {
+      trie.set_host(b.ip,
+                    b.ttl == 0 ? bhr::LpmTrie::kPermanent : static_cast<std::uint64_t>(b.ttl),
+                    &report);
+      report.clear();
+    }
+    epochs.flush();
+    trie_bytes = static_cast<double>(heap_in_use() - base);
+  }
+  epochs.flush();
+  base = heap_in_use();
+  double router_bytes = 0.0;
+  {
+    bhr::BlackHoleRouter router;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      router.block(net::Ipv4(blocks[i].ip), 0, blocks[i].ttl,
+                   unique_reasons ? fg_reason(i) : std::string("scanner net"), "bench");
+    }
+    epochs.flush();
+    router_bytes = static_cast<double>(heap_in_use() - base);
+  }
+  return (router_bytes - trie_bytes) / static_cast<double>(blocks.size());
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+struct ControlPlaneResult {
+  std::size_t scanner_hosts = 0;
+  std::size_t ttl_hosts = 0;
+  std::size_t unblocks = 0;
+  double scanner_block_ns = 0.0;  ///< per block(), whole /24s host by host
+  double ttl_block_ns = 0.0;      ///< per block(), scattered TTL'd hosts
+  double unblock_ns = 0.0;        ///< per unblock() of TTL'd hosts
+  double scanner_bytes_per_host = 0.0;  ///< metadata heap bytes, scanner-net fill
+  double ttl_bytes_per_host = 0.0;      ///< metadata heap bytes, scattered TTL'd hosts
+  std::size_t queries_checked = 0;
+  bool identical = true;
+};
+
+/// The naive model of the metadata query() reports for a blocked host.
+struct ModelEntry {
+  util::SimTime blocked_at = 0;
+  util::SimTime expires_at = 0;
+  std::string reason;
+  std::string client;
+};
+
+/// Each rep, on a fresh router: blackhole the scanner nets host by host
+/// (the paper-shaped fill of populate()), then block the TTL'd tail with
+/// near-unique reasons (factor-graph reasons embed the score), then
+/// unblock every other TTL'd host. The last rep's router is checked
+/// against the model.
+ControlPlaneResult run_control_plane(int reps) {
+  util::Rng rng(7);  // populate()'s layout
+  const BlockTable shape;
+  std::vector<std::uint32_t> ttl_ips;
+  for (std::size_t i = 0; i < shape.ttl_hosts; ++i) {
+    ttl_ips.push_back(0xb9000000u +
+                      static_cast<std::uint32_t>(rng.uniform_int(0, (1 << 20) - 1)));
+  }
+  std::vector<std::uint32_t> nets;
+  for (std::size_t n = 0; n < shape.scanner_nets; ++n) {
+    nets.push_back(0xb9000000u |
+                   (static_cast<std::uint32_t>(rng.uniform_int(0, (1 << 16) - 1)) << 8));
+  }
+
+  ControlPlaneResult result;
+  result.scanner_hosts = nets.size() * 256;
+  result.ttl_hosts = ttl_ips.size();
+  result.unblocks = (ttl_ips.size() + 1) / 2;
+
+  std::vector<HostBlock> scanner_blocks;
+  for (const std::uint32_t net24 : nets) {
+    for (std::uint32_t h = 0; h < 256; ++h) scanner_blocks.push_back({net24 | h, 0});
+  }
+  std::vector<HostBlock> ttl_blocks;
+  for (std::size_t i = 0; i < ttl_ips.size(); ++i) {
+    ttl_blocks.push_back({ttl_ips[i], 600 + static_cast<util::SimTime>(i % 9000)});
+  }
+  result.scanner_bytes_per_host = metadata_bytes_per_host(scanner_blocks, false);
+  result.ttl_bytes_per_host = metadata_bytes_per_host(ttl_blocks, true);
+
+  std::vector<double> scanner_ns;
+  std::vector<double> ttl_ns;
+  std::vector<double> unblock_ns;
+  std::unique_ptr<bhr::BlackHoleRouter> router;
+  for (int rep = 0; rep < reps; ++rep) {
+    router.reset();
+    router = std::make_unique<bhr::BlackHoleRouter>();
+    auto start = Clock::now();
+    for (const HostBlock& b : scanner_blocks) {
+      router->block(net::Ipv4(b.ip), 0, b.ttl, "scanner net", "bench");
+    }
+    scanner_ns.push_back(seconds_since(start) * 1e9 /
+                         static_cast<double>(result.scanner_hosts));
+
+    std::vector<std::string> reasons;
+    reasons.reserve(ttl_ips.size());
+    for (std::size_t i = 0; i < ttl_ips.size(); ++i) reasons.push_back(fg_reason(i));
+    start = Clock::now();
+    for (std::size_t i = 0; i < ttl_blocks.size(); ++i) {
+      router->block(net::Ipv4(ttl_blocks[i].ip), 1, ttl_blocks[i].ttl, std::move(reasons[i]),
+                    "detector");
+    }
+    ttl_ns.push_back(seconds_since(start) * 1e9 / static_cast<double>(ttl_ips.size()));
+
+    start = Clock::now();
+    for (std::size_t i = 0; i < ttl_ips.size(); i += 2) {
+      router->unblock(net::Ipv4(ttl_ips[i]), 2, "operator");
+    }
+    unblock_ns.push_back(seconds_since(start) * 1e9 / static_cast<double>(result.unblocks));
+  }
+  result.scanner_block_ns = median(scanner_ns);
+  result.ttl_block_ns = median(ttl_ns);
+  result.unblock_ns = median(unblock_ns);
+
+  // The same op sequence through the naive model (last writer wins).
+  std::map<std::uint32_t, ModelEntry> model;
+  for (const HostBlock& b : scanner_blocks) model[b.ip] = {0, 0, "scanner net", "bench"};
+  for (std::size_t i = 0; i < ttl_blocks.size(); ++i) {
+    model[ttl_blocks[i].ip] = {1, 1 + ttl_blocks[i].ttl, fg_reason(i), "detector"};
+  }
+  for (std::size_t i = 0; i < ttl_ips.size(); i += 2) model.erase(ttl_ips[i]);
+
+  // Sampled hosts: scanner-net hosts, the TTL'd tail's hosts (half of
+  // them unblocked) and random addresses across its range (mostly misses).
+  util::Rng sample(31);
+  constexpr util::SimTime kNow = 3;
+  for (int i = 0; i < 12'000 && result.identical; ++i) {
+    std::uint32_t ip = 0;
+    switch (i % 3) {
+      case 0:
+        ip = nets[static_cast<std::size_t>(
+                 sample.uniform_int(0, static_cast<std::int64_t>(nets.size()) - 1))] |
+             static_cast<std::uint32_t>(sample.uniform_int(0, 255));
+        break;
+      case 1:
+        ip = ttl_ips[static_cast<std::size_t>(
+            sample.uniform_int(0, static_cast<std::int64_t>(ttl_ips.size()) - 1))];
+        break;
+      default:
+        ip = 0xb9000000u + static_cast<std::uint32_t>(sample.uniform_int(0, (1 << 20) - 1));
+    }
+    const auto got = router->query(net::Ipv4(ip), kNow);
+    const auto want = model.find(ip);
+    bool same = got.has_value() == (want != model.end());
+    if (same && got.has_value()) {
+      const ModelEntry& m = want->second;
+      same = got->source == net::Ipv4(ip) && got->blocked_at == m.blocked_at &&
+             got->expires_at == m.expires_at && got->reason == m.reason &&
+             got->requested_by == m.client;
+    }
+    if (!same) {
+      std::fprintf(stderr, "control-plane query divergence at %s: got %s, model %s\n",
+                   net::Ipv4(ip).str().c_str(), got ? got->reason.c_str() : "(none)",
+                   want != model.end() ? want->second.reason.c_str() : "(none)");
+      result.identical = false;
+    }
+    ++result.queries_checked;
+  }
+  if (router->active_blocks(kNow) != model.size()) {
+    std::fprintf(stderr, "control-plane active_blocks %zu, model %zu\n",
+                 router->active_blocks(kNow), model.size());
+    result.identical = false;
+  }
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -410,6 +628,15 @@ int main(int argc, char** argv) {
   std::printf("expiry:  86400 ticks, %zu reaped, %.2f us/tick\n", expiry.reaped,
               expiry.us_per_tick);
 
+  // Phase 5: control plane.
+  const ControlPlaneResult control = run_control_plane(5);
+  std::printf(
+      "control: block %.0f ns (scanner nets), %.0f ns (TTL'd hosts), unblock %.0f ns; "
+      "metadata %.1f B/host (scanner nets), %.1f B/host (TTL'd hosts); %zu queries -> %s\n",
+      control.scanner_block_ns, control.ttl_block_ns, control.unblock_ns,
+      control.scanner_bytes_per_host, control.ttl_bytes_per_host, control.queries_checked,
+      control.identical ? "identical" : "DIVERGED");
+
   constexpr double kTarget = 50e6;
   const bool target_met = batched > kTarget;
   const auto router_stats = router.stats(43'200);
@@ -434,13 +661,24 @@ int main(int argc, char** argv) {
        << "  \"scaling\": " << scaling_json.str() << ",\n"
        << "  \"expiry\": {\"ticks\": 86400, \"entries\": 100000, \"reaped\": "
        << expiry.reaped << ", \"us_per_tick\": " << expiry.us_per_tick << "},\n"
+       << "  \"control_plane\": {\"scanner_hosts\": " << control.scanner_hosts
+       << ", \"scanner_block_ns\": " << control.scanner_block_ns
+       << ", \"ttl_hosts\": " << control.ttl_hosts
+       << ", \"ttl_block_ns\": " << control.ttl_block_ns
+       << ", \"unblocks\": " << control.unblocks
+       << ", \"unblock_ns\": " << control.unblock_ns
+       << ", \"scanner_metadata_bytes_per_host\": " << control.scanner_bytes_per_host
+       << ", \"ttl_metadata_bytes_per_host\": " << control.ttl_bytes_per_host
+       << ", \"queries_checked\": " << control.queries_checked
+       << ", \"identical\": " << (control.identical ? "true" : "false") << "},\n"
        << "  \"target_probes_s\": 5e7,\n"
        << "  \"target_met\": " << (target_met ? "true" : "false") << ",\n"
-       << "  \"identical_output\": " << (identical ? "true" : "false") << "\n"
+       << "  \"identical_output\": " << (identical && control.identical ? "true" : "false")
+       << "\n"
        << "}\n";
 
   std::ofstream out(out_path);
   out << json.str();
   std::printf("wrote %s\n", out_path.c_str());
-  return identical ? 0 : 1;
+  return identical && control.identical ? 0 : 1;
 }

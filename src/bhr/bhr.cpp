@@ -1,6 +1,8 @@
 #include "bhr/bhr.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <utility>
 
 #include "util/rng.hpp"
@@ -29,20 +31,102 @@ constexpr std::uint64_t encode_expiry(util::SimTime expires_at) noexcept {
                          : static_cast<std::uint64_t>(expires_at);
 }
 
+/// ApiCall::method, indexed by BlackHoleRouter::Method.
+constexpr std::array<const char*, 4> kMethodNames = {"block", "unblock", "block_prefix",
+                                                     "unblock_prefix"};
+
 }  // namespace
+
+std::uint32_t BlackHoleRouter::Names::acquire(std::string&& text) {
+  for (const std::uint32_t id : recent_) {
+    if (id != kNone && slots_[id].refs != 0 && slots_[id].text == text) {
+      ++slots_[id].refs;
+      return id;
+    }
+  }
+  const std::uint64_t hash = std::hash<std::string>{}(text);
+  std::uint32_t* head = by_hash_.find(hash);
+  std::uint32_t id = kNone;
+  if (head != nullptr) {
+    for (id = *head; id != kNone && slots_[id].text != text;) id = slots_[id].next;
+  }
+  recent_next_ ^= 1u;
+  if (id != kNone) {
+    ++slots_[id].refs;
+    recent_[recent_next_] = id;
+    return id;
+  }
+  id = free_;
+  if (id == kNone) {
+    id = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    free_ = slots_[id].next;
+  }
+  Slot& slot = slots_[id];
+  slot.text = std::move(text);
+  slot.hash = hash;
+  slot.refs = 1;
+  if (head != nullptr) {
+    slot.next = *head;
+    *head = id;
+  } else {
+    slot.next = kNone;
+    by_hash_[hash] = id;
+  }
+  recent_[recent_next_] = id;
+  return id;
+}
+
+void BlackHoleRouter::Names::release(std::uint32_t id) {
+  Slot& slot = slots_[id];
+  if (--slot.refs != 0) return;
+  std::uint32_t& head = *by_hash_.find(slot.hash);
+  if (head == id) {
+    if (slot.next == kNone) {
+      by_hash_.erase(slot.hash);
+    } else {
+      head = slot.next;
+    }
+  } else {
+    std::uint32_t prev = head;
+    while (slots_[prev].next != id) prev = slots_[prev].next;
+    slots_[prev].next = slot.next;
+  }
+  std::string().swap(slot.text);  // a move-assign would keep the capacity
+  slot.next = free_;
+  free_ = id;
+}
+
+std::size_t BlackHoleRouter::HostPage::rank(std::uint32_t host) const noexcept {
+  const std::uint32_t word = host >> 6;
+  std::size_t below = static_cast<std::size_t>(
+      std::popcount(present[word] & ((std::uint64_t{1} << (host & 63u)) - 1)));
+  for (std::uint32_t w = 0; w < word; ++w) {
+    below += static_cast<std::size_t>(std::popcount(present[w]));
+  }
+  return below;
+}
 
 BlackHoleRouter::BlackHoleRouter(Options options)
     : options_(options), trie_(options.aggregation_density) {}
 
-void BlackHoleRouter::audit_push(ApiCall call) {
+void BlackHoleRouter::audit_push(util::SimTime ts, Method method, std::uint32_t address,
+                                 unsigned prefix_len, std::uint32_t client, bool ok) {
   ++api_calls_total_;
+  const AuditRecord record{ts, address, client, static_cast<std::uint8_t>(prefix_len),
+                           method, ok};
   if (audit_.size() < options_.audit_capacity) {
-    audit_.push_back(std::move(call));
+    audit_.push_back(record);
     return;
   }
   ++audit_dropped_;
-  if (options_.audit_capacity == 0) return;
-  audit_[audit_head_] = std::move(call);
+  if (options_.audit_capacity == 0) {
+    names_.release(client);
+    return;
+  }
+  names_.release(audit_[audit_head_].client);
+  audit_[audit_head_] = record;
   audit_head_ = (audit_head_ + 1) % options_.audit_capacity;
 }
 
@@ -50,9 +134,112 @@ std::vector<ApiCall> BlackHoleRouter::audit_log() const {
   std::vector<ApiCall> out;
   out.reserve(audit_.size());
   for (std::size_t i = 0; i < audit_.size(); ++i) {
-    out.push_back(audit_[(audit_head_ + i) % audit_.size()]);
+    const AuditRecord& record = audit_[(audit_head_ + i) % audit_.size()];
+    out.push_back({record.ts, kMethodNames[static_cast<std::size_t>(record.method)],
+                   net::Ipv4(record.address), names_.text(record.client), record.ok,
+                   record.prefix_len});
   }
   return out;
+}
+
+void BlackHoleRouter::forget(const Meta& meta) {
+  if (meta.ev != 0) expiry_.cancel(meta.ev);
+  names_.release(meta.reason);
+  names_.release(meta.client);
+}
+
+const BlackHoleRouter::HostPage* BlackHoleRouter::find_page(std::uint32_t ip) const noexcept {
+  const std::uint32_t* index = page_index_.find(ip >> 8);
+  return index != nullptr ? &pages_[*index] : nullptr;
+}
+
+void BlackHoleRouter::drop_page(std::uint64_t key) {
+  const std::uint32_t index = *page_index_.find(key);
+  pages_[index] = HostPage{};
+  free_pages_.push_back(index);
+  page_index_.erase(key);
+}
+
+const BlackHoleRouter::Meta* BlackHoleRouter::find_host(std::uint32_t ip) const noexcept {
+  const HostPage* page = find_page(ip);
+  const std::uint32_t host = ip & 0xffu;
+  if (page == nullptr || !page->has(host)) return nullptr;
+  return &page->entries[page->rank(host)];
+}
+
+BlackHoleRouter::Meta& BlackHoleRouter::host_entry(std::uint32_t ip, bool& fresh) {
+  HostPage* found = find_page(ip);
+  if (found == nullptr) {
+    std::uint32_t index = 0;
+    if (free_pages_.empty()) {
+      index = static_cast<std::uint32_t>(pages_.size());
+      pages_.emplace_back();
+    } else {
+      index = free_pages_.back();
+      free_pages_.pop_back();
+    }
+    page_index_[ip >> 8] = index;
+    found = &pages_[index];
+  }
+  HostPage& page = *found;
+  const std::uint32_t host = ip & 0xffu;
+  const std::size_t at = page.rank(host);
+  fresh = !page.has(host);
+  if (fresh) {
+    page.present[host >> 6] |= std::uint64_t{1} << (host & 63u);
+    page.entries.insert(page.entries.begin() + static_cast<std::ptrdiff_t>(at), Meta{});
+    ++host_blocks_;
+  }
+  return page.entries[at];
+}
+
+bool BlackHoleRouter::erase_host(std::uint32_t ip) {
+  HostPage* page = find_page(ip);
+  const std::uint32_t host = ip & 0xffu;
+  if (page == nullptr || !page->has(host)) return false;
+  const auto at = page->entries.begin() + static_cast<std::ptrdiff_t>(page->rank(host));
+  forget(*at);
+  page->entries.erase(at);
+  page->present[host >> 6] &= ~(std::uint64_t{1} << (host & 63u));
+  --host_blocks_;
+  if (page->entries.empty()) drop_page(ip >> 8);
+  return true;
+}
+
+void BlackHoleRouter::erase_hosts_in(const net::Cidr& cidr) {
+  const std::uint32_t base = cidr.base().value();
+  if (cidr.prefix_len() >= 24) {
+    HostPage* page = find_page(base);
+    if (page == nullptr) return;
+    const std::uint32_t first = base & 0xffu;
+    const auto last = static_cast<std::uint32_t>(first + cidr.host_count() - 1);
+    const std::size_t from = page->rank(first);
+    std::size_t to = from;
+    for (std::uint32_t host = first; host <= last; ++host) {
+      if (!page->has(host)) continue;
+      forget(page->entries[to++]);
+      page->present[host >> 6] &= ~(std::uint64_t{1} << (host & 63u));
+    }
+    page->entries.erase(page->entries.begin() + static_cast<std::ptrdiff_t>(from),
+                        page->entries.begin() + static_cast<std::ptrdiff_t>(to));
+    host_blocks_ -= to - from;
+    if (page->entries.empty()) drop_page(base >> 8);
+    return;
+  }
+  // Whole pages: the directory's keys in range, sorted.
+  const std::uint64_t first_page = base >> 8;
+  const std::uint64_t range_pages = cidr.host_count() >> 8;
+  std::vector<std::uint64_t> keys;
+  page_index_.for_each([&](std::uint64_t key, std::uint32_t) {
+    if (key - first_page < range_pages) keys.push_back(key);
+  });
+  std::sort(keys.begin(), keys.end());
+  for (const std::uint64_t key : keys) {
+    const HostPage& page = pages_[*page_index_.find(key)];
+    for (const Meta& meta : page.entries) forget(meta);
+    host_blocks_ -= page.entries.size();
+    drop_page(key);
+  }
 }
 
 void BlackHoleRouter::apply_report(util::SimTime now) {
@@ -60,46 +247,31 @@ void BlackHoleRouter::apply_report(util::SimTime now) {
   // cover: their individual metadata (and pending expiry events) vanish —
   // the cover now governs them.
   for (const auto& [ip, enc] : report_.absorbed) {
-    const auto it = blocks_.find(ip);
-    if (it != blocks_.end()) {
-      if (it->second.ev != 0) expiry_.cancel(it->second.ev);
-      blocks_.erase(it);
-    }
+    erase_host(ip);
     ++aggregated_absorbed_;
   }
   // Each collapse gets synthetic prefix metadata so query() can still
-  // explain why a covered host is black-holed. try_emplace: an explicit
-  // operator-made prefix entry is never overwritten.
+  // explain why a covered host is black-holed. An explicit operator-made
+  // prefix entry is never overwritten.
   for (const net::Cidr& cidr : report_.covers_added) {
     ++aggregated_covers_;
-    PrefixStored ps;
-    ps.entry.cidr = cidr;
-    ps.entry.blocked_at = now;
-    ps.entry.expires_at = 0;
-    ps.entry.reason = "cidr-aggregated";
-    ps.entry.requested_by = "bhr:aggregator";
-    prefix_blocks_.try_emplace(prefix_key(cidr), std::move(ps));
+    const auto [it, fresh] = prefix_blocks_.try_emplace(prefix_key(cidr));
+    if (fresh) {
+      it->second = {now, 0, 0, names_.acquire("cidr-aggregated"),
+                    names_.acquire("bhr:aggregator")};
+    }
   }
   report_.clear();
 }
 
 void BlackHoleRouter::supersede_contained(const net::Cidr& cidr,
                                           std::uint64_t keep_key) {
-  // Collect-then-sort before cancelling: the wheel's free list would
-  // otherwise depend on unordered_map iteration order.
-  std::vector<std::uint32_t> ips;
-  for (const auto& [ip, stored] : blocks_) {
-    if (cidr.contains(net::Ipv4(ip))) ips.push_back(ip);
-  }
-  std::sort(ips.begin(), ips.end());
-  for (const std::uint32_t ip : ips) {
-    const auto it = blocks_.find(ip);
-    if (it->second.ev != 0) expiry_.cancel(it->second.ev);
-    blocks_.erase(it);
-  }
+  // Ascending address order: the wheel's free list depends on the order
+  // of the cancels.
+  erase_hosts_in(cidr);
   for (auto it = prefix_blocks_.begin(); it != prefix_blocks_.end();) {
-    if (it->first != keep_key && cidr.contains(it->second.entry.cidr)) {
-      if (it->second.ev != 0) expiry_.cancel(it->second.ev);
+    if (it->first != keep_key && cidr.contains(prefix_of(it->first))) {
+      forget(it->second);
       it = prefix_blocks_.erase(it);
     } else {
       ++it;
@@ -110,27 +282,24 @@ void BlackHoleRouter::supersede_contained(const net::Cidr& cidr,
 bool BlackHoleRouter::block(net::Ipv4 source, util::SimTime now, util::SimTime ttl,
                             std::string reason, std::string client) {
   const bool internal = protected_.contains(source);
-  audit_push({now, "block", source, client, !internal, 32});
+  const std::uint32_t client_id = names_.acquire(std::move(client));
+  if (!internal) names_.retain(client_id);  // the entry's reference
+  audit_push(now, Method::kBlock, source.value(), 32, client_id, !internal);
   if (internal) {
     ++blocks_refused_;
     return false;  // never blackhole the protected network
   }
   ++blocks_accepted_;
-  Stored& stored = blocks_[source.value()];
-  if (stored.ev != 0) {
-    expiry_.cancel(stored.ev);
-    stored.ev = 0;
-  }
-  BlockEntry& entry = stored.entry;
-  entry.source = source;
-  entry.blocked_at = now;
-  entry.expires_at = ttl > 0 ? now + ttl : 0;
-  entry.reason = std::move(reason);
-  entry.requested_by = std::move(client);
-  trie_.set_host(source.value(), encode_expiry(entry.expires_at), &report_);
-  if (entry.expires_at != 0) {
+  const Meta meta{now, ttl > 0 ? now + ttl : 0, 0, names_.acquire(std::move(reason)),
+                  client_id};
+  bool fresh = false;
+  Meta& stored = host_entry(source.value(), fresh);
+  if (!fresh) forget(stored);
+  stored = meta;
+  trie_.set_host(source.value(), encode_expiry(meta.expires_at), &report_);
+  if (meta.expires_at != 0) {
     stored.ev = expiry_.schedule(
-        std::max(entry.expires_at, expiry_.floor_time()),
+        std::max(meta.expires_at, expiry_.floor_time()),
         sim::detail::CallbackSlot(ExpiryTag{source.value()}));
   }
   apply_report(now);
@@ -138,17 +307,13 @@ bool BlackHoleRouter::block(net::Ipv4 source, util::SimTime now, util::SimTime t
 }
 
 bool BlackHoleRouter::unblock(net::Ipv4 source, util::SimTime now, std::string client) {
-  bool existed = false;
-  if (const auto it = blocks_.find(source.value()); it != blocks_.end()) {
-    if (it->second.ev != 0) expiry_.cancel(it->second.ev);
-    blocks_.erase(it);
-    existed = true;
-  }
+  const bool existed = erase_host(source.value());
   // Punches through covers too: unblocking a host inside a blocked prefix
   // opens exactly that host (most recent mutation wins).
   const bool cleared = trie_.set_host(source.value(), 0);
   const bool ok = existed || cleared;
-  audit_push({now, "unblock", source, std::move(client), ok, 32});
+  audit_push(now, Method::kUnblock, source.value(), 32, names_.acquire(std::move(client)),
+             ok);
   if (ok) ++unblocks_;
   return ok;
 }
@@ -157,29 +322,25 @@ bool BlackHoleRouter::block_prefix(const net::Cidr& cidr, util::SimTime now,
                                    util::SimTime ttl, std::string reason,
                                    std::string client) {
   const bool refused = protected_.overlaps(cidr);
-  audit_push({now, "block_prefix", cidr.base(), client, !refused, cidr.prefix_len()});
+  const std::uint32_t client_id = names_.acquire(std::move(client));
+  if (!refused) names_.retain(client_id);  // the entry's reference
+  audit_push(now, Method::kBlockPrefix, cidr.base().value(), cidr.prefix_len(), client_id,
+             !refused);
   if (refused) {
     ++blocks_refused_;
     return false;
   }
   ++blocks_accepted_;
   const std::uint64_t key = prefix_key(cidr);
-  PrefixStored& ps = prefix_blocks_[key];
-  if (ps.ev != 0) {
-    expiry_.cancel(ps.ev);
-    ps.ev = 0;
-  }
-  PrefixEntry& entry = ps.entry;
-  entry.cidr = cidr;
-  entry.blocked_at = now;
-  entry.expires_at = ttl > 0 ? now + ttl : 0;
-  entry.reason = std::move(reason);
-  entry.requested_by = std::move(client);
-  const std::uint64_t enc = encode_expiry(entry.expires_at);
+  const auto [it, fresh] = prefix_blocks_.try_emplace(key);
+  Meta& stored = it->second;
+  if (!fresh) forget(stored);
+  stored = {now, ttl > 0 ? now + ttl : 0, 0, names_.acquire(std::move(reason)), client_id};
+  const std::uint64_t enc = encode_expiry(stored.expires_at);
   trie_.set_prefix(cidr, enc, &report_);
-  if (entry.expires_at != 0) {
-    ps.ev = expiry_.schedule(
-        std::max(entry.expires_at, expiry_.floor_time()),
+  if (stored.expires_at != 0) {
+    stored.ev = expiry_.schedule(
+        std::max(stored.expires_at, expiry_.floor_time()),
         sim::detail::CallbackSlot(PrefixExpiryTag{
             cidr.base().value(), static_cast<std::uint8_t>(cidr.prefix_len()), enc}));
   }
@@ -193,15 +354,15 @@ bool BlackHoleRouter::unblock_prefix(const net::Cidr& cidr, util::SimTime now,
   const std::uint64_t key = prefix_key(cidr);
   bool existed = false;
   if (const auto it = prefix_blocks_.find(key); it != prefix_blocks_.end()) {
-    if (it->second.ev != 0) expiry_.cancel(it->second.ev);
+    forget(it->second);
     prefix_blocks_.erase(it);
     existed = true;
   }
   const bool cleared = trie_.set_prefix(cidr, 0);
   supersede_contained(cidr, key);
   const bool ok = existed || cleared;
-  audit_push({now, "unblock_prefix", cidr.base(), std::move(client), ok,
-              cidr.prefix_len()});
+  audit_push(now, Method::kUnblockPrefix, cidr.base().value(), cidr.prefix_len(),
+             names_.acquire(std::move(client)), ok);
   if (ok) ++unblocks_;
   return ok;
 }
@@ -214,27 +375,33 @@ bool BlackHoleRouter::is_blocked(net::Ipv4 source, util::SimTime now) const {
 std::optional<BlockEntry> BlackHoleRouter::query(net::Ipv4 source,
                                                  util::SimTime now) const {
   if (!is_blocked(source, now)) return std::nullopt;
-  if (const auto it = blocks_.find(source.value()); it != blocks_.end()) {
-    const BlockEntry& entry = it->second.entry;
-    if (entry.expires_at == 0 || entry.expires_at > now) return entry;
-  }
-  // Fall back to the longest live covering prefix (explicit or aggregated).
-  const PrefixEntry* best = nullptr;
-  for (const auto& [key, ps] : prefix_blocks_) {
-    const PrefixEntry& candidate = ps.entry;
-    if (!candidate.cidr.contains(source)) continue;
-    if (candidate.expires_at != 0 && candidate.expires_at <= now) continue;
-    if (best == nullptr || candidate.cidr.prefix_len() > best->cidr.prefix_len()) {
-      best = &candidate;
-    }
-  }
   BlockEntry out;
   out.source = source;
+  if (const Meta* meta = find_host(source.value());
+      meta != nullptr && (meta->expires_at == 0 || meta->expires_at > now)) {
+    out.blocked_at = meta->blocked_at;
+    out.expires_at = meta->expires_at;
+    out.reason = names_.text(meta->reason);
+    out.requested_by = names_.text(meta->client);
+    return out;
+  }
+  // Fall back to the longest live covering prefix (explicit or aggregated).
+  const Meta* best = nullptr;
+  unsigned best_len = 0;
+  for (const auto& [key, candidate] : prefix_blocks_) {
+    const net::Cidr cidr = prefix_of(key);
+    if (!cidr.contains(source)) continue;
+    if (candidate.expires_at != 0 && candidate.expires_at <= now) continue;
+    if (best == nullptr || cidr.prefix_len() > best_len) {
+      best = &candidate;
+      best_len = cidr.prefix_len();
+    }
+  }
   if (best != nullptr) {
     out.blocked_at = best->blocked_at;
     out.expires_at = best->expires_at;
-    out.reason = best->reason;
-    out.requested_by = best->requested_by;
+    out.reason = names_.text(best->reason);
+    out.requested_by = names_.text(best->client);
   } else {
     // Covered in the trie with no surviving metadata (aggregation after
     // metadata churn): still report the honest cause.
@@ -251,7 +418,9 @@ std::size_t BlackHoleRouter::expire(util::SimTime now) {
   sim::EventId id = 0;
   while (expiry_.pop_due(now, cb, fired_at, id)) {
     if (const auto* tag = cb.target<ExpiryTag>()) {
-      blocks_.erase(tag->ip);
+      // erase_host's cancel of the event that just fired reports false:
+      // pop_due freed its slot.
+      erase_host(tag->ip);
       trie_.set_host(tag->ip, 0);
       ++removed;
     } else if (const auto* ptag = cb.target<PrefixExpiryTag>()) {
@@ -259,7 +428,10 @@ std::size_t BlackHoleRouter::expire(util::SimTime now) {
       // Only clear what this block laid down: hosts re-blocked inside the
       // prefix since (different expiry word) survive the reap.
       trie_.clear_matching(cidr, ptag->enc);
-      prefix_blocks_.erase(prefix_key(cidr));
+      if (const auto it = prefix_blocks_.find(prefix_key(cidr)); it != prefix_blocks_.end()) {
+        forget(it->second);
+        prefix_blocks_.erase(it);
+      }
       ++removed;
     }
   }
@@ -310,10 +482,10 @@ std::size_t BlackHoleRouter::active_blocks(util::SimTime now) const {
   // is the expired-but-unreaped count. Subtract the prefix share to keep
   // the seed's contract: active per-host blocks.
   std::size_t prefix_due = 0;
-  for (const auto& [key, ps] : prefix_blocks_) {
-    if (ps.entry.expires_at != 0 && ps.entry.expires_at <= now) ++prefix_due;
+  for (const auto& [key, meta] : prefix_blocks_) {
+    if (meta.expires_at != 0 && meta.expires_at <= now) ++prefix_due;
   }
-  return blocks_.size() - (expiry_.count_due(now) - prefix_due);
+  return host_blocks_ - (expiry_.count_due(now) - prefix_due);
 }
 
 BlackHoleRouter::Stats BlackHoleRouter::stats(util::SimTime now) const {

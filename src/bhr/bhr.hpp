@@ -9,10 +9,18 @@
 // breadth and rate of their probing.
 //
 // Data-plane architecture (two tiers):
-//   - The *metadata tier* — blocks_/prefix_blocks_ plus the audit ring —
-//     is the control-plane truth: who asked, why, until when. It is
-//     mutated only through the API verbs and is externally serialized
-//     (the daemon applies blocks merge-side, in sequence order).
+//   - The *metadata tier* is the control-plane truth: who asked, why,
+//     until when. It is mutated only through the API verbs and is
+//     externally serialized (the daemon applies blocks merge-side, in
+//     sequence order). Host blocks live in /24 pages, mirroring the trie's
+//     leaves: a util::FlatMap directory from the /24 to its page, and per
+//     page a 256-bit presence bitmap plus 32-byte entries in ascending host
+//     order (host h's entry sits at the popcount of the bits below h). A
+//     fully blackholed /24 costs ~8 KiB. Prefix blocks sit in an ordered
+//     map.
+//     Reasons and client names are interned once as refcounted 32-bit ids,
+//     freed when the last entry or audit record naming them goes. The
+//     audit ring holds 24-byte records; ApiCall is built only on read.
 //   - The *lookup tier* is an LpmTrie: a level-16/8/8 trie over the IPv4
 //     space whose reads are lock-free under epoch-based reclamation.
 //     filter()/filter_batch()/is_blocked() touch only the trie, so any
@@ -31,7 +39,7 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bhr/lpm_trie.hpp"
@@ -164,25 +172,108 @@ class BlackHoleRouter {
   [[nodiscard]] const LpmTrie& trie() const noexcept { return trie_; }
 
  private:
-  // One map entry per API-visible host block; `ev` is the pending expiry
-  // event on the wheel (0 = permanent / none), cancelled in O(1) on
-  // re-block/unblock/supersede so no stale event ever fires.
-  struct Stored {
-    BlockEntry entry;
-    sim::EventId ev = 0;
+  /// Refcounted interning of the provenance strings (block reasons and API
+  /// client names): entries and audit records hold 32-bit ids. An id's
+  /// string is freed, and the id reused, when its last holder goes —
+  /// factor-graph reasons embed the score, so most are unique, and ids
+  /// that were never released would leak.
+  class Names {
+   public:
+    /// The id of `text`, with one reference taken for the caller.
+    std::uint32_t acquire(std::string&& text);
+    void retain(std::uint32_t id) noexcept { ++slots_[id].refs; }
+    void release(std::uint32_t id);
+    [[nodiscard]] const std::string& text(std::uint32_t id) const noexcept {
+      return slots_[id].text;
+    }
+
+   private:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    struct Slot {
+      std::string text;
+      std::uint64_t hash = 0;
+      std::uint32_t refs = 0;
+      /// Live slot: the next id whose text has the same hash. Free slot:
+      /// the next free id.
+      std::uint32_t next = kNone;
+    };
+    util::FlatMap<std::uint32_t> by_hash_;  ///< text hash -> first id with it
+    std::vector<Slot> slots_;
+    std::uint32_t free_ = kNone;  ///< head of the free-id list
+    /// The last two ids acquire() returned, tried before hashing: a block
+    /// names a client and a reason, and a fill repeats both.
+    std::array<std::uint32_t, 2> recent_{kNone, kNone};
+    std::uint32_t recent_next_ = 0;  ///< the recent_ entry to replace next
   };
-  struct PrefixStored {
-    PrefixEntry entry;
+
+  /// Metadata of one host or prefix block (32 bytes): the API-visible entry
+  /// minus its address, which the page slot or the prefix key gives. `ev`
+  /// is the pending expiry event on the wheel (0 = permanent / none),
+  /// cancelled in O(1) on re-block/unblock/supersede so no stale event
+  /// ever fires.
+  struct Meta {
+    util::SimTime blocked_at = 0;
+    util::SimTime expires_at = 0;  ///< 0 = permanent
     sim::EventId ev = 0;
+    std::uint32_t reason = 0;  ///< Names id
+    std::uint32_t client = 0;  ///< Names id
   };
+  static_assert(sizeof(Meta) == 32);
+
+  /// The blocked hosts of one /24: a presence bit per host and the present
+  /// hosts' entries in ascending host order.
+  struct HostPage {
+    std::array<std::uint64_t, 4> present{};
+    std::vector<Meta> entries;
+
+    [[nodiscard]] bool has(std::uint32_t host) const noexcept {
+      return ((present[host >> 6] >> (host & 63u)) & 1u) != 0;
+    }
+    /// Index in `entries` of host `host` (the count of present hosts below).
+    [[nodiscard]] std::size_t rank(std::uint32_t host) const noexcept;
+  };
+
+  enum class Method : std::uint8_t { kBlock, kUnblock, kBlockPrefix, kUnblockPrefix };
+
+  /// One audit ring record (24 bytes); audit_log() renders it as an ApiCall.
+  struct AuditRecord {
+    util::SimTime ts = 0;
+    std::uint32_t address = 0;  ///< target host, or the prefix base
+    std::uint32_t client = 0;   ///< Names id
+    std::uint8_t prefix_len = 32;
+    Method method = Method::kBlock;
+    bool ok = false;
+  };
+  static_assert(sizeof(AuditRecord) == 24);
 
   /// prefix_blocks_ key: (base << 6) | prefix_len — ordered, so iteration
   /// (longest-match query, supersede sweeps) is deterministic.
   [[nodiscard]] static std::uint64_t prefix_key(const net::Cidr& cidr) noexcept {
     return (static_cast<std::uint64_t>(cidr.base().value()) << 6) | cidr.prefix_len();
   }
+  [[nodiscard]] static net::Cidr prefix_of(std::uint64_t key) {
+    return net::Cidr(net::Ipv4(static_cast<std::uint32_t>(key >> 6)),
+                     static_cast<unsigned>(key & 63u));
+  }
 
-  void audit_push(ApiCall call);
+  /// Appends a record; the ring takes over one reference to `client`.
+  void audit_push(util::SimTime ts, Method method, std::uint32_t address,
+                  unsigned prefix_len, std::uint32_t client, bool ok);
+  /// Cancels `meta`'s expiry event and releases its names.
+  void forget(const Meta& meta);
+  [[nodiscard]] const HostPage* find_page(std::uint32_t ip) const noexcept;
+  [[nodiscard]] HostPage* find_page(std::uint32_t ip) noexcept {
+    return const_cast<HostPage*>(std::as_const(*this).find_page(ip));
+  }
+  /// Unlinks the page of /24 `key` (ip >> 8) and frees its entries.
+  void drop_page(std::uint64_t key);
+  [[nodiscard]] const Meta* find_host(std::uint32_t ip) const noexcept;
+  /// The entry of `ip`, inserted zeroed when absent (`fresh` reports which).
+  Meta& host_entry(std::uint32_t ip, bool& fresh);
+  /// Drops `ip`'s entry (forget + unlink); returns whether there was one.
+  bool erase_host(std::uint32_t ip);
+  /// Drops every host entry inside `cidr`, in ascending address order.
+  void erase_hosts_in(const net::Cidr& cidr);
   /// Sync metadata with trie-side aggregation effects (report_).
   void apply_report(util::SimTime now);
   /// Remove host/prefix metadata contained in `cidr` (their trie state was
@@ -193,11 +284,19 @@ class BlackHoleRouter {
   Options options_;
   LpmTrie trie_;
   sim::detail::TimerQueue expiry_{0};
-  std::unordered_map<std::uint32_t, Stored> blocks_;
-  std::map<std::uint64_t, PrefixStored> prefix_blocks_;
+  Names names_;
+  /// The page directory: ip >> 8 -> index in pages_. Its slots hold an
+  /// index, not a 64-byte page, which keeps scattered one-host pages as
+  /// cheap to add as the node map's entries were. Emptied pages are
+  /// recycled through free_pages_.
+  util::FlatMap<std::uint32_t> page_index_;
+  std::vector<HostPage> pages_;
+  std::vector<std::uint32_t> free_pages_;
+  std::size_t host_blocks_ = 0;  ///< entries across pages_
+  std::map<std::uint64_t, Meta> prefix_blocks_;
   LpmTrie::MutationReport report_;  ///< per-mutation scratch (reused)
 
-  std::vector<ApiCall> audit_;  ///< capped ring; audit_head_ = oldest
+  std::vector<AuditRecord> audit_;  ///< capped ring; audit_head_ = oldest
   std::size_t audit_head_ = 0;
   std::uint64_t api_calls_total_ = 0;
   std::uint64_t audit_dropped_ = 0;

@@ -23,4 +23,13 @@ bool SshAuditor::on_flow(const net::Flow& flow) {
   return false;
 }
 
+std::size_t SshAuditor::prune(util::SimTime now) {
+  // on_flow opens a new window when failures == 0 or the flow is more
+  // than `window` past the start, which holds for every flow at or after
+  // `now` once it holds at `now`.
+  return sources_.erase_if([&](std::uint64_t, const SourceState& state) {
+    return state.failures == 0 || now - state.window_start > config_.window;
+  });
+}
+
 }  // namespace at::testbed

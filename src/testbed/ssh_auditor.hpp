@@ -33,6 +33,12 @@ class SshAuditor {
   [[nodiscard]] std::uint64_t blocks_issued() const noexcept { return blocks_; }
   [[nodiscard]] std::size_t tracked_sources() const noexcept { return sources_.size(); }
 
+  /// Drops the failure windows that can no longer count toward a block:
+  /// sources with no failures and windows that have run out by `now`. For
+  /// flows at or after `now` a pruned source behaves exactly as an absent
+  /// one: its next failure opens a new window. Returns how many went.
+  std::size_t prune(util::SimTime now);
+
  private:
   struct SourceState {
     util::SimTime window_start = 0;
@@ -41,7 +47,7 @@ class SshAuditor {
 
   SshAuditorConfig config_;
   bhr::BlackHoleRouter* router_;
-  util::FlatMap<SourceState> sources_;
+  util::FlatMap<SourceState> sources_;  ///< keyed by attacker address; prune()d
   std::uint64_t failures_ = 0;
   std::uint64_t blocks_ = 0;
 };

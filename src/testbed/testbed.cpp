@@ -122,6 +122,7 @@ void Testbed::schedule_maintenance(util::SimTime period, util::SimTime until) {
         ++maintenance_.ticks;
         maintenance_.blocks_expired += router_.expire(engine.now());
         maintenance_.monitor_state_pruned += zeek_->prune_idle(engine.now());
+        maintenance_.auditor_sources_pruned += ssh_auditor_->prune(engine.now());
         // Re-arm as a chain event so the chain dies at `until` and run()
         // can drain.
         const util::SimTime next = engine.now() + period;

@@ -1,19 +1,21 @@
 #pragma once
 // Open-addressed hash table keyed by 64-bit integers: the per-source and
 // per-key state of the traffic plane (Zeek's window and beacon state, the
-// scan recorder, the correlator's dedup window, the SSH auditor). One flat
-// array of {key, value} slots probed linearly from a mix64 home slot, so a
-// lookup touches one or two adjacent slots instead of std::unordered_map's
-// bucket -> node -> payload chain of dependent cache misses. A slot is the
-// key plus the value (16 bytes for an 8-byte value); there is no occupancy
-// flag: an empty slot holds kEmptyKey, and the value of that one key lives
-// beside the array. The table doubles at 3/4 load and erases by backward
-// shift, so it never holds tombstones.
+// scan recorder, the correlator's dedup window, the SSH auditor) and the
+// BHR's /24 host-page directory. One flat array of {key, value} slots
+// probed linearly from a mix64 home slot, so a lookup touches one or two
+// adjacent slots instead of std::unordered_map's bucket -> node -> payload
+// chain of dependent cache misses. A slot is the key plus the value (16
+// bytes for an 8-byte value); there is no occupancy flag: an empty slot
+// holds kEmptyKey, and the value of that one key lives beside the array.
+// The table doubles at 3/4 load and erases by backward shift, so it never
+// holds tombstones.
 //
 // Pointers and references into the table do not survive an insert
-// (operator[] on a new key may rehash) or an erase_if. Iteration order is
-// the slot order: deterministic for a given sequence of operations, but
-// unrelated to key order, so readers that print or rank must sort.
+// (operator[] on a new key may rehash), an erase or an erase_if. Iteration
+// order is the slot order: deterministic for a given sequence of
+// operations, but unrelated to key order, so readers that print or rank
+// must sort.
 
 #include <cstddef>
 #include <cstdint>
@@ -66,6 +68,24 @@ class FlatMap {
       if (slot.key != kEmptyKey) f(slot.key, slot.value);
     }
     if (has_empty_key_) f(kEmptyKey, empty_key_value_);
+  }
+
+  /// Erases the entry under `key`; returns whether there was one.
+  bool erase(std::uint64_t key) {
+    if (key == kEmptyKey) {
+      if (!has_empty_key_) return false;
+      has_empty_key_ = false;
+      empty_key_value_ = V{};
+      return true;
+    }
+    if (slots_.empty()) return false;
+    for (std::size_t i = home(key);; i = next(i)) {
+      if (slots_[i].key == key) {
+        erase_at(i);
+        return true;
+      }
+      if (slots_[i].key == kEmptyKey) return false;
+    }
   }
 
   /// Erases every entry for which pred(key, value) holds, calling pred

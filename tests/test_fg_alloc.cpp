@@ -3,8 +3,10 @@
 // non-firing RuleBasedDetector never touch the heap. Per entity, copying
 // the trained rule matcher (what the pipelines' factories do for every new
 // entity) allocates exactly once: its progress bytes, the compiled
-// signature table being shared. Verified by counting global operator
-// new/delete hits around the calls.
+// signature table being shared. The BHR's metadata tier allocates per /24
+// page, not per blocked host, and gives back every interned reason once
+// its blocks are gone. Verified by counting global operator new/delete
+// hits around the calls.
 //
 // The counting replacements are malloc-backed and unconditionally defined:
 // under ASan the sanitizer interposes malloc itself, so the counters keep
@@ -16,6 +18,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "bhr/bhr.hpp"
 #include "detect/detector.hpp"
 #include "fg/model.hpp"
 #include "incidents/generator.hpp"
@@ -23,6 +26,12 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_frees{0};
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
 
 }  // namespace
 
@@ -53,12 +62,12 @@ void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_free(p); }
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -172,3 +181,49 @@ TEST(RuleMatcherAllocation, NonFiringObserveAllocatesNothing) {
 
 }  // namespace
 }  // namespace at::detect
+
+namespace at::bhr {
+namespace {
+
+TEST(BhrAllocation, ScannerNetFillAllocatesPerPageNotPerHost) {
+  // 400 scanner /24s blackholed host by host (102,400 block() calls), the
+  // live_flows populate. The node-based tier made one map node per host.
+  constexpr std::uint32_t kNets = 400;
+  BlackHoleRouter router;
+  const auto allocated = fg::allocations_during([&] {
+    for (std::uint32_t n = 0; n < kNets; ++n) {
+      const std::uint32_t base = 0xb9000000u | (((n * 97u) & 0xffffu) << 8);
+      for (std::uint32_t h = 0; h < 256; ++h) {
+        router.block(net::Ipv4(base | h), 0, 0, "scanner net", "alertbench");
+      }
+    }
+  });
+  EXPECT_EQ(router.active_blocks(0), kNets * 256u);
+  EXPECT_LT(allocated, 16u * kNets) << allocated << " allocations for " << kNets << " pages";
+}
+
+TEST(BhrAllocation, UniqueReasonsAreReleasedWithTheirBlocks) {
+  // Factor-graph reasons embed the score, so nearly every block names a
+  // new reason. Once the blocks are gone, so are the interned strings:
+  // what stays allocated is the tables' capacity, not one buffer per name.
+  BlackHoleRouter router;
+  router.block(net::Ipv4(198, 51, 100, 1), 0, 0, "warm-up", "detector");
+  constexpr std::uint32_t kHosts = 10'000;
+  const std::uint64_t allocs0 = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t frees0 = g_frees.load(std::memory_order_relaxed);
+  for (std::uint32_t i = 0; i < kHosts; ++i) {
+    router.block(net::Ipv4(0xcb000000u + i * 7u), 1, 600,
+                 "factor-graph: P(stage >= in_progress) = 0.9" + std::to_string(i),
+                 "detector");
+  }
+  for (std::uint32_t i = 0; i < kHosts; ++i) {
+    router.unblock(net::Ipv4(0xcb000000u + i * 7u), 2, "detector");
+  }
+  const std::uint64_t live = (g_allocations.load(std::memory_order_relaxed) - allocs0) -
+                             (g_frees.load(std::memory_order_relaxed) - frees0);
+  EXPECT_EQ(router.active_blocks(2), 1u);
+  EXPECT_LT(live, 64u) << live << " allocations outlived " << kHosts << " unblocked hosts";
+}
+
+}  // namespace
+}  // namespace at::bhr

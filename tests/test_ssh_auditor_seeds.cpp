@@ -117,6 +117,60 @@ TEST(SshAuditorTest, ManySourcesMatchReference) {
   EXPECT_TRUE(router.is_blocked(net::Ipv4(0u), ts));
 }
 
+TEST(SshAuditorTest, PrunedWindowsBehaveAsAbsent) {
+  // Twin auditors over one seeded stream; one is pruned every 20 s. A
+  // pruned source must then act exactly like a never-seen one, so both
+  // block the same sources at the same flows.
+  bhr::BlackHoleRouter router_a;
+  bhr::BlackHoleRouter router_b;
+  testbed::SshAuditorConfig config;
+  config.failure_threshold = 5;
+  config.window = 30;
+  testbed::SshAuditor pruned(config, router_a);
+  testbed::SshAuditor kept(config, router_b);
+  util::Rng rng(17);
+  util::SimTime ts = 0;
+  std::size_t dropped = 0;
+  for (int i = 0; i < 40000; ++i) {
+    ts += rng.uniform_int(0, 1);
+    const net::Ipv4 src(0xc6120000u + static_cast<std::uint32_t>(rng.zipf(3000, 1.2)));
+    const net::Flow flow = ssh_fail(src, ts);
+    ASSERT_EQ(pruned.on_flow(flow), kept.on_flow(flow)) << "flow " << i;
+    if (i % 40 == 0) dropped += pruned.prune(ts);
+  }
+  EXPECT_EQ(pruned.blocks_issued(), kept.blocks_issued());
+  EXPECT_GE(pruned.blocks_issued(), 10u);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_LT(pruned.tracked_sources(), kept.tracked_sources());
+}
+
+TEST(SshAuditorTest, HostileFloodIsPrunedByMaintenance) {
+  // 20,000 distinct sources each fail one SSH login, a few keep failing.
+  // Once their windows lapse, testbed maintenance drops the flood, and the
+  // auditor's table is back to the sources still inside a window.
+  incidents::CorpusConfig corpus_config;
+  corpus_config.repetition_scale = 0.02;
+  testbed::TestbedConfig config;
+  config.ssh_auditor.window = 120;
+  testbed::Testbed bed(config, incidents::CorpusGenerator(corpus_config).generate());
+  bed.deploy(0);
+  constexpr std::uint32_t kFlood = 20'000;
+  for (std::uint32_t i = 0; i < kFlood; ++i) {
+    bed.inject_flow(ssh_fail(net::Ipv4(0x0a000000u + i * 13u), i % 60));
+  }
+  ASSERT_EQ(bed.ssh_auditor().tracked_sources(), kFlood);
+  // Three live sources fail again just before the last tick.
+  const std::vector<net::Ipv4> live = {net::Ipv4(198, 51, 100, 1), net::Ipv4(198, 51, 100, 2),
+                                       net::Ipv4(198, 51, 100, 3)};
+  bed.engine().schedule_at(590, [&bed, &live](sim::Engine&) {
+    for (const net::Ipv4 ip : live) bed.inject_flow(ssh_fail(ip, 590));
+  });
+  bed.schedule_maintenance(60, 600);
+  bed.engine().run();
+  EXPECT_EQ(bed.maintenance_stats().auditor_sources_pruned, kFlood);
+  EXPECT_EQ(bed.ssh_auditor().tracked_sources(), live.size());
+}
+
 TEST(SshAuditorTest, LiveBruteforceGetsAutoBlackholed) {
   // End-to-end on the testbed: a bruteforce campaign trips the auditor,
   // after which the attacker's remaining flows drop at the BHR.

@@ -1,6 +1,7 @@
 // util::FlatMap, the open-addressed table behind the traffic plane's
 // per-source state, checked against std::unordered_map: seeded inserts,
-// lookups and erase_if sweeps, the key kept aside (~0), and runs of keys
+// lookups, single-key erases and erase_if sweeps, the key kept aside (~0),
+// and runs of keys
 // crafted to share one home slot, including runs that wrap past the end
 // of the slot array.
 
@@ -163,6 +164,34 @@ TEST(FlatMapTest, EraseIfVisitsEachEntryOnceAcrossTheWrap) {
     }
     EXPECT_EQ(erased, want_erased);
     EXPECT_EQ(map.size(), keys.size() - want_erased);
+  }
+}
+
+TEST(FlatMapTest, EraseMatchesUnorderedMap) {
+  // Single-key erases inside one long probe run (keys sharing a home
+  // slot, wrapping past the end) and over a seeded mix, the aside key
+  // included.
+  Rng rng(9);
+  std::vector<std::uint64_t> keys = colliding_keys(40, 6, 63);
+  for (int i = 0; i < 400; ++i) keys.push_back(rng.uniform_int(0, 5000));
+  keys.push_back(FlatMap<std::uint64_t>::kEmptyKey);
+  FlatMap<std::uint64_t> map;
+  std::unordered_map<std::uint64_t, std::uint64_t> reference;
+  for (int op = 0; op < 20000; ++op) {
+    const auto pick = rng.uniform_int(0, static_cast<std::int64_t>(keys.size()) - 1);
+    const std::uint64_t k = keys[static_cast<std::size_t>(pick)];
+    if (rng.uniform() < 0.55) {
+      map[k] = static_cast<std::uint64_t>(op);
+      reference[k] = static_cast<std::uint64_t>(op);
+    } else {
+      ASSERT_EQ(map.erase(k), reference.erase(k) == 1) << "key " << k;
+    }
+    ASSERT_EQ(map.size(), reference.size());
+  }
+  EXPECT_EQ(sorted_entries(map), sorted_entries(reference));
+  for (const std::uint64_t k : keys) {
+    const auto want = reference.find(k);
+    ASSERT_EQ(map.find(k) != nullptr, want != reference.end()) << "key " << k;
   }
 }
 

@@ -200,8 +200,9 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
   daemon.stop();
   typed_alerts += print_drained(alerts::DaemonAlert::kAllCategories);
 
-  std::printf("\n%zu typed alerts drained; %zu BHR audit entries\n%s", typed_alerts,
-              router.audit_log().size(), daemon.stats().to_table().render().c_str());
+  std::printf("\n%zu typed alerts drained; %llu BHR API calls\n%s", typed_alerts,
+              static_cast<unsigned long long>(router.stats(0).api_calls),
+              daemon.stats().to_table().render().c_str());
   return 0;
 }
 

@@ -88,7 +88,7 @@ ctest --test-dir build-ci --output-on-failure -j "$JOBS" || fail "ctest"
 if [[ "$SKIP_SANITIZERS" == "1" ]]; then
   echo "=== [5/5] sanitizers: SKIPPED (--skip-sanitizers) ==="
 else
-  echo "=== [5/5] ASan+UBSan: zeeklog, traffic-plane tables, factor-graph + rule-matcher unit tests, entity core + daemon faults ==="
+  echo "=== [5/5] ASan+UBSan: zeeklog, traffic-plane tables, factor-graph + rule-matcher unit tests, entity core + daemon faults, BHR metadata tier ==="
   cmake -B build-asan -S . -DAT_SANITIZE=address,undefined \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build build-asan -j "$JOBS" --target at_tests > /dev/null \
@@ -99,7 +99,7 @@ else
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/at_tests \
-      --gtest_filter='ZeekLog*:ZeeklogMalformed*:ZeekMonitor*:BpTest*:ChainTest*:EnumerateTest*:FactorGraphTest*:ModelTest*:EntityGraph*:*EntityVsExact*:EntityFilter*:*ForwardModeDifferential*:*EntityDetectorOracle*:FgInferenceModes*:TimedModel*:FlatMap*:ScanRecorder*:CorrelatorTest*:SshAuditorTest*:RuleBasedDetectorTest*:*RuleMatcherDifferential*:EntityCore*:DaemonFault*' \
+      --gtest_filter='ZeekLog*:ZeeklogMalformed*:ZeekMonitor*:BpTest*:ChainTest*:EnumerateTest*:FactorGraphTest*:ModelTest*:EntityGraph*:*EntityVsExact*:EntityFilter*:*ForwardModeDifferential*:*EntityDetectorOracle*:FgInferenceModes*:TimedModel*:FlatMap*:ScanRecorder*:CorrelatorTest*:SshAuditorTest*:RuleBasedDetectorTest*:*RuleMatcherDifferential*:EntityCore*:DaemonFault*:BhrTest*:BhrPrefix*:BhrAudit*:BhrAggregation*:*BhrExpiry*:*BhrMetadataDifferential*' \
     || fail "sanitized tests"
 
   echo "=== [5/5] TSan: epoch reclamation + concurrent BHR readers + daemon + entity core ==="
