@@ -3,8 +3,8 @@
 // preempts attacks that the critical-alert baseline only confirms after
 // damage, and keeps precision where single-alert thresholds drown. Also
 // runs the Insight-2 prefix sweep (recall vs observed core alerts 1..8)
-// and a factor-graph threshold sweep. The factor-graph rows cover both
-// inference modes (stage chain, entity) with and without timing.
+// and a factor-graph threshold sweep. The factor-graph rows run the stage
+// chain with and without timing.
 
 #include <benchmark/benchmark.h>
 
@@ -55,21 +55,15 @@ std::unique_ptr<detect::Detector> make_detector(int which) {
       return std::make_unique<detect::CriticalAlertDetector>();
     case 3:
       return std::make_unique<detect::ThresholdDetector>(alerts::Severity::kWarning);
-    case 4:
+    default:
       // Insight-3 ablation: factor graph conditioned on gap buckets too.
       return std::make_unique<detect::FactorGraphDetector>(
           detect::FactorGraphDetector::train(workbench().split.train, 0.75,
                                              /*use_timing=*/true));
-    default:
-      // Entity model (chain plus user state U, P(malicious)), untimed (5)
-      // and timed (6).
-      return std::make_unique<detect::FactorGraphDetector>(
-          fg::learn_params(workbench().split.train), 0.75, alerts::AttackStage::kInProgress,
-          /*use_timing=*/which == 6, detect::FgInference::kEntity);
   }
 }
 
-constexpr int kDetectors = 7;
+constexpr int kDetectors = 5;
 
 void report_all() {
   static std::once_flag once;

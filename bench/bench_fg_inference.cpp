@@ -1,20 +1,16 @@
-// Per-alert factor-graph inference at pipeline scale: the one kernel both
-// FactorGraphDetector modes run (fg::EntityFilter, one per tracked
-// entity), swept across tracked-entity counts. Every sweep drives one
-// structured multi-entity alert stream, each alert carrying a gap bucket,
-// through:
+// Per-alert factor-graph inference at pipeline scale: the kernel
+// FactorGraphDetector runs (fg::EntityFilter, one per tracked entity),
+// swept across tracked-entity counts. Every sweep drives one structured
+// multi-entity alert stream, each alert carrying a gap bucket, through:
 //
-//   * entity — EntityFilter::observe for every alert, gap ignored
-//   * timed  — the same with the gap factor on (factor-graph-entity-timed)
-//   * oracle — sampled prefixes of at most 9 alerts, untimed and timed, are
-//              enumerated exactly (enumerate_exact over the gap-augmented
-//              build_entity_graph from tests/fg_oracle); the bench exits 1
-//              if the filter's P(malicious) or last-stage marginal differs
-//              by more than 1e-9.
-//
-// Loopy BP re-inference over the entity graph, the approximation the
-// filter replaced, is no longer timed here; docs/perf.md keeps its last
-// numbers.
+//   * untimed — EntityFilter::observe for every alert, gap ignored
+//               (factor-graph)
+//   * timed   — the same with the gap factor on (factor-graph-timed)
+//   * oracle  — sampled prefixes of at most 9 alerts, untimed and timed,
+//               are enumerated exactly (enumerate_exact over the
+//               gap-augmented build_chain from tests/fg_oracle); the bench
+//               exits 1 if the filter's last-stage marginal differs by more
+//               than 1e-9.
 //
 // Standalone main (not google-benchmark): the artifact is a machine-
 // readable JSON file (default BENCH_fg.json at the repo root) that also
@@ -102,7 +98,7 @@ Stream make_stream(std::size_t entities, std::size_t alerts, std::uint64_t seed)
 struct SweepResult {
   std::size_t entities = 0;
   std::size_t alerts = 0;
-  double entity_us_per_alert = 0.0;
+  double us_per_alert = 0.0;
   double alerts_per_s = 0.0;
   double timed_us_per_alert = 0.0;
   std::size_t oracle_checks = 0;
@@ -130,8 +126,8 @@ SweepResult run_sweep(const std::shared_ptr<const fg::CompiledParams>& compiled,
   result.alerts = entities * per_entity;
   const Stream stream = make_stream(entities, result.alerts, 0x5eed + entities);
 
-  result.entity_us_per_alert = time_filters(compiled, stream, entities, false);
-  result.alerts_per_s = 1e6 / result.entity_us_per_alert;
+  result.us_per_alert = time_filters(compiled, stream, entities, false);
+  result.alerts_per_s = 1e6 / result.us_per_alert;
   result.timed_us_per_alert = time_filters(compiled, stream, entities, true);
 
   // The enumeration oracle, against untimed and timed filters replaying
@@ -143,12 +139,11 @@ SweepResult run_sweep(const std::shared_ptr<const fg::CompiledParams>& compiled,
   const std::size_t oracle_stride = std::max<std::size_t>(1, result.alerts / kOracleChecks);
   auto check = [&](const fg::EntityFilter& filter, const std::vector<alerts::AlertType>& prefix,
                    const std::vector<std::optional<fg::GapBucket>>& prefix_gaps) {
-    const fg::ExactResult truth = fg::enumerate_exact(
-        fg::build_entity_graph(compiled->params, prefix, 1.0, prefix_gaps));
-    double error = std::fabs(filter.p_malicious() - truth.marginals.back()[1]);
-    const auto last = filter.last_stage();
+    const fg::ExactResult truth =
+        fg::enumerate_exact(fg::build_chain(compiled->params, prefix, prefix_gaps));
+    double error = 0.0;
     for (std::size_t s = 0; s < alerts::kNumStages; ++s) {
-      error = std::max(error, std::fabs(last[s] - truth.marginals[prefix.size() - 1][s]));
+      error = std::max(error, std::fabs(filter.last_stage()[s] - truth.marginals.back()[s]));
     }
     result.oracle_max_error = std::max(result.oracle_max_error, error);
   };
@@ -171,7 +166,7 @@ SweepResult run_sweep(const std::shared_ptr<const fg::CompiledParams>& compiled,
 
 void emit_json(std::ostringstream& json, const SweepResult& s, bool last) {
   json << "    {\"entities\": " << s.entities << ", \"alerts\": " << s.alerts
-       << ", \"entity_us_per_alert\": " << s.entity_us_per_alert
+       << ", \"us_per_alert\": " << s.us_per_alert
        << ", \"alerts_per_s\": " << s.alerts_per_s
        << ", \"timed_us_per_alert\": " << s.timed_us_per_alert
        << ", \"oracle_checks\": " << s.oracle_checks
@@ -205,9 +200,9 @@ int main(int argc, char** argv) {
   for (const std::size_t entities : entity_counts) {
     const SweepResult sweep = run_sweep(compiled, entities, per_entity);
     std::printf(
-        "entities %8zu: entity %6.3f us/alert (%.0f alerts/s), timed %6.3f us/alert, "
+        "entities %8zu: untimed %6.3f us/alert (%.0f alerts/s), timed %6.3f us/alert, "
         "oracle %zu checks (untimed + timed) max err %.2e\n",
-        sweep.entities, sweep.entity_us_per_alert, sweep.alerts_per_s,
+        sweep.entities, sweep.us_per_alert, sweep.alerts_per_s,
         sweep.timed_us_per_alert, sweep.oracle_checks, sweep.oracle_max_error);
     oracle_ok = oracle_ok && sweep.oracle_ok;
     sweeps.push_back(sweep);

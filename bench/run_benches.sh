@@ -21,8 +21,8 @@ fi
 # Standalone mains with their own JSON emitters, as "binary:json-stem".
 # Each exits nonzero when its in-bench oracle fails: daemon (verdicts and
 # BHR audit trail at 1-8 shards vs the serial pipeline), sim_engine (timing
-# wheel vs seed-heap execution order), fg_inference (exact entity
-# posteriors vs enumeration), bhr (trie vs naive-table verdicts).
+# wheel vs seed-heap execution order), fg_inference (filter
+# posteriors vs exact enumeration of the chain), bhr (trie vs naive-table verdicts).
 standalone="bench_sim_engine:sim bench_fg_inference:fg bench_daemon:daemon bench_bhr:bhr"
 for entry in $standalone; do
     name=${entry%%:*}

@@ -120,19 +120,17 @@ std::optional<Detection> RuleBasedDetector::observe(const alerts::Alert& alert,
 }
 
 FactorGraphDetector::FactorGraphDetector(fg::ModelParams params, double threshold,
-                                         alerts::AttackStage stage, bool use_timing,
-                                         FgInference inference)
+                                         alerts::AttackStage stage, bool use_timing)
     : FactorGraphDetector(fg::compile_params(std::move(params)), threshold, stage,
-                          use_timing, inference) {}
+                          use_timing) {}
 
 FactorGraphDetector::FactorGraphDetector(std::shared_ptr<const fg::CompiledParams> compiled,
                                          double threshold, alerts::AttackStage stage,
-                                         bool use_timing, FgInference inference)
+                                         bool use_timing, FgInference /*inference*/)
     : threshold_(threshold),
       stage_(stage),
       use_timing_(use_timing),
-      inference_(inference),
-      filter_(std::move(compiled), inference == FgInference::kEntity ? 1.0 : 0.0) {}
+      filter_(std::move(compiled)) {}
 
 FactorGraphDetector FactorGraphDetector::train(const incidents::Corpus& training,
                                                double threshold, bool use_timing) {
@@ -141,9 +139,6 @@ FactorGraphDetector FactorGraphDetector::train(const incidents::Corpus& training
 }
 
 std::string FactorGraphDetector::name() const {
-  if (inference_ == FgInference::kEntity) {
-    return use_timing_ ? "factor-graph-entity-timed" : "factor-graph-entity";
-  }
   return use_timing_ ? "factor-graph-timed" : "factor-graph";
 }
 
@@ -154,8 +149,7 @@ void FactorGraphDetector::reset() {
 }
 
 double FactorGraphDetector::score() const noexcept {
-  return inference_ == FgInference::kEntity ? filter_.p_malicious()
-                                            : filter_.p_at_least(stage_);
+  return filter_.p_at_least(stage_);
 }
 
 std::optional<Detection> FactorGraphDetector::observe(const alerts::Alert& alert,
@@ -168,13 +162,11 @@ std::optional<Detection> FactorGraphDetector::observe(const alerts::Alert& alert
   const double p = score();
   if (p >= threshold_) {
     fired_ = true;
-    // The reason is built only on the firing alert: the quantity name
-    // outgrows the small-string buffer, and observe() runs once per alert.
-    const std::string quantity =
-        inference_ == FgInference::kEntity
-            ? std::string("P(malicious)")
-            : "P(stage>=" + std::string(alerts::to_string(stage_)) + ")";
-    return Detection{index, alert.ts, p, quantity + "=" + std::to_string(p)};
+    // The reason is built only on the firing alert: it outgrows the
+    // small-string buffer, and observe() runs once per alert.
+    return Detection{index, alert.ts, p,
+                     "P(stage>=" + std::string(alerts::to_string(stage_)) +
+                         ")=" + std::to_string(p)};
   }
   return std::nullopt;
 }

@@ -10,8 +10,8 @@
 //   - RuleBasedDetector: match known pre-damage signature subsequences
 //     (the testbed's rule-based model, ref [5]).
 //   - FactorGraphDetector: AttackTagger — the filtered stage posterior
-//     (or, in entity mode, the exact user-state posterior) crossing a
-//     probability threshold (ref [6]).
+//     P(stage >= in_progress | alerts) crossing a probability threshold
+//     (ref [6]).
 
 #include <cstdint>
 #include <memory>
@@ -143,27 +143,25 @@ class RuleBasedDetector final : public Detector {
   bool fired_ = false;
 };
 
-/// Which model a FactorGraphDetector thresholds. Both run one
-/// fg::EntityFilter; they differ in its coupling and in the score read out.
+/// The factor-graph model a FactorGraphDetector runs. There is one, the
+/// stage chain; the enum remains for callers that still name it (see
+/// FactorGraphDetector).
 enum class FgInference : std::uint8_t {
-  /// Stage chain alone (the default): the filter at coupling 0, scoring
-  /// P(stage >= threshold stage | alerts).
-  kForwardFilter,
-  /// Entity-augmented model (chain plus user state U) at coupling 1,
-  /// scoring P(U = malicious | alerts).
-  kEntity,
+  kForwardFilter,  ///< fg::EntityFilter, scoring P(stage >= threshold stage | alerts)
 };
 
 /// AttackTagger: factor-graph stage inference with a posterior threshold.
-/// With `use_timing`, in either mode, the filter also conditions on
-/// inter-alert gap buckets (Insight 3: probe bursts vs manual-stage pauses
-/// are themselves evidence).
+/// With `use_timing` the filter also conditions on inter-alert gap buckets
+/// (Insight 3: probe bursts vs manual-stage pauses are themselves
+/// evidence). The shared-table constructor's trailing FgInference
+/// parameter is accepted and ignored: it has a single value, and callers
+/// that forward `TestbedConfig::fg_inference` (alertbench/workloads.cpp)
+/// still pass it.
 class FactorGraphDetector final : public Detector {
  public:
   FactorGraphDetector(fg::ModelParams params, double threshold = 0.75,
                       alerts::AttackStage stage = alerts::AttackStage::kInProgress,
-                      bool use_timing = false,
-                      FgInference inference = FgInference::kForwardFilter);
+                      bool use_timing = false);
   /// Shares pre-compiled tables: the cheap constructor for per-entity
   /// fan-out in the alert pipelines (one detector per tracked entity).
   explicit FactorGraphDetector(std::shared_ptr<const fg::CompiledParams> compiled,
@@ -177,7 +175,6 @@ class FactorGraphDetector final : public Detector {
                                    double threshold = 0.75, bool use_timing = false);
 
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] FgInference inference() const noexcept { return inference_; }
   /// The thresholded posterior after the last absorbed alert (frozen once
   /// the detector has fired).
   [[nodiscard]] double score() const noexcept;
@@ -189,7 +186,6 @@ class FactorGraphDetector final : public Detector {
   double threshold_;
   alerts::AttackStage stage_;
   bool use_timing_;
-  FgInference inference_;
   fg::EntityFilter filter_;
   std::optional<util::SimTime> last_ts_;
   bool fired_ = false;

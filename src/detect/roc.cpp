@@ -6,9 +6,9 @@
 namespace at::detect {
 
 double max_posterior_score(const fg::ModelParams& params, const Stream& stream) {
-  // The deployed forward mode: the filter at coupling 0, P(stage >=
-  // in_progress) after each alert.
-  fg::EntityFilter filter(fg::compile_params(params), 0.0);
+  // The deployed detector's score, P(stage >= in_progress), after each
+  // alert.
+  fg::EntityFilter filter(fg::compile_params(params));
   double peak = 0.0;
   for (const auto& alert : stream.alerts) {
     filter.observe(alert.type);

@@ -1,7 +1,5 @@
 #include "fg/model.hpp"
 
-#include <cmath>
-
 #include "util/logdomain.hpp"
 
 namespace at::fg {
@@ -93,69 +91,45 @@ std::shared_ptr<const CompiledParams> compile_params(ModelParams params) {
   return compiled;
 }
 
-EntityFilter::EntityFilter(std::shared_ptr<const CompiledParams> compiled, double coupling)
-    : compiled_(std::move(compiled)), mismatch_(util::safe_exp(-coupling)) {}
-
 void EntityFilter::reset() noexcept {
   belief_ = {};
-  log_odds_ = 0.0;
   count_ = 0;
 }
 
 void EntityFilter::observe(alerts::AlertType type, std::optional<GapBucket> gap) {
-  // One forward step per value of U on the U-conditioned chain: U's
-  // coupling column, then the gap factor, multiply the emission.
+  // One normalized forward step: predict through the transitions (the
+  // prior on the first alert), then multiply the emission and, when
+  // timed, the gap factor.
   const CompiledParams& c = *compiled_;
   const std::size_t t = static_cast<std::size_t>(type);
   const bool timed = gap && count_ > 0 && !c.gap.empty();
   const std::size_t g = timed ? static_cast<std::size_t>(*gap) : 0;
-  constexpr auto kAttack = static_cast<std::size_t>(alerts::AttackStage::kInProgress);
-  double next[2][kStages];
-  double total[2] = {0.0, 0.0};
-  for (std::size_t u = 0; u < 2; ++u) {
-    for (std::size_t s = 0; s < kStages; ++s) {
-      double predicted = 0.0;
-      if (count_ == 0) {
-        predicted = c.prior[s];
-      } else {
-        for (std::size_t p = 0; p < kStages; ++p) {
-          predicted += belief_[u][p] * c.transition[p * kStages + s];
-        }
+  std::array<double, kStages> next;
+  double total = 0.0;
+  for (std::size_t s = 0; s < kStages; ++s) {
+    double predicted = 0.0;
+    if (count_ == 0) {
+      predicted = c.prior[s];
+    } else {
+      for (std::size_t p = 0; p < kStages; ++p) {
+        predicted += belief_[p] * c.transition[p * kStages + s];
       }
-      const double couple = (s >= kAttack) == (u == 1) ? 1.0 : mismatch_;
-      next[u][s] = predicted * c.emission[s * kTypes + t] * couple;
-      if (timed) next[u][s] *= c.gap[s * kNumGapBuckets + g];
-      total[u] += next[u][s];
     }
+    next[s] = predicted * c.emission[s * kTypes + t];
+    if (timed) next[s] *= c.gap[s * kNumGapBuckets + g];
+    total += next[s];
   }
-  // Impossible under either branch: keep the previous state, count
-  // included, rather than divide by zero. A skipped first alert thus
-  // leaves the filter fresh, and the next alert starts from the prior.
-  if (total[0] <= 0.0 || total[1] <= 0.0) return;
-  for (std::size_t u = 0; u < 2; ++u) {
-    for (std::size_t s = 0; s < kStages; ++s) belief_[u][s] = next[u][s] / total[u];
-  }
-  log_odds_ += std::log(total[1]) - std::log(total[0]);
+  // Impossible observation: keep the previous state, count included,
+  // rather than divide by zero. A skipped first alert thus leaves the
+  // filter fresh, and the next alert starts from the prior.
+  if (total <= 0.0) return;
+  for (std::size_t s = 0; s < kStages; ++s) belief_[s] = next[s] / total;
   ++count_;
 }
 
-double EntityFilter::p_malicious() const noexcept {
-  return 1.0 / (1.0 + util::safe_exp(-log_odds_));
-}
-
-std::array<double, alerts::kNumStages> EntityFilter::last_stage() const noexcept {
-  const double p = p_malicious();
-  std::array<double, kStages> mixed{};
-  for (std::size_t s = 0; s < kStages; ++s) {
-    mixed[s] = (1.0 - p) * belief_[0][s] + p * belief_[1][s];
-  }
-  return mixed;
-}
-
 double EntityFilter::p_at_least(alerts::AttackStage stage) const noexcept {
-  const auto last = last_stage();
   double total = 0.0;
-  for (std::size_t s = static_cast<std::size_t>(stage); s < kStages; ++s) total += last[s];
+  for (std::size_t s = static_cast<std::size_t>(stage); s < kStages; ++s) total += belief_[s];
   return total;
 }
 

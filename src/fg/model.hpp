@@ -96,42 +96,31 @@ struct CompiledParams {
 [[nodiscard]] std::vector<alerts::AttackStage> decode_stages(
     const ModelParams& params, std::span<const alerts::AlertType> observed);
 
-/// Entity-augmented model (the original AttackTagger's full shape): the
-/// per-event stage chain plus one global binary *user-state* variable U
-/// (legitimate / malicious) coupled to every stage variable. The coupling
-/// factor rewards consistency: a malicious user explains in_progress and
-/// compromised stages, a legitimate one explains benign/suspicious. An
-/// optional gap factor P(gap bucket | stage) on every event after the first
-/// adds inter-alert timing as evidence (Insight 3).
-///
-/// The graph is loopy, but conditioned on U it is a plain chain whose
-/// emissions absorb U's coupling column (and the gap factor, which is per
-/// node). EntityFilter runs one normalized forward filter per value of U
-/// and accumulates the difference of their log normalizers, so
-/// P(U = malicious | alerts) = sigmoid(log Z(1) - log Z(0)) exactly — nine
-/// doubles of state per entity, constant in the history length,
-/// O(2 * stages^2) per alert.
-///
-/// At coupling 0 the coupling factor is 1 for every stage, both branches
-/// compute the same numbers and the log-odds stays 0: last_stage() is then
-/// the plain forward filter over the stage chain, P(stage_t | alerts).
+/// The streaming inference kernel: a normalized forward filter over the
+/// stage chain, one per tracked entity, holding P(stage_t | alerts) in four
+/// doubles plus the shared parameter tables — constant in the history
+/// length, O(stages^2) per alert, no log or exp. An optional gap factor
+/// P(gap bucket | stage) on every alert after the first adds inter-alert
+/// timing as evidence (Insight 3). tests/fg_oracle checks it against BP
+/// and exact enumeration of the chain factor graph.
 class EntityFilter {
  public:
-  /// `coupling` >= 0 is the log-strength of the U<->stage consistency
-  /// factor (the same value build_entity_graph takes); 0 decouples U.
-  explicit EntityFilter(std::shared_ptr<const CompiledParams> compiled, double coupling = 1.0);
+  explicit EntityFilter(std::shared_ptr<const CompiledParams> compiled)
+      : compiled_(std::move(compiled)) {}
 
   /// Absorb one alert. `gap` (time since the previous alert of this stream)
   /// multiplies in the timing factor from the second absorbed alert on;
-  /// nullopt ignores timing. An observation either branch assigns zero
+  /// nullopt ignores timing. An observation the model assigns zero
   /// likelihood (impossible with smoothed, learned parameters) is skipped:
   /// the state, including the absorbed-alert count, is left as it was.
   void observe(alerts::AlertType type, std::optional<GapBucket> gap = std::nullopt) AT_HOT;
 
-  [[nodiscard]] double p_malicious() const noexcept;
-  /// Posterior over the current (last observed) stage, U summed out.
-  [[nodiscard]] std::array<double, alerts::kNumStages> last_stage() const noexcept;
-  /// P(current stage >= `stage` | alerts), U summed out.
+  /// Posterior over the current (last observed) stage; all zero before the
+  /// first absorbed alert.
+  [[nodiscard]] const std::array<double, alerts::kNumStages>& last_stage() const noexcept {
+    return belief_;
+  }
+  /// P(current stage >= `stage` | alerts).
   [[nodiscard]] double p_at_least(alerts::AttackStage stage) const noexcept;
   /// Alerts absorbed (skipped impossible ones excluded).
   [[nodiscard]] std::size_t observed() const noexcept { return count_; }
@@ -139,13 +128,7 @@ class EntityFilter {
 
  private:
   std::shared_ptr<const CompiledParams> compiled_;
-  /// exp(-coupling): the coupling factor of a stage that disagrees with U
-  /// (an agreeing stage scores 1).
-  double mismatch_ = 0.0;
-  /// Normalized P(stage_t | alerts, U = u), [u][stage].
-  std::array<std::array<double, alerts::kNumStages>, 2> belief_{};
-  /// log Z(1) - log Z(0) = log P(U = 1 | alerts) - log P(U = 0 | alerts).
-  double log_odds_ = 0.0;
+  std::array<double, alerts::kNumStages> belief_{};  ///< normalized
   std::size_t count_ = 0;
 };
 

@@ -45,6 +45,11 @@ class AlertCorrelator final : public alerts::AlertSink {
 
   CorrelatorConfig config_;
   alerts::AlertSink* downstream_;
+  /// Last forwarded time per (host, type). The host is always one of the
+  /// site's own: Zeek names an inbound flow's destination or an outbound
+  /// flow's source, and host monitors name their machine. So the internal
+  /// address space times the taxonomy bounds the table, however many
+  /// external sources attack, and nothing needs to prune it.
   util::FlatMap<util::SimTime> last_forwarded_;
   std::uint64_t received_ = 0;
   std::uint64_t forwarded_ = 0;

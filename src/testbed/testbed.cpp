@@ -18,10 +18,8 @@ Testbed::Testbed(TestbedConfig config, const incidents::Corpus& training)
   // bump, not four table copies plus re-exponentiation.
   auto compiled = fg::compile_params(fg::learn_params(training));
   const double threshold = config_.fg_threshold;
-  const detect::FgInference inference = config_.fg_inference;
-  pipeline_->add_detector("factor-graph", [compiled, threshold, inference] {
-    return std::make_unique<detect::FactorGraphDetector>(
-        compiled, threshold, alerts::AttackStage::kInProgress, false, inference);
+  pipeline_->add_detector("factor-graph", [compiled, threshold] {
+    return std::make_unique<detect::FactorGraphDetector>(compiled, threshold);
   });
   pipeline_->add_detector(
       "rule-based", [rules = detect::RuleBasedDetector::train(training.incidents)] {

@@ -34,8 +34,8 @@ struct TestbedConfig {
   SshAuditorConfig ssh_auditor;
   /// Factor-graph detector threshold for the default detector set.
   double fg_threshold = 0.75;
-  /// Model the default factor-graph detector thresholds: the stage-chain
-  /// forward filter, or the exact entity (user-state) posterior.
+  /// Has one value, the stage chain, and is read by nothing here; kept for
+  /// alertbench/workloads.cpp, which forwards it to FactorGraphDetector.
   detect::FgInference fg_inference = detect::FgInference::kForwardFilter;
 };
 

@@ -9,14 +9,20 @@
 // bytes for an 8-byte value); there is no occupancy flag: an empty slot
 // holds kEmptyKey, and the value of that one key lives beside the array.
 // The table doubles at 3/4 load and erases by backward shift, so it never
-// holds tombstones.
+// holds tombstones. erase_if, the bulk prune, also shrinks it: once fewer
+// than 1/8 of the slots are in use, the survivors move into the smallest
+// power of two of at least kMinSlots and twice their count, so a pruned
+// flood gives its memory back. erase(key) never shrinks, so alternating
+// single inserts and erases cannot thrash.
 //
 // Pointers and references into the table do not survive an insert
 // (operator[] on a new key may rehash), an erase or an erase_if. Iteration
 // order is the slot order: deterministic for a given sequence of
-// operations, but unrelated to key order, so readers that print or rank
-// must sort.
+// operations (an erase_if that shrinks reorders it), but unrelated to key
+// order, so readers that print or rank must sort.
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -89,7 +95,8 @@ class FlatMap {
   }
 
   /// Erases every entry for which pred(key, value) holds, calling pred
-  /// exactly once per entry; returns how many were erased.
+  /// exactly once per entry, then shrinks a table left under 1/8 full;
+  /// returns how many were erased.
   template <typename Pred>
   std::size_t erase_if(Pred&& pred) {
     std::size_t erased = 0;
@@ -112,6 +119,10 @@ class FlatMap {
       }
       ++visited;
     }
+    if (size_ * 8 < slots_.size()) {
+      const std::size_t shrunk = std::bit_ceil(std::max(kMinSlots, 2 * size_));
+      if (shrunk < slots_.size()) rehash(shrunk);
+    }
     return erased;
   }
 
@@ -133,9 +144,12 @@ class FlatMap {
     return i;
   }
 
-  void grow() {
-    std::vector<Slot> old =
-        std::exchange(slots_, std::vector<Slot>(slots_.empty() ? kMinSlots : 2 * slots_.size()));
+  void grow() { rehash(slots_.empty() ? kMinSlots : 2 * slots_.size()); }
+
+  /// Moves every entry into a fresh array of `count` slots (a power of two
+  /// with room for them all).
+  void rehash(std::size_t count) {
+    std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(count));
     for (Slot& slot : old) {
       if (slot.key != kEmptyKey) slots_[free_slot(slot.key)] = std::move(slot);
     }

@@ -1,7 +1,6 @@
 #include "fg_oracle/chain.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -65,29 +64,6 @@ std::vector<double> chain_posterior_last(const ModelParams& params,
   // A chain of n variables needs ~n rounds of flooding BP to be exact.
   opts.max_iterations = std::max<std::size_t>(opts.max_iterations, observed.size() + 2);
   return run_bp(graph, opts).marginals.back();
-}
-
-FactorGraph build_entity_graph(const ModelParams& params,
-                               std::span<const alerts::AlertType> observed, double coupling,
-                               std::span<const std::optional<GapBucket>> gaps) {
-  FactorGraph graph = build_chain(params, observed, gaps);
-  if (observed.empty()) return graph;
-  const VarId user = graph.add_variable(2, "user_state");
-  // Uniform prior on U; the evidence flows through the couplings.
-  graph.add_factor({user}, {std::log(0.5), std::log(0.5)}, "user_prior");
-  // Coupling table over (stage, U), U fastest: a legitimate user (U=0) is
-  // consistent with benign/suspicious stages, a malicious one (U=1) with
-  // in_progress/compromised.
-  std::vector<double> table(kStages * 2);
-  for (std::size_t s = 0; s < kStages; ++s) {
-    const bool attack_stage = s >= static_cast<std::size_t>(alerts::AttackStage::kInProgress);
-    table[s * 2 + 0] = attack_stage ? -coupling : 0.0;  // U = legitimate
-    table[s * 2 + 1] = attack_stage ? 0.0 : -coupling;  // U = malicious
-  }
-  for (VarId stage = 0; stage < static_cast<VarId>(observed.size()); ++stage) {
-    graph.add_factor({stage, user}, table, "couple_" + std::to_string(stage));
-  }
-  return graph;
 }
 
 }  // namespace at::fg

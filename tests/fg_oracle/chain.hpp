@@ -1,5 +1,5 @@
 #pragma once
-// The AttackTagger model spelled out as explicit factor graphs, for
+// The AttackTagger model spelled out as an explicit factor graph, for
 // checking fg::EntityFilter against run_bp and enumerate_exact.
 //
 // `gaps`, when given, is aligned with `observed` and holds exactly what the
@@ -25,16 +25,9 @@ namespace at::fg {
                                       std::span<const std::optional<GapBucket>> gaps = {});
 
 /// Full-sequence posterior of the *last* stage via sum-product BP on the
-/// chain: the oracle for the filter at coupling 0.
+/// chain: an oracle for the filter.
 [[nodiscard]] std::vector<double> chain_posterior_last(
     const ModelParams& params, std::span<const alerts::AlertType> observed,
     std::span<const std::optional<GapBucket>> gaps = {}, const BpOptions& options = {});
-
-/// The loopy entity graph: the chain plus the user-state variable U, joined
-/// to every stage by the coupling factor. Variables 0..n-1 are the stages;
-/// variable n is U.
-[[nodiscard]] FactorGraph build_entity_graph(
-    const ModelParams& params, std::span<const alerts::AlertType> observed,
-    double coupling = 1.0, std::span<const std::optional<GapBucket>> gaps = {});
 
 }  // namespace at::fg

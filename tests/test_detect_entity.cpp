@@ -1,9 +1,9 @@
-// Detector-level oracles for the entity mode of FactorGraphDetector: its
+// Detector-level oracles for the per-entity FactorGraphDetector: its
 // per-alert score and firing index must equal exact enumeration of the
-// entity graph over every prefix (timed and untimed), batched and
+// chain graph over every prefix (timed and untimed), batched and
 // per-alert feeding through the SessionPipeline must agree, reset() must
-// forget the history, and an impossible first alert must not freeze
-// either mode.
+// forget the history, and an impossible first alert must not freeze it,
+// timed or untimed.
 
 #include <gtest/gtest.h>
 
@@ -57,11 +57,8 @@ std::vector<Alert> random_trace(util::Rng& rng, std::size_t accounts,
   return trace;
 }
 
-SessionPipeline::Factory entity_factory(double threshold) {
-  return [threshold] {
-    return std::make_unique<FactorGraphDetector>(
-        compiled(), threshold, alerts::AttackStage::kInProgress, false, FgInference::kEntity);
-  };
+SessionPipeline::Factory deployed_factory(double threshold) {
+  return [threshold] { return std::make_unique<FactorGraphDetector>(compiled(), threshold); };
 }
 
 class EntityDetectorOracle : public ::testing::TestWithParam<int> {};
@@ -82,7 +79,7 @@ TEST_P(EntityDetectorOracle, ScoreAndFiringMatchEnumeration) {
     std::size_t fired = 0;
     for (int stream = 0; stream < 6; ++stream) {
       FactorGraphDetector detector(compiled(), threshold, alerts::AttackStage::kInProgress,
-                                   timed, FgInference::kEntity);
+                                   timed);
       std::vector<AlertType> prefix;
       std::vector<std::optional<fg::GapBucket>> gaps;
       std::optional<std::size_t> expected_fire;
@@ -102,9 +99,11 @@ TEST_P(EntityDetectorOracle, ScoreAndFiringMatchEnumeration) {
                                0, static_cast<std::int64_t>(alerts::kNumAlertTypes) - 1));
         prefix.push_back(alert.type);
         gaps.push_back(timed && i > 0 ? std::optional(fg::bucket_for_gap(step)) : std::nullopt);
+        const auto marginal =
+            fg::enumerate_exact(fg::build_chain(model(), prefix, gaps)).marginals.back();
         const double exact =
-            fg::enumerate_exact(fg::build_entity_graph(model(), prefix, 1.0, gaps))
-                .marginals.back()[1];
+            marginal[static_cast<std::size_t>(alerts::AttackStage::kInProgress)] +
+            marginal[static_cast<std::size_t>(alerts::AttackStage::kCompromised)];
         if (!expected_fire && exact >= threshold) expected_fire = i;
 
         const auto detection = detector.observe(alert, i);
@@ -133,8 +132,8 @@ TEST_P(BatchEquivalence, OnBatchMatchesOnAlertStream) {
   const double threshold = 0.75;
   const auto trace = random_trace(rng, /*accounts=*/5, /*length=*/160);
 
-  SessionPipeline serial(entity_factory(threshold));
-  SessionPipeline batched(entity_factory(threshold));
+  SessionPipeline serial(deployed_factory(threshold));
+  SessionPipeline batched(deployed_factory(threshold));
   for (const Alert& alert : trace) serial.on_alert(alert);
   // Feed the same stream in uneven batches.
   std::size_t i = 0;
@@ -161,19 +160,12 @@ TEST_P(BatchEquivalence, OnBatchMatchesOnAlertStream) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchEquivalence, ::testing::Range(0, 5));
 
 TEST(FgInferenceModes, NamesAndResetBehaviour) {
-  FactorGraphDetector entity(compiled(), 0.75, alerts::AttackStage::kInProgress, false,
-                             FgInference::kEntity);
   FactorGraphDetector filter(compiled(), 0.75);
-  EXPECT_EQ(entity.name(), "factor-graph-entity");
   EXPECT_EQ(filter.name(), "factor-graph");
-  EXPECT_EQ(FactorGraphDetector(compiled(), 0.75, alerts::AttackStage::kInProgress, true,
-                                FgInference::kEntity)
-                .name(),
-            "factor-graph-entity-timed");
   EXPECT_EQ(FactorGraphDetector(compiled(), 0.75, alerts::AttackStage::kInProgress, true).name(),
             "factor-graph-timed");
 
-  // After reset the entity filter must forget the history entirely:
+  // After reset the filter must forget the history entirely:
   // the same campaign gives the same firing index twice.
   const AlertType campaign[] = {AlertType::kPortScan, AlertType::kSshBruteforce,
                                 AlertType::kDownloadSensitive, AlertType::kCompileSource,
@@ -192,13 +184,12 @@ TEST(FgInferenceModes, NamesAndResetBehaviour) {
     }
     return fired_at;
   };
-  const auto first = run(entity);
-  const auto second = run(entity);
+  const auto first = run(filter);
+  const auto second = run(filter);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(*first, *second);
   // And a reset detector fires where a freshly built one does.
-  FactorGraphDetector fresh(compiled(), 0.75, alerts::AttackStage::kInProgress, false,
-                            FgInference::kEntity);
+  FactorGraphDetector fresh(compiled(), 0.75);
   EXPECT_EQ(run(fresh), first);
 }
 
@@ -206,7 +197,7 @@ TEST(FgInferenceModes, ImpossibleFirstAlertLeavesTheFilterFresh) {
   // A model with a -inf emission column (read_params accepts one) makes
   // that alert type impossible. Skipped first, it must leave the filter as
   // if it never arrived: the detector then fires on the same alert as it
-  // does on the stream without it, in every mode.
+  // does on the stream without it, timed and untimed.
   fg::ModelParams params = model();
   const auto impossible = AlertType::kJobCompleted;
   for (std::size_t s = 0; s < alerts::kNumStages; ++s) {
@@ -216,9 +207,8 @@ TEST(FgInferenceModes, ImpossibleFirstAlertLeavesTheFilterFresh) {
   const auto tables = fg::compile_params(params);
   const AlertType campaign[] = {AlertType::kDownloadSensitive, AlertType::kCompileSource,
                                 AlertType::kLogTampering, AlertType::kC2Communication};
-  auto fire_index = [&](bool timed, FgInference inference, bool lead_with_impossible) {
-    FactorGraphDetector detector(tables, 0.75, alerts::AttackStage::kInProgress, timed,
-                                 inference);
+  auto fire_index = [&](bool timed, bool lead_with_impossible) {
+    FactorGraphDetector detector(tables, 0.75, alerts::AttackStage::kInProgress, timed);
     std::vector<AlertType> stream;
     if (lead_with_impossible) stream.push_back(impossible);
     stream.insert(stream.end(), std::begin(campaign), std::end(campaign));
@@ -231,12 +221,9 @@ TEST(FgInferenceModes, ImpossibleFirstAlertLeavesTheFilterFresh) {
     return std::optional<std::size_t>();
   };
   for (const bool timed : {false, true}) {
-    for (const FgInference inference : {FgInference::kForwardFilter, FgInference::kEntity}) {
-      const auto clean = fire_index(timed, inference, false);
-      ASSERT_TRUE(clean.has_value()) << "timed " << timed;
-      EXPECT_EQ(fire_index(timed, inference, true), *clean + 1)
-          << "timed " << timed << " entity " << (inference == FgInference::kEntity);
-    }
+    const auto clean = fire_index(timed, false);
+    ASSERT_TRUE(clean.has_value()) << "timed " << timed;
+    EXPECT_EQ(fire_index(timed, true), *clean + 1) << "timed " << timed;
   }
 }
 

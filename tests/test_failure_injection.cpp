@@ -101,7 +101,7 @@ TEST(FailureInjection, SingleIncidentTrainingCorpus) {
   incidents::Corpus tiny;
   tiny.incidents.push_back(corpus().incidents[0]);
   const auto params = fg::learn_params(tiny);
-  fg::EntityFilter filter(fg::compile_params(params), 0.0);
+  fg::EntityFilter filter(fg::compile_params(params));
   filter.observe(AlertType::kDownloadSensitive);
   double total = 0.0;
   for (const auto p : filter.last_stage()) total += p;

@@ -1,7 +1,7 @@
 // Factor-graph oracle library (tests/fg_oracle): graph construction, BP
 // exactness on trees (vs the enumeration oracle), max-product MAP, loopy
-// behaviour; and the AttackTagger chain model (learning, the filter at
-// coupling 0 == BP on the chain, timed and untimed).
+// behaviour; and the AttackTagger chain model (learning, the filter ==
+// BP on the chain, timed and untimed).
 
 #include <gtest/gtest.h>
 
@@ -182,9 +182,8 @@ const incidents::Corpus& training() {
   return corpus;
 }
 
-/// The stage-chain forward filter: EntityFilter with U decoupled.
 EntityFilter forward_filter(const ModelParams& params) {
-  return EntityFilter(compile_params(params), 0.0);
+  return EntityFilter(compile_params(params));
 }
 
 TEST(ModelTest, LearnedDistributionsNormalize) {
@@ -245,7 +244,7 @@ TEST(ChainTest, BuildShape) {
 }
 
 TEST(ChainTest, ForwardFilterMatchesBpOnChain) {
-  // The streaming filter at coupling 0 and full sum-product BP must agree
+  // The streaming filter and full sum-product BP must agree
   // on the posterior of the last stage for any observation sequence, with
   // and without gap buckets.
   const auto params = learn_params(training());

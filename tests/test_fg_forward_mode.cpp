@@ -1,7 +1,6 @@
-// Forward mode of FactorGraphDetector against the stage-chain forward
-// filter it replaced. The detector now runs fg::EntityFilter at coupling 0
-// (one kernel for both modes); the dedicated ForwardFilter lives on here
-// verbatim as the reference. On learned and on seeded random smoothed
+// FactorGraphDetector against the stage-chain forward filter it replaced.
+// The detector now runs fg::EntityFilter; the dedicated ForwardFilter
+// lives on here verbatim as the reference. On learned and on seeded random smoothed
 // parameters, timed and untimed, every per-alert score must be
 // bit-identical (memcmp) and the firing index equal.
 

@@ -47,7 +47,6 @@ TEST(ParamsIo, LoadedModelDetectsIdentically) {
     original.observe(type, GapBucket::kHours);
     reloaded.observe(type, GapBucket::kHours);
   }
-  EXPECT_EQ(original.p_malicious(), reloaded.p_malicious());
   for (std::size_t s = 0; s < alerts::kNumStages; ++s) {
     EXPECT_EQ(original.last_stage()[s], reloaded.last_stage()[s]);
   }

@@ -1,11 +1,9 @@
-// ROC analysis, session-keyed detection, and conn.log serialization.
+// ROC analysis and session-keyed detection.
 
 #include <gtest/gtest.h>
 
 #include "detect/roc.hpp"
 #include "detect/session_pipeline.hpp"
-#include "net/connlog.hpp"
-#include "viz/fig1.hpp"
 
 namespace at {
 namespace {
@@ -142,54 +140,6 @@ TEST(SessionPipelineTest, FiresOncePerSession) {
     if (pipeline.on_alert(alert)) ++fires;
   }
   EXPECT_EQ(fires, 1);
-}
-
-// --- conn.log ---
-
-TEST(ConnLog, RoundTrip) {
-  net::Flow flow;
-  flow.ts = 1722470400;
-  flow.src = net::Ipv4(103, 102, 47, 9);
-  flow.src_port = 54321;
-  flow.dst = net::Ipv4(141, 142, 9, 9);
-  flow.dst_port = 5432;
-  flow.proto = net::Proto::kTcp;
-  flow.state = net::ConnState::kAttempt;
-  flow.bytes_out = 60;
-  const auto parsed = net::parse_conn_line(net::to_conn_line(flow));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->ts, flow.ts);
-  EXPECT_EQ(parsed->src, flow.src);
-  EXPECT_EQ(parsed->dst_port, flow.dst_port);
-  EXPECT_EQ(parsed->state, flow.state);
-  EXPECT_EQ(parsed->bytes_out, 60u);
-}
-
-TEST(ConnLog, RejectsMalformed) {
-  EXPECT_FALSE(net::parse_conn_line("").has_value());
-  EXPECT_FALSE(net::parse_conn_line("# comment").has_value());
-  EXPECT_FALSE(net::parse_conn_line("1\t2\t3").has_value());
-  EXPECT_FALSE(
-      net::parse_conn_line("x\t1.1.1.1\t1\t2.2.2.2\t2\ttcp\tS0\t0\t0").has_value());
-  EXPECT_FALSE(
-      net::parse_conn_line("1\t1.1.1.1\t1\t2.2.2.2\t2\tquic\tS0\t0\t0").has_value());
-  EXPECT_FALSE(
-      net::parse_conn_line("1\t1.1.1.1\t1\t2.2.2.2\t2\ttcp\tXX\t0\t0").has_value());
-}
-
-TEST(ConnLog, Fig1FlowSampleRoundTrips) {
-  viz::Fig1Config config;
-  config.mass_scan_targets = 500;
-  config.other_scanners = 4;
-  config.other_scan_targets_total = 100;
-  config.legit_pairs = 50;
-  const auto data = viz::build_fig1(config);
-  const auto text = net::write_conn_log(data.flows);
-  const auto result = net::read_conn_log(text);
-  EXPECT_EQ(result.malformed, 0u);
-  ASSERT_EQ(result.flows.size(), data.flows.size());
-  EXPECT_EQ(result.flows[17].src, data.flows[17].src);
-  EXPECT_EQ(result.flows[17].ts, data.flows[17].ts);
 }
 
 }  // namespace

@@ -7,6 +7,10 @@
 #include <set>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "analysis/insights.hpp"
 #include "replay/background.hpp"
 #include "testbed/ssh_auditor.hpp"
@@ -24,6 +28,17 @@ net::Flow ssh_fail(net::Ipv4 src, util::SimTime ts) {
   flow.dst_port = net::ports::kSsh;
   flow.state = net::ConnState::kRejected;
   return flow;
+}
+
+/// Bytes in use on the heap, mmapped blocks included (0 where glibc's
+/// mallinfo2 is unavailable).
+std::size_t heap_in_use() {
+#if defined(__GLIBC__)
+  const auto info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
 }
 
 TEST(SshAuditorTest, BlocksAtThreshold) {
@@ -155,9 +170,8 @@ TEST(SshAuditorTest, HostileFloodIsPrunedByMaintenance) {
   testbed::Testbed bed(config, incidents::CorpusGenerator(corpus_config).generate());
   bed.deploy(0);
   constexpr std::uint32_t kFlood = 20'000;
-  for (std::uint32_t i = 0; i < kFlood; ++i) {
-    bed.inject_flow(ssh_fail(net::Ipv4(0x0a000000u + i * 13u), i % 60));
-  }
+  const auto flood_source = [](std::uint32_t i) { return net::Ipv4(0x0a000000u + i * 13u); };
+  for (std::uint32_t i = 0; i < kFlood; ++i) bed.inject_flow(ssh_fail(flood_source(i), i % 60));
   ASSERT_EQ(bed.ssh_auditor().tracked_sources(), kFlood);
   // Three live sources fail again just before the last tick.
   const std::vector<net::Ipv4> live = {net::Ipv4(198, 51, 100, 1), net::Ipv4(198, 51, 100, 2),
@@ -169,6 +183,20 @@ TEST(SshAuditorTest, HostileFloodIsPrunedByMaintenance) {
   bed.engine().run();
   EXPECT_EQ(bed.maintenance_stats().auditor_sources_pruned, kFlood);
   EXPECT_EQ(bed.ssh_auditor().tracked_sources(), live.size());
+
+  // The prune also gives the flood's heap back: the same flood through an
+  // auditor of its own, measured where the allocator reports to mallinfo2
+  // (not under ASan, say) — the flood then shows as 16+ bytes per source.
+  bhr::BlackHoleRouter router;
+  const auto heap_before = static_cast<double>(heap_in_use());
+  testbed::SshAuditor auditor(config.ssh_auditor, router);
+  for (std::uint32_t i = 0; i < kFlood; ++i) auditor.on_flow(ssh_fail(flood_source(i), i % 60));
+  const double grown = static_cast<double>(heap_in_use()) - heap_before;
+  ASSERT_EQ(auditor.prune(600), kFlood);
+  const double kept = static_cast<double>(heap_in_use()) - heap_before;
+  if (grown >= 16.0 * kFlood) {
+    EXPECT_LT(kept, 4096.0) << "the flood grew the heap " << grown << " bytes";
+  }
 }
 
 TEST(SshAuditorTest, LiveBruteforceGetsAutoBlackholed) {

@@ -209,5 +209,29 @@ TEST(FlatMapTest, ValuesMoveThroughGrowthAndErase) {
   }
 }
 
+TEST(FlatMapTest, PruneToAFewKeepsTheSurvivorsFindable) {
+  // A 5,000-entry table pruned to 7 (the shrinking erase_if), then grown
+  // and pruned again: lookups and contents stay those of the reference.
+  Rng rng(23);
+  FlatMap<std::uint64_t> map;
+  std::map<std::uint64_t, std::uint64_t> reference;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 5000; ++i) {
+      const std::uint64_t key = rng();
+      map[key] = key ^ 0x5a5a;
+      reference[key] = key ^ 0x5a5a;
+    }
+    reference.erase(std::next(reference.begin(), 7), reference.end());
+    map.erase_if([&](std::uint64_t key, std::uint64_t) { return reference.count(key) == 0; });
+    ASSERT_EQ(map.size(), reference.size());
+    for (const auto& [key, value] : reference) {
+      ASSERT_NE(map.find(key), nullptr) << "key " << key;
+      EXPECT_EQ(*map.find(key), value);
+    }
+    EXPECT_EQ(sorted_entries(map), (std::vector<std::pair<std::uint64_t, std::uint64_t>>(
+                                       reference.begin(), reference.end())));
+  }
+}
+
 }  // namespace
 }  // namespace at::util
