@@ -372,7 +372,10 @@ ExpiryResult run_expiry_day(std::size_t entries) {
 /// Bytes in use on the heap (0 where glibc's mallinfo2 is unavailable).
 std::size_t heap_in_use() {
 #if defined(__GLIBC__)
-  return mallinfo2().uordblks;
+  // Blocks above glibc's mmap threshold (the /24 page directory's slot
+  // array can be one) are counted in hblkhd, not uordblks.
+  const auto info = mallinfo2();
+  return info.uordblks + info.hblkhd;
 #else
   return 0;
 #endif

@@ -46,6 +46,8 @@ util::TextTable DaemonStats::to_table() const {
   row("max_ring_depth", max_ring_depth);
   row("worker_parks", worker_parks);
   row("worker_wakeups", worker_wakeups);
+  row("routed_through", routed_through);
+  row("released_through", released_through);
   row("queue_pending", queue_pending);
   row("queue_posted", queue_posted);
   return table;
@@ -121,6 +123,10 @@ std::string StatsAlert::str() const {
   out += std::to_string(stats.verdicts);
   out += " tracked=";
   out += std::to_string(stats.tracked_entities);
+  out += " routed_through=";
+  out += std::to_string(stats.routed_through);
+  out += " released_through=";
+  out += std::to_string(stats.released_through);
   return out;
 }
 

@@ -44,6 +44,11 @@ struct DaemonStats {
   std::uint64_t max_ring_depth = 0;  ///< high-water mark across shards
   std::uint64_t worker_parks = 0;    ///< idle workers blocking on their wake epoch
   std::uint64_t worker_wakeups = 0;  ///< parked workers woken by a submit
+  std::uint64_t routed_through = 0;  ///< highest seq routed to a shard
+  /// Every verdict of a seq at or below it has been released (the release
+  /// frontier of the last pump); routed_through minus this is how far
+  /// release is behind routing.
+  std::uint64_t released_through = 0;
   std::uint64_t queue_pending = 0;   ///< DaemonAlerts awaiting drain
   std::uint64_t queue_posted = 0;    ///< DaemonAlerts posted, lifetime
 

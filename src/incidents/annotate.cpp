@@ -22,12 +22,13 @@ bool ScanFilter::keep(alerts::AlertType type, util::SimTime ts,
   const std::uint64_t src_key =
       src ? src->value() : util::mix64(std::hash<std::string_view>{}(host));
   const std::uint64_t key = (src_key << 8) ^ static_cast<std::uint64_t>(type);
-  const auto it = last_pass_.find(key);
-  if (it != last_pass_.end() && ts - it->second < window_) {
+  const auto [last, inserted] = last_pass_.try_emplace(key, ts);
+  if (inserted) return true;
+  if (ts - last->second < window_) {
     ++dropped_;
     return false;
   }
-  last_pass_[key] = ts;
+  last->second = ts;
   return true;
 }
 

@@ -41,6 +41,8 @@ class ScanFilter {
   util::SimTime window_;
   std::uint64_t seen_ = 0;
   std::uint64_t dropped_ = 0;
+  // A node map, not util::FlatMap: the flat table raised alertbench
+  // paced_attack's peak RSS from 23.2 to 24.5 MB and filtered no faster.
   std::unordered_map<std::uint64_t, util::SimTime> last_pass_;
 };
 

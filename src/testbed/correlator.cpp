@@ -12,13 +12,12 @@ std::uint64_t AlertCorrelator::key_of(const alerts::Alert& alert) {
 bool AlertCorrelator::admit(const alerts::Alert& alert) {
   ++received_;
   const auto key = key_of(alert);
-  util::SimTime* last = last_forwarded_.find(key);
-  if (last != nullptr && alert.ts - *last < config_.window && alert.ts >= *last) {
+  const auto [last, inserted] = last_forwarded_.try_emplace(key);
+  if (!inserted && alert.ts - *last < config_.window && alert.ts >= *last) {
     // Corroborating observation of the same event: absorb it. (Operators
     // can recover the per-monitor view from the monitors' own counters.)
     return false;
   }
-  if (last == nullptr) last = &last_forwarded_[key];
   *last = alert.ts;
   ++forwarded_;
   return true;

@@ -186,10 +186,24 @@ SubmitResult DetectionDaemon::route(std::string_view host,
   }
   const std::uint64_t seq = alerts_kept_;
   op.seq = seq;
-  if (push_spin(shard, std::move(op))) to_wake = &shard;
-  // Publication order matters for the frontier: ring push, then the
-  // shard's routed watermark, then last_seq_. pump() acquires last_seq_
-  // first, so a frontier at seq always sees the routed store.
+  if (push_spin(shard, std::move(op))) {
+    to_wake = &shard;
+    // Idle hint: a parked shard that finished its previous op has nothing
+    // below seq pending, so it need not hold the frontier back until its
+    // worker wakes and takes this op. The claim alone does not prove it:
+    // a worker can publish parked, find an older entry in its re-check
+    // and abort the park; hence the done_through read, after the claim's
+    // seq_cst exchange. Only a claimed wake reads the worker's line, so
+    // the awake (closed-loop) path pays nothing.
+    if (shard.done_through.load(std::memory_order_acquire) >=
+        shard.routed.load(std::memory_order_relaxed)) {
+      shard.idle_hint.store(seq - 1, std::memory_order_release);
+    }
+  }
+  // Publication order matters for the frontier: ring push, then the idle
+  // hint, then the shard's routed watermark, then last_seq_. pump()
+  // acquires last_seq_ first, so a frontier at seq sees the routed store
+  // and any hint made with it.
   shard.routed.store(seq, std::memory_order_release);
   last_seq_.store(seq, std::memory_order_release);
   // High-water mark: the worker's counter is read only when the cached
@@ -308,6 +322,9 @@ std::size_t DetectionDaemon::drain_shard(Shard& shard,
       shard.evicted.store(shard.entities.evicted(), std::memory_order_relaxed);
       shard.checkpoints_applied.fetch_add(1, std::memory_order_release);
     } else {
+      // The ring is FIFO: every older op of this shard is done, so the
+      // frontier may pass everything below this one while it runs.
+      shard.done_through.store(op->seq - 1, std::memory_order_release);
       const auto emit = [&shard, seq = op->seq](Verdict&& verdict) {
         Outbound out{seq, std::move(verdict)};
         while (!shard.out.try_push(std::move(out))) {
@@ -342,7 +359,7 @@ std::size_t DetectionDaemon::drain_shard(Shard& shard,
         report->message = std::move(*failure);
         queue_.post(std::move(report));
       }
-      shard.completed.store(op->seq, std::memory_order_release);
+      shard.done_through.store(op->seq, std::memory_order_release);
     }
     shard.entity_count.store(shard.entities.size(), std::memory_order_relaxed);
     shard.in.pop();
@@ -355,14 +372,24 @@ std::size_t DetectionDaemon::drain_shard(Shard& shard,
 // ------------------------------------------------------------------ merge
 
 std::uint64_t DetectionDaemon::frontier() const {
-  // Acquire last_seq_ FIRST: its release store happens after the routed
-  // store of the op that produced it, so every shard watermark read below
-  // is at least as new as this seq.
+  // The fence is the highest seq whose every op has finished with its
+  // outbound entries visible. Per shard, bound = max(done_through,
+  // idle_hint) promises exactly that for the shard's own ops at or below
+  // it; both only grow, so a stale read is just a lower promise. Acquire
+  // last_seq_ FIRST: its release store follows the routed store (and any
+  // idle-hint store) of the op that produced it, so the routed read below
+  // is at least the shard's newest op at or below the fence. A shard with
+  // bound >= routed has finished all of those; any other shard caps the
+  // fence at its bound. The acquire on done_through (directly, or through
+  // the coordinator's acquire read before it stored idle_hint) makes the
+  // finished ops' outbound entries visible to the pump.
   std::uint64_t fence = last_seq_.load(std::memory_order_acquire);
   for (const auto& shard : shards_) {
     const std::uint64_t routed = shard->routed.load(std::memory_order_acquire);
-    const std::uint64_t completed = shard->completed.load(std::memory_order_acquire);
-    if (completed < routed && completed < fence) fence = completed;
+    const std::uint64_t bound =
+        std::max(shard->done_through.load(std::memory_order_acquire),
+                 shard->idle_hint.load(std::memory_order_acquire));
+    if (bound < routed && bound < fence) fence = bound;
   }
   return fence;
 }
@@ -415,11 +442,11 @@ void DetectionDaemon::pump_locked() {
         queue_.post(std::move(action));
       }
     }
-    if (merge_scratch_.back().seq > released_seq_) {
-      released_seq_ = merge_scratch_.back().seq;
-    }
     merge_scratch_.clear();
   }
+  // Every verdict at or below the fence is out now. A later fence can read
+  // lower (a shard given a new op reopens its bound); keep the highest.
+  released_through_ = std::max(released_through_, fence);
   // Checkpoint completions: ordinal k is done once every shard applied it.
   std::uint64_t applied = std::numeric_limits<std::uint64_t>::max();
   for (const auto& shard : shards_) {
@@ -504,7 +531,9 @@ DetectionDaemon::Stats DetectionDaemon::stats() const {
     util::LockGuard lock(merge_mu_);
     stats.verdicts = verdicts_;
     stats.bhr_actions = bhr_actions_;
+    stats.released_through = released_through_;
   }
+  stats.routed_through = last_seq_.load(std::memory_order_acquire);
   stats.queue_pending = queue_.pending();
   stats.queue_posted = queue_.posted();
   return stats;

@@ -22,8 +22,9 @@
 // AlertPipeline run over the same submitted sequence. The coordinator
 // assigns each kept alert a global ordinal (seq); shard workers publish
 // per-op completion watermarks; pump() releases outbound verdicts only up
-// to the "frontier" (the lowest seq any busy shard has not finished),
-// stable-sorted by seq, and applies BHR blocks in that same order.
+// to the "frontier" (just below the oldest seq a busy shard has not
+// finished), stable-sorted by seq, and applies BHR blocks in that same
+// order.
 // Eviction checkpoints (every Nth ingested alert, the serial schedule) are
 // broadcast as in-ring entries to every shard, so each shard applies them
 // exactly where the serial pipeline would have, restricted to its entity
@@ -188,18 +189,24 @@ class DetectionDaemon final : public alerts::AlertSink {
     util::SpscRing<Outbound> out;
     std::size_t index = 0;
     EntityTable entities;  ///< worker-owned (no lock: one worker per shard)
-    // Watermarks. routed: last seq the coordinator pushed here (mu_ side);
-    // completed: last seq the worker finished (its outbound entries, if
-    // any, were pushed before the store). pushed/finished count every ring
-    // entry including checkpoints — equality means the shard is idle.
-    // Coordinator-written and worker-written counters sit on separate cache
-    // lines, so a submit does not wait on a line the worker just wrote.
+    // Watermarks. routed: last seq the coordinator pushed here (mu_ side).
+    // done_through: every op routed here with seq <= it has finished (its
+    // outbound entries, if any, were pushed before the store); the worker
+    // stores seq-1 when it takes an op off the ring front and seq when it
+    // finishes it. idle_hint: the same promise, made by the coordinator
+    // when it wakes a parked shard that had finished everything routed to
+    // it (route()). pushed/finished count every ring entry including
+    // checkpoints — equality means the shard is idle. Each watermark has
+    // one writer, and coordinator-written and worker-written counters sit
+    // on separate cache lines, so a submit does not wait on a line the
+    // worker just wrote.
     alignas(64) std::atomic<std::uint64_t> routed{0};
+    std::atomic<std::uint64_t> idle_hint{0};
     std::atomic<std::uint64_t> pushed_entries{0};
     std::atomic<std::uint64_t> rejected{0};
     std::atomic<std::uint64_t> max_depth{0};  ///< ingest ring high-water
     bool overflowed = false;  ///< coordinator-only: edge-triggers the alert
-    alignas(64) std::atomic<std::uint64_t> completed{0};
+    alignas(64) std::atomic<std::uint64_t> done_through{0};
     std::atomic<std::uint64_t> finished_entries{0};
     std::atomic<std::uint64_t> checkpoints_applied{0};
     std::atomic<std::uint64_t> evicted{0};
@@ -290,7 +297,9 @@ class DetectionDaemon final : public alerts::AlertSink {
   /// ordinal checkpoints_reported_ + 1.
   std::vector<util::SimTime> checkpoint_ts_ AT_GUARDED_BY(merge_mu_);
   std::uint64_t checkpoints_reported_ AT_GUARDED_BY(merge_mu_) = 0;
-  std::uint64_t released_seq_ AT_GUARDED_BY(merge_mu_) = 0;
+  /// Every verdict of a seq at or below it has been released: the highest
+  /// frontier any pump has computed.
+  std::uint64_t released_through_ AT_GUARDED_BY(merge_mu_) = 0;
   std::uint64_t verdicts_ AT_GUARDED_BY(merge_mu_) = 0;
   std::uint64_t bhr_actions_ AT_GUARDED_BY(merge_mu_) = 0;
   std::uint64_t drained_mark_ AT_GUARDED_BY(merge_mu_) = 0;

@@ -16,10 +16,10 @@
 // single inserts and erases cannot thrash.
 //
 // Pointers and references into the table do not survive an insert
-// (operator[] on a new key may rehash), an erase or an erase_if. Iteration
-// order is the slot order: deterministic for a given sequence of
-// operations (an erase_if that shrinks reorders it), but unrelated to key
-// order, so readers that print or rank must sort.
+// (operator[] or try_emplace on a new key may rehash), an erase or an
+// erase_if. Iteration order is the slot order: deterministic for a given
+// sequence of operations (an erase_if that shrinks reorders it), but
+// unrelated to key order, so readers that print or rank must sort.
 
 #include <algorithm>
 #include <bit>
@@ -53,19 +53,29 @@ class FlatMap {
     }
   }
 
-  /// The value stored under `key`, value-initialized on first use.
-  V& operator[](std::uint64_t key) {
+  /// Find-or-insert in one probe: the value stored under `key` (value-
+  /// initialized if absent) and whether this call inserted it. Only an
+  /// insert that grows the table probes again, in the new array.
+  std::pair<V*, bool> try_emplace(std::uint64_t key) {
     if (key == kEmptyKey) {
-      has_empty_key_ = true;
-      return empty_key_value_;
+      return {&empty_key_value_, !std::exchange(has_empty_key_, true)};
     }
-    if (V* value = find(key)) return *value;
-    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
-    Slot& slot = slots_[free_slot(key)];
-    slot.key = key;
+    if (slots_.empty()) grow();
+    std::size_t i = home(key);
+    for (; slots_[i].key != kEmptyKey; i = next(i)) {
+      if (slots_[i].key == key) return {&slots_[i].value, false};
+    }
+    if ((size_ + 1) * 4 > slots_.size() * 3) {
+      grow();
+      i = free_slot(key);
+    }
+    slots_[i].key = key;
     ++size_;
-    return slot.value;
+    return {&slots_[i].value, true};
   }
+
+  /// The value stored under `key`, value-initialized on first use.
+  V& operator[](std::uint64_t key) { return *try_emplace(key).first; }
 
   /// Calls f(key, value) once per entry, in slot order.
   template <typename F>

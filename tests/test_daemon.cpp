@@ -8,7 +8,9 @@
 // wakeup (DaemonWake*, each under a watchdog so a lost wakeup fails instead
 // of hanging). EntityCore* runs the per-entity behaviours (score floor,
 // last-source fallback, idle eviction) through both front-ends; DaemonFault*
-// pins what a throwing detector leaves behind.
+// pins what a throwing detector leaves behind. DaemonFrontier* pins the
+// release frontier: a verdict is released as soon as every older op has
+// finished, not held behind a busy shard's newer one.
 
 #include <gtest/gtest.h>
 
@@ -509,6 +511,139 @@ TEST(DaemonWake, JitteredSubmitsRaceTheParkPointAndMatchOracle) {
     append(verdicts, daemon.drain_alerts(alerts::DaemonAlert::kVerdict));
     expect_serial_stream(verdicts, serial, router, serial_router);
     EXPECT_GT(daemon.stats().worker_wakeups, 0u);
+  }
+}
+
+/// Fires on every critical alert; on the one alert of `held_host` at
+/// `held_ts` it first raises `entered` and waits for `open`, holding its
+/// shard's worker mid-op.
+class GatedDetector final : public detect::Detector {
+ public:
+  GatedDetector(std::string held_host, util::SimTime held_ts, std::atomic<bool>* entered,
+                const std::atomic<bool>* open)
+      : held_host_(std::move(held_host)), held_ts_(held_ts), entered_(entered), open_(open) {}
+  [[nodiscard]] std::string name() const override { return "gated"; }
+  void reset() override {}
+  std::optional<detect::Detection> observe(const alerts::Alert& alert,
+                                           std::size_t index) override {
+    if (alert.host == held_host_ && alert.ts == held_ts_) {
+      entered_->store(true, std::memory_order_release);
+      while (!open_->load(std::memory_order_acquire)) std::this_thread::yield();
+    }
+    if (!alert.critical()) return std::nullopt;
+    return detect::Detection{index, alert.ts, 1.0, "critical #" + std::to_string(index)};
+  }
+
+ private:
+  std::string held_host_;
+  util::SimTime held_ts_;
+  std::atomic<bool>* entered_;
+  const std::atomic<bool>* open_;
+};
+
+std::vector<std::uint64_t> verdict_seqs(const std::vector<alerts::AlertQueue::Ptr>& alerts) {
+  std::vector<std::uint64_t> seqs;
+  for (const auto& alert : alerts) {
+    seqs.push_back(static_cast<const alerts::VerdictAlert&>(*alert).seq);
+  }
+  return seqs;
+}
+
+/// Shard B finished seq 1, then took seq 3 and is held on it; shard A
+/// finished seq 2. Everything of B below 3 is done, so seq 2's verdict
+/// must release while B is still busy, and seq 3's only once B finishes.
+TEST(DaemonFrontier, ReleasesPastABusyShard) {
+  const Watchdog watchdog("DaemonFrontier.ReleasesPastABusyShard", kWatchdogLimit);
+  constexpr std::size_t kShards = 2;
+  const auto shard_of = [](const std::string& host) {
+    return EntityRef::of(host, std::nullopt, "").hash() % kShards;
+  };
+  const std::string host_b = "pg-0";
+  std::string host_a;
+  for (int i = 1; host_a.empty(); ++i) {
+    const std::string host = "pg-" + std::to_string(i);
+    if (shard_of(host) != shard_of(host_b)) host_a = host;
+  }
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> open{false};
+  DaemonConfig config;
+  config.shards = kShards;
+  DetectionDaemon daemon(config, nullptr);
+  daemon.add_detector("gated", [&] {
+    return std::make_unique<GatedDetector>(host_b, 3, &entered, &open);
+  });
+  // Execution-stage and later types: the scan filter keeps all three.
+  ASSERT_EQ(daemon.submit(make_alert(1, alerts::AlertType::kNewBinaryExecuted, host_b)),
+            SubmitResult::kAccepted);
+  daemon.drain_idle();
+  ASSERT_EQ(daemon.submit(make_alert(2, alerts::AlertType::kPrivilegeEscalation, host_a)),
+            SubmitResult::kAccepted);
+  ASSERT_EQ(daemon.submit(make_alert(3, alerts::AlertType::kPrivilegeEscalation, host_b)),
+            SubmitResult::kAccepted);
+  wait_until([&] { return entered.load(std::memory_order_acquire); });
+
+  // Seq 2's verdict is released by the first pump after shard A finishes
+  // it. Poll for a bounded time: a frontier that waits on shard B never
+  // releases it while B is held, and the test must fail, not hang.
+  std::vector<alerts::AlertQueue::Ptr> released;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (released.empty() && std::chrono::steady_clock::now() < deadline) {
+    append(released, daemon.drain_alerts(alerts::DaemonAlert::kVerdict));
+    if (released.empty()) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_EQ(verdict_seqs(released), std::vector<std::uint64_t>{2});
+  EXPECT_EQ(daemon.stats().released_through, 2u);
+  EXPECT_EQ(daemon.stats().routed_through, 3u);
+  // Still held: seq 3 has not finished, so its verdict must not show.
+  EXPECT_TRUE(daemon.drain_alerts(alerts::DaemonAlert::kVerdict).empty());
+
+  open.store(true, std::memory_order_release);
+  daemon.drain_idle();
+  EXPECT_EQ(verdict_seqs(daemon.drain_alerts(alerts::DaemonAlert::kVerdict)),
+            std::vector<std::uint64_t>{3});
+  EXPECT_EQ(daemon.stats().released_through, 3u);
+}
+
+/// Submits and consumer pulls interleave at seeded points, so pumps run
+/// while shards are idle, parked, just woken or mid-op; whatever the
+/// frontier lets out early must still be the serial stream, in order.
+TEST(DaemonFrontier, JitteredPumpsMatchOracle) {
+  const Watchdog watchdog("DaemonFrontier.JitteredPumps", kWatchdogLimit);
+  PipelineConfig pipeline;
+  pipeline.entity_idle_ttl = 40;
+  pipeline.eviction_check_every = 32;
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    util::Rng rng(100 + shards);
+    const auto timeline = random_timeline(rng, 1200);
+
+    bhr::BlackHoleRouter serial_router;
+    AlertPipeline serial(pipeline, &serial_router);
+    add_detectors(serial);
+    for (const auto& alert : timeline) serial.on_alert(alert);
+
+    DaemonConfig config;
+    config.pipeline = pipeline;
+    config.shards = shards;
+    config.ring_capacity = 32;
+    bhr::BlackHoleRouter router;
+    DetectionDaemon daemon(config, &router);
+    add_detectors(daemon);
+    std::vector<alerts::AlertQueue::Ptr> verdicts;
+    for (const auto& alert : timeline) {
+      ASSERT_NE(daemon.submit(alert), SubmitResult::kStopped);
+      if (rng.bernoulli(0.5)) jitter(rng);
+      if (rng.bernoulli(0.3)) {
+        append(verdicts, daemon.drain_alerts(alerts::DaemonAlert::kVerdict));
+      }
+    }
+    daemon.drain_idle();
+    append(verdicts, daemon.drain_alerts(alerts::DaemonAlert::kVerdict));
+    expect_serial_stream(verdicts, serial, router, serial_router);
+    const auto stats = daemon.stats();
+    EXPECT_EQ(stats.released_through, stats.routed_through);
+    EXPECT_EQ(stats.routed_through, stats.kept);
   }
 }
 

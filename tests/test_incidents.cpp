@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <unordered_map>
 
 #include "analysis/similarity.hpp"
 #include "incidents/annotate.hpp"
 #include "incidents/generator.hpp"
 #include "incidents/noise.hpp"
 #include "net/cidr.hpp"
+#include "util/rng.hpp"
 
 namespace at::incidents {
 namespace {
@@ -273,6 +276,56 @@ TEST(ScanFilterTest, AchievesPaperReductionScale) {
   }
   EXPECT_LT(kept, 100u);
   EXPECT_GT(kept, 0u);
+}
+
+TEST(ScanFilterTest, MatchesUnorderedMapReferenceOnSeededStream) {
+  // ~1,800 (source, type) keys so the table grows many times; a
+  // third of the alerts carry no source and key on the host's hash;
+  // timestamps step back as often as forward, and a step back inside the
+  // window is a repeat like any other.
+  static constexpr alerts::AlertType kTypes[] = {
+      alerts::AlertType::kPortScan, alerts::AlertType::kSshBruteforce,
+      alerts::AlertType::kLoginFailure, alerts::AlertType::kNewBinaryExecuted,
+      alerts::AlertType::kPrivilegeEscalation};
+  for (const std::uint64_t seed : {21u, 22u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    const util::SimTime window = 2000;
+    ScanFilter filter(window);
+    std::unordered_map<std::string, util::SimTime> last_pass;
+    std::uint64_t dropped = 0;
+    util::SimTime ts = 1'000'000;
+    for (int i = 0; i < 30000; ++i) {
+      ts += rng.uniform_int(-300, 320);
+      alerts::Alert alert;
+      alert.ts = ts;
+      alert.type = kTypes[rng.uniform_int(0, 4)];
+      const auto id = static_cast<std::uint32_t>(rng.uniform_int(0, 300));
+      if (rng.bernoulli(1.0 / 3.0)) {
+        alert.host = "pg-" + std::to_string(id);
+      } else {
+        alert.src = net::Ipv4(0x0A000000U + id);
+        alert.host = "login-" + std::to_string(id % 7);
+      }
+      const auto category = alerts::category_of(alert.type);
+      bool keep = true;
+      if (category == alerts::Category::kRecon || category == alerts::Category::kAccess) {
+        const std::string key =
+            (alert.src ? "ip:" + alert.src->str() : "host:" + alert.host) + "/" +
+            std::to_string(static_cast<int>(alert.type));
+        const auto [it, inserted] = last_pass.try_emplace(key, ts);
+        keep = inserted || ts - it->second >= window;
+        if (keep) it->second = ts;
+      }
+      if (!keep) ++dropped;
+      ASSERT_EQ(filter.keep(alert), keep) << "alert " << i;
+    }
+    EXPECT_EQ(filter.seen(), 30000u);
+    EXPECT_EQ(filter.dropped(), dropped);
+    // Both outcomes are common, so both paths of keep() were compared.
+    EXPECT_GT(dropped, 1000u);
+    EXPECT_LT(dropped, 17000u);
+  }
 }
 
 // --- Annotation pipeline ---

@@ -1,9 +1,8 @@
 // util::FlatMap, the open-addressed table behind the traffic plane's
 // per-source state, checked against std::unordered_map: seeded inserts,
-// lookups, single-key erases and erase_if sweeps, the key kept aside (~0),
-// and runs of keys
-// crafted to share one home slot, including runs that wrap past the end
-// of the slot array.
+// find-or-inserts (try_emplace), lookups, single-key erases and erase_if
+// sweeps, the key kept aside (~0), and runs of keys crafted to share one
+// home slot, including runs that wrap past the end of the slot array.
 
 #include <gtest/gtest.h>
 
@@ -89,6 +88,36 @@ TEST(FlatMapTest, MatchesUnorderedMapOnSeededOps) {
           }
         }
         ASSERT_EQ(map.erase_if(pred), want);
+      }
+      ASSERT_EQ(map.size(), reference.size());
+    }
+    EXPECT_EQ(sorted_entries(map), sorted_entries(reference));
+  }
+}
+
+TEST(FlatMapTest, TryEmplaceMatchesUnorderedMap) {
+  for (const std::uint64_t seed : {4u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    FlatMap<std::uint64_t> map;
+    std::unordered_map<std::uint64_t, std::uint64_t> reference;
+    for (int op = 0; op < 40000; ++op) {
+      // A growing universe: early ops mostly insert, later ones mostly hit.
+      const double roll = rng.uniform();
+      const std::uint64_t k =
+          roll < 0.02 ? FlatMap<std::uint64_t>::kEmptyKey
+          : roll < 0.04
+              ? 0
+              : static_cast<std::uint64_t>(rng.uniform_int(1, 1 + op / 4)) * 0x9E37ULL;
+      const auto [value, inserted] = map.try_emplace(k);
+      const auto [it, want_inserted] = reference.try_emplace(k);
+      ASSERT_EQ(inserted, want_inserted) << "key " << k;
+      ASSERT_EQ(*value, it->second) << "key " << k;
+      const std::uint64_t v = rng();
+      *value += v;
+      it->second += v;
+      if (rng.bernoulli(0.01)) {
+        ASSERT_EQ(map.erase(k), reference.erase(k) == 1);
       }
       ASSERT_EQ(map.size(), reference.size());
     }
