@@ -3,8 +3,9 @@
 // oracle and through DetectionDaemon, then the daemon's steady state. The
 // day is synthesized, serialized and parsed once. Three phases:
 //
-//   1. Serial baseline: read_notice_log (an owning Alert per line), then
-//      AlertPipeline one alert at a time — the reference oracle.
+//   1. Serial baseline: parse_notice_batch, then an owning Alert per row
+//      (materialize), then AlertPipeline one alert at a time — the
+//      reference oracle.
 //   2. Daemon at 1, 2, 4 and 8 shards over the one parse_notice_batch
 //      (zero-copy columns): blocking batch-row submits, then drain to idle.
 //      Each run's verdict stream, kept count and BHR audit trail must be
@@ -116,16 +117,21 @@ struct SerialRun {
 SerialRun run_serial(const std::string& log_text, const fg::ModelParams& params) {
   SerialRun run;
   const auto parse_start = Clock::now();
-  const auto parsed = alerts::read_notice_log(log_text);
+  std::vector<alerts::Alert> parsed;
+  {
+    const auto batch = alerts::parse_notice_batch(log_text);
+    parsed.reserve(batch.size());
+    for (std::size_t row = 0; row < batch.size(); ++row) parsed.push_back(batch.materialize(row));
+  }
   run.parse_seconds = seconds_since(parse_start);
   bhr::BlackHoleRouter router;
   testbed::AlertPipeline pipeline(testbed::PipelineConfig{}, &router);
   add_detectors(pipeline, params);
   const auto detect_start = Clock::now();
-  for (const auto& alert : parsed.alerts) pipeline.on_alert(alert);
+  for (const auto& alert : parsed) pipeline.on_alert(alert);
   run.detect_seconds = seconds_since(detect_start);
 
-  run.alerts = parsed.alerts.size();
+  run.alerts = parsed.size();
   run.verdicts = pipeline.notifications().size();
   run.kept = pipeline.alerts_after_filter();
   const auto audit = router.audit_log();

@@ -70,10 +70,10 @@ int main() {
     if (entry.attack_related) attack_alerts.push_back(entry.alert);
   }
   const auto log_text = alerts::write_notice_log(attack_alerts);
-  const auto reread = alerts::read_notice_log(log_text);
+  const auto reread = alerts::parse_notice_batch(log_text);
   std::printf("== archive ==\n");
   std::printf("  wrote %zu notices (%zu bytes), re-read %zu, malformed %zu\n",
-              attack_alerts.size(), log_text.size(), reread.alerts.size(),
+              attack_alerts.size(), log_text.size(), reread.size(),
               reread.malformed);
   std::printf("  first notice line:\n    %s\n",
               alerts::to_notice_line(attack_alerts.front()).c_str());

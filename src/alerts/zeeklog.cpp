@@ -13,7 +13,7 @@ namespace at::alerts {
 namespace {
 
 constexpr char kFieldSep = '\t';
-constexpr const char* kEmpty = "-";
+constexpr std::string_view kEmpty = "-";  ///< an absent field
 
 std::string escape(std::string_view value) {
   // Keep the format line-oriented: tabs/newlines become spaces.
@@ -21,14 +21,13 @@ std::string escape(std::string_view value) {
   for (char& c : out) {
     if (c == '\t' || c == '\n' || c == '\r') c = ' ';
   }
-  return out.empty() ? kEmpty : out;
+  return out.empty() ? std::string(kEmpty) : out;
 }
 
 /// std::stoll-compatible integer parse over a view: optional leading
 /// whitespace and sign, at least one digit, trailing garbage ignored,
-/// overflow rejected. Shared by parse_notice_line and parse_notice_batch,
-/// so their accept/reject behavior is identical by construction — and the
-/// historical stoll accept set is preserved without exceptions.
+/// overflow rejected. That is the historical notice-log ts accept set, kept
+/// without exceptions (the tests check it against std::stoll itself).
 std::optional<util::SimTime> parse_ts(std::string_view field) noexcept {
   std::size_t i = 0;
   while (i < field.size() && std::isspace(static_cast<unsigned char>(field[i]))) ++i;
@@ -49,8 +48,8 @@ std::string to_notice_line(const Alert& alert) {
   std::ostringstream out;
   out << alert.ts << kFieldSep << alert.symbol_name() << kFieldSep << escape(alert.host)
       << kFieldSep << escape(alert.user) << kFieldSep
-      << (alert.src ? alert.src->str() : kEmpty) << kFieldSep << to_string(alert.origin)
-      << kFieldSep;
+      << (alert.src ? alert.src->str() : std::string(kEmpty)) << kFieldSep
+      << to_string(alert.origin) << kFieldSep;
   if (alert.metadata.empty()) {
     out << kEmpty;
   } else {
@@ -62,45 +61,6 @@ std::string to_notice_line(const Alert& alert) {
     }
   }
   return out.str();
-}
-
-std::optional<Alert> parse_notice_line(std::string_view line) {
-  const auto trimmed = util::trim(line);
-  if (trimmed.empty() || trimmed.front() == '#') return std::nullopt;
-  const auto fields = util::split(trimmed, kFieldSep);
-  if (fields.size() != 7) return std::nullopt;
-
-  Alert alert;
-  const auto ts = parse_ts(fields[0]);
-  if (!ts) return std::nullopt;
-  alert.ts = *ts;
-  const auto type = from_symbol(fields[1]);
-  if (!type) return std::nullopt;
-  alert.type = *type;
-  if (fields[2] != kEmpty) alert.host = fields[2];
-  if (fields[3] != kEmpty) alert.user = fields[3];
-  if (fields[4] != kEmpty) {
-    try {
-      alert.src = net::Ipv4::parse(fields[4]);
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-  }
-  for (const auto origin : {Origin::kZeek, Origin::kOsquery, Origin::kAuditd,
-                            Origin::kRsyslog, Origin::kSynthetic}) {
-    if (fields[5] == to_string(origin)) {
-      alert.origin = origin;
-      break;
-    }
-  }
-  if (fields[6] != kEmpty) {
-    for (const auto& pair : util::split(fields[6], '|')) {
-      const auto eq = pair.find('=');
-      if (eq == std::string::npos) return std::nullopt;
-      alert.add_meta(pair.substr(0, eq), pair.substr(eq + 1));
-    }
-  }
-  return alert;
 }
 
 std::string write_notice_log(const std::vector<Alert>& alerts) {
@@ -130,7 +90,23 @@ bool split_fields(std::string_view line, std::array<std::string_view, 7>& fields
   return count == 7;
 }
 
-constexpr std::string_view kEmptyField = "-";
+/// Walk the '|'-separated key=value pairs of a raw metadata field, calling
+/// on_pair(key, value) for each in order. Returns false, without visiting
+/// the rest, at the first pair that has no '='.
+template <typename OnPair>
+bool for_each_meta_pair(std::string_view meta, OnPair&& on_pair) {
+  std::size_t start = 0;
+  while (true) {
+    std::size_t pos = meta.find('|', start);
+    if (pos == std::string_view::npos) pos = meta.size();
+    const auto pair = meta.substr(start, pos - start);
+    const auto eq = pair.find('=');
+    if (eq == std::string_view::npos) return false;
+    on_pair(pair.substr(0, eq), pair.substr(eq + 1));
+    if (pos == meta.size()) return true;
+    start = pos + 1;
+  }
+}
 
 }  // namespace
 
@@ -142,19 +118,11 @@ Alert AlertBatch::materialize(std::size_t i) const {
   if (has_src[i]) alert.src = src[i];
   alert.host.assign(host[i]);
   alert.user.assign(user[i]);
-  const std::string_view meta = metadata[i];
-  if (!meta.empty()) {
-    std::size_t start = 0;
-    while (start <= meta.size()) {
-      std::size_t pos = meta.find('|', start);
-      if (pos == std::string_view::npos) pos = meta.size();
-      const auto pair = meta.substr(start, pos - start);
-      const auto eq = pair.find('=');
-      // eq != npos was checked at parse time.
-      alert.add_meta(std::string(pair.substr(0, eq)), std::string(pair.substr(eq + 1)));
-      if (pos == meta.size()) break;
-      start = pos + 1;
-    }
+  // Every pair was checked for its '=' at parse time.
+  if (!metadata[i].empty()) {
+    for_each_meta_pair(metadata[i], [&](std::string_view key, std::string_view value) {
+      alert.add_meta(std::string(key), std::string(value));
+    });
   }
   return alert;
 }
@@ -193,7 +161,7 @@ AlertBatch parse_notice_batch(std::string text) {
       const auto type = from_symbol(fields[1]);
       if (!type) return false;
       std::optional<net::Ipv4> src;
-      if (fields[4] != kEmptyField) {
+      if (fields[4] != kEmpty) {
         src = net::Ipv4::try_parse(fields[4]);
         if (!src) return false;
       }
@@ -206,20 +174,12 @@ AlertBatch parse_notice_batch(std::string text) {
         }
       }
       std::string_view meta;
-      if (fields[6] != kEmptyField) {
+      if (fields[6] != kEmpty) {
         meta = fields[6];
-        // Validate every key=value pair now so malformed counting matches
-        // parse_notice_line; pair *splitting* stays lazy (materialize).
-        std::size_t pair_start = 0;
-        while (pair_start <= meta.size()) {
-          std::size_t pos = meta.find('|', pair_start);
-          if (pos == std::string_view::npos) pos = meta.size();
-          if (meta.substr(pair_start, pos - pair_start).find('=') ==
-              std::string_view::npos) {
-            return false;
-          }
-          if (pos == meta.size()) break;
-          pair_start = pos + 1;
+        // Validate every key=value pair now so a bad pair makes the line
+        // malformed; building the pairs stays lazy (materialize).
+        if (!for_each_meta_pair(meta, [](std::string_view, std::string_view) {})) {
+          return false;
         }
       }
       batch.ts.push_back(*ts);
@@ -227,8 +187,8 @@ AlertBatch parse_notice_batch(std::string text) {
       batch.origin.push_back(origin);
       batch.src.push_back(src.value_or(net::Ipv4{}));
       batch.has_src.push_back(src.has_value() ? 1 : 0);
-      batch.host.push_back(fields[2] == kEmptyField ? std::string_view{} : fields[2]);
-      batch.user.push_back(fields[3] == kEmptyField ? std::string_view{} : fields[3]);
+      batch.host.push_back(fields[2] == kEmpty ? std::string_view{} : fields[2]);
+      batch.user.push_back(fields[3] == kEmpty ? std::string_view{} : fields[3]);
       batch.metadata.push_back(meta);
       return true;
     }();
@@ -236,27 +196,6 @@ AlertBatch parse_notice_batch(std::string text) {
     if (done) break;
   }
   return batch;
-}
-
-NoticeLogResult read_notice_log(std::string_view text) {
-  NoticeLogResult result;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    const auto line = text.substr(start, end - start);
-    const auto trimmed = util::trim(line);
-    if (!trimmed.empty() && trimmed.front() != '#') {
-      if (auto alert = parse_notice_line(line)) {
-        result.alerts.push_back(std::move(*alert));
-      } else {
-        ++result.malformed;
-      }
-    }
-    if (end == text.size()) break;
-    start = end + 1;
-  }
-  return result;
 }
 
 }  // namespace at::alerts

@@ -24,31 +24,21 @@ namespace at::alerts {
 /// Serialize one alert as a notice line (no trailing newline).
 [[nodiscard]] std::string to_notice_line(const Alert& alert);
 
-/// Parse one notice line; returns nullopt on malformed input or comments.
-/// AT_UNTRUSTED: notice logs arrive from monitored hosts — every field is
-/// attacker-influenced until validated.
-[[nodiscard]] std::optional<Alert> parse_notice_line(std::string_view line) AT_UNTRUSTED;
-
 /// Full log with header.
 [[nodiscard]] std::string write_notice_log(const std::vector<Alert>& alerts);
-
-struct NoticeLogResult {
-  std::vector<Alert> alerts;
-  std::size_t malformed = 0;
-};
-/// Parse a whole log (comments and blank lines are skipped silently).
-[[nodiscard]] NoticeLogResult read_notice_log(std::string_view text) AT_UNTRUSTED;
 
 /// Structure-of-arrays view of a parsed notice log. Every string column is
 /// a std::string_view into `arena()` — the log text retained by the batch —
 /// so parsing performs no per-field allocation and rows that the pipeline
 /// filters out are never materialized as owning Alerts. Columns are index-
-/// aligned; row i is well-formed by construction (malformed lines are only
-/// counted, exactly like read_notice_log).
+/// aligned; row i is well-formed by construction. Blank (after trimming
+/// whitespace) and '#' comment lines are skipped; any other line that fails
+/// to parse is only counted in `malformed`.
 ///
 /// The batch is movable: views chase the arena because std::string's heap
-/// buffer survives the move (any parseable row is far longer than the SSO
-/// capacity, and a row-less batch holds no views).
+/// buffer survives the move. The shortest parseable row,
+/// "0\talert_logout\t\t\t-\t\t-", is 21 bytes, past libstdc++'s 15-byte SSO
+/// capacity, and a row-less batch holds no views.
 class AlertBatch {
  public:
   std::vector<util::SimTime> ts;
@@ -70,8 +60,8 @@ class AlertBatch {
     return has_src[i] ? std::optional<net::Ipv4>(src[i]) : std::nullopt;
   }
 
-  /// Build the owning Alert for row i — identical to what
-  /// parse_notice_line would have produced for the source line.
+  /// Build the owning Alert for row i: the columns plus the metadata field
+  /// split into its key=value pairs, in order.
   [[nodiscard]] Alert materialize(std::size_t i) const;
 
  private:
@@ -79,9 +69,14 @@ class AlertBatch {
   std::string arena_;
 };
 
-/// Zero-copy batch parse: takes ownership of the log text (move it in) and
-/// returns a column-oriented batch of string_views into it. Agrees line-for-
-/// line with parse_notice_line, including malformed/comment handling.
+/// Zero-copy batch parse, the one notice-log reader: takes ownership of the
+/// log text (move it in) and returns a column-oriented batch of
+/// string_views into it. A line is a row iff it has exactly 7 tab-separated
+/// fields, a std::stoll-style ts, a known note symbol, a dotted-quad or '-'
+/// src, and a '-' or all-`key=value` metadata field; an unknown origin reads
+/// as Origin::kSynthetic.
+/// AT_UNTRUSTED: notice logs arrive from monitored hosts — every field is
+/// attacker-influenced until validated.
 [[nodiscard]] AlertBatch parse_notice_batch(std::string text) AT_UNTRUSTED;
 
 }  // namespace at::alerts

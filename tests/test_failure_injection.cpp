@@ -7,6 +7,7 @@
 
 #include "alerts/zeeklog.hpp"
 #include "detect/eval.hpp"
+#include "notice_line_oracle.hpp"
 #include "replay/ransomware.hpp"
 
 namespace at {
@@ -115,10 +116,11 @@ TEST(FailureInjection, HostileNoticeLogInput) {
   hostile += "1\talert_port_scan\t" + std::string(100'000, 'a') + "\t-\t-\tzeek\t-\n";
   hostile += "2\talert_port_scan\t-\t-\t-\tzeek\tk=v|k2\n";  // bad metadata pair
   hostile += "99999999999999999999999999\talert_port_scan\t-\t-\t-\tzeek\t-\n";  // ts overflow
-  const auto result = alerts::read_notice_log(hostile);
+  const auto result = alerts::parse_notice_batch(hostile);
   // The huge-host line is structurally valid; everything else is rejected.
-  EXPECT_EQ(result.alerts.size(), 1u);
+  EXPECT_EQ(result.size(), 1u);
   EXPECT_EQ(result.malformed, 3u);
+  alerts::oracle::expect_batch_agrees(hostile);
 }
 
 TEST(FailureInjection, PipelineSurvivesAlertStorm) {

@@ -1,11 +1,13 @@
 // Sharded determinism: DetectionDaemon at any shard count must reproduce
 // the serial AlertPipeline exactly — verdicts, BHR audit trail, and
 // counters — on a realistic day of noise + incidents. Plus the batch-parse
-// property: parse_notice_batch agrees with parse_notice_line on every line,
-// including malformed, comment, and blank ones.
+// property: parse_notice_batch agrees with the scalar reference reader
+// (notice_line_oracle.hpp) on every line, including malformed, comment, and
+// blank ones.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "fg/model.hpp"
 #include "incidents/generator.hpp"
 #include "incidents/noise.hpp"
+#include "notice_line_oracle.hpp"
 #include "testbed/daemon.hpp"
 
 namespace at::testbed {
@@ -170,56 +173,9 @@ TEST_P(ShardedDeterminismTest, StreamingSinkMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardedDeterminismTest, ::testing::Values(1, 2, 8));
 
-// --- Batch-parse property: agrees with parse_notice_line on every line ---
+// --- Batch-parse property: agrees with the reference reader on every line ---
 
-void expect_batch_agrees(const std::string& text) {
-  // Per-line oracle.
-  std::vector<alerts::Alert> expected;
-  std::size_t expected_malformed = 0;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const auto nl = text.find('\n', start);
-    const auto end = nl == std::string::npos ? text.size() : nl;
-    const std::string_view line(text.data() + start, end - start);
-    // Mirror read_notice_log's accounting: blank/comment lines are
-    // skipped silently, other unparseable lines count as malformed.
-    std::string_view trimmed = line;
-    while (!trimmed.empty() && (trimmed.front() == ' ' || trimmed.front() == '\t' ||
-                                trimmed.front() == '\r'))
-      trimmed.remove_prefix(1);
-    if (!trimmed.empty() && trimmed.front() != '#') {
-      if (auto alert = alerts::parse_notice_line(line)) {
-        expected.push_back(std::move(*alert));
-      } else {
-        ++expected_malformed;
-      }
-    }
-    if (nl == std::string::npos) break;
-    start = nl + 1;
-  }
-
-  const auto batch = alerts::parse_notice_batch(std::string(text));
-  ASSERT_EQ(batch.size(), expected.size());
-  EXPECT_EQ(batch.malformed, expected_malformed);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    SCOPED_TRACE("row " + std::to_string(i));
-    const alerts::Alert& want = expected[i];
-    EXPECT_EQ(batch.ts[i], want.ts);
-    EXPECT_EQ(batch.type[i], want.type);
-    EXPECT_EQ(batch.origin[i], want.origin);
-    EXPECT_EQ(batch.src_at(i), want.src);
-    EXPECT_EQ(batch.host[i], want.host);
-    EXPECT_EQ(batch.user[i], want.user);
-    const alerts::Alert owned = batch.materialize(i);
-    EXPECT_EQ(owned.ts, want.ts);
-    EXPECT_EQ(owned.type, want.type);
-    EXPECT_EQ(owned.origin, want.origin);
-    EXPECT_EQ(owned.src, want.src);
-    EXPECT_EQ(owned.host, want.host);
-    EXPECT_EQ(owned.user, want.user);
-    EXPECT_EQ(owned.metadata, want.metadata);
-  }
-}
+using alerts::oracle::expect_batch_agrees;
 
 TEST(ParseNoticeBatchTest, AgreesOnRealisticLog) {
   incidents::DailyNoiseModel noise;
@@ -241,13 +197,52 @@ TEST(ParseNoticeBatchTest, AgreesOnAdversarialLines) {
       "xyz\talert_ssh_bruteforce\th\tu\t1.2.3.4\tzeek\t-\n"   // bad ts
       "99\tno_such_alert\th\tu\t1.2.3.4\tzeek\t-\n"           // bad type
       "99\talert_ssh_bruteforce\th\tu\t999.2.3.4\tzeek\t-\n"  // bad src
-      "99\talert_ssh_bruteforce\th\tu\t1.2.3.4\tnoisy\t-\n"   // bad origin
+      "99\talert_ssh_bruteforce\th\tu\t1.2.3.4\tnoisy\t-\n"   // unknown origin
       "99\talert_ssh_bruteforce\th\tu\t1.2.3.4\tzeek\tnoeq\n"  // bad metadata
       "99\talert_ssh_bruteforce\th\tu\t1.2.3.4\tzeek\t-\textra\n"  // 8 fields
       "  " + good + "  \n" +                                  // padded, still valid
       "+99\talert_ssh_bruteforce\t-\t-\t-\tzeek\tk=v|a=b\n"   // '+' ts, metadata
+      "\v# c\n"                                               // comment after \v
+      "\f\n"                                                  // blank after trim
+      "7\talert_ssh_bruteforce\th\tu\t1.2.3.4\tzeek\tk=v\r\n"  // CRLF row
+      "\r\n"                                                  // CRLF blank line
+      "8\talert_ssh_bruteforce\th\r\tu\t1.2.3.4\tzeek\t-\n"   // inner '\r' in host
+      "9\talert_ssh_bruteforce\th\tu\t1.2.3.4\tzeek\tk=a\rb\r\n"  // inner '\r', CRLF
       "99\talert_ssh_bruteforce\t-\t-\t-\treplay\t-";         // no trailing newline
   expect_batch_agrees(text);
+  // Pin the counts too, so a blind spot the reference shares would show.
+  const auto batch = alerts::parse_notice_batch(text);
+  EXPECT_EQ(batch.size(), 8u);       // an unknown origin reads as kSynthetic
+  EXPECT_EQ(batch.malformed, 6u);
+}
+
+TEST(ParseNoticeBatchTest, MovedBatchKeepsItsViews) {
+  // The shortest parseable row (21 bytes) as a whole log: bare, with a
+  // trailing newline, and after a header line. The batch is moved out of a
+  // heap object that is then freed, so a view left in an SSO buffer would
+  // read freed memory (ASan reports it).
+  const std::string row = "0\talert_logout\t\t\t-\t\t-";
+  ASSERT_EQ(row.size(), 21u);
+  for (const std::string& text : {row, row + "\n", "#fields\n" + row}) {
+    SCOPED_TRACE(text);
+    const alerts::Alert want = alerts::oracle::read_notice_log(text).alerts.at(0);
+    auto source = std::make_unique<alerts::AlertBatch>(alerts::parse_notice_batch(text));
+    alerts::AlertBatch moved(std::move(*source));
+    source.reset();
+    alerts::AlertBatch assigned;
+    assigned = std::move(moved);
+    ASSERT_EQ(assigned.size(), 1u);
+    EXPECT_EQ(assigned.malformed, 0u);
+    const alerts::Alert got = assigned.materialize(0);
+    EXPECT_EQ(got.ts, want.ts);
+    EXPECT_EQ(got.type, alerts::AlertType::kLogout);
+    EXPECT_EQ(got.type, want.type);
+    EXPECT_EQ(got.host, want.host);
+    EXPECT_EQ(got.user, want.user);
+    EXPECT_EQ(got.src, want.src);
+    EXPECT_EQ(got.origin, want.origin);
+    EXPECT_EQ(got.metadata, want.metadata);
+  }
 }
 
 TEST(ParseNoticeBatchTest, EmptyAndCommentOnlyLogs) {

@@ -1,54 +1,23 @@
-// Hostile-input tests for the Zeek notice-log parsers: embedded NUL bytes,
-// overlong fields, and non-UTF-8 byte sequences. The parsers must never
-// crash or throw on arbitrary bytes, and parse_notice_line /
-// parse_notice_batch must agree line-for-line on what counts as malformed
-// (the batch path is the zero-copy twin of the scalar path).
+// Hostile-input tests for the Zeek notice-log reader: embedded NUL bytes,
+// overlong fields, and non-UTF-8 byte sequences. parse_notice_batch must
+// never crash or throw on arbitrary bytes, and must agree line-for-line with
+// the scalar reference reader (notice_line_oracle.hpp) on what counts as
+// malformed.
 
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "alerts/zeeklog.hpp"
-#include "util/strings.hpp"
+#include "notice_line_oracle.hpp"
 
 namespace {
 
 using at::alerts::AlertBatch;
 using at::alerts::parse_notice_batch;
-using at::alerts::parse_notice_line;
+using at::alerts::oracle::expect_batch_agrees;
 
 const std::string kValidLine = "1730259852\talert_port_scan\tpg-3\troot\t194.145.0.1\tzeek\t-";
-
-// Scalar and batch parsers must agree on every line of `text`.
-void expect_parity(const std::string& text) {
-  std::size_t scalar_ok = 0;
-  std::size_t scalar_malformed = 0;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = text.find('\n', start);
-    const std::string_view line(text.data() + start,
-                                (end == std::string::npos ? text.size() : end) - start);
-    if (end == std::string::npos && line.empty()) break;
-    // Blank (after trim) and comment lines are skipped silently by both
-    // parsers; everything else is either a row or a malformed count.
-    const auto trimmed = at::util::trim(line);
-    if (!trimmed.empty() && trimmed.front() != '#') {
-      if (parse_notice_line(line).has_value()) {
-        ++scalar_ok;
-      } else {
-        ++scalar_malformed;
-      }
-    }
-    if (end == std::string::npos) break;
-    start = end + 1;
-  }
-
-  const AlertBatch batch = parse_notice_batch(std::string(text));
-  EXPECT_EQ(batch.size(), scalar_ok);
-  EXPECT_EQ(batch.malformed, scalar_malformed);
-}
 
 TEST(ZeeklogMalformed, EmbeddedNulInField) {
   std::string line = kValidLine;
@@ -56,10 +25,12 @@ TEST(ZeeklogMalformed, EmbeddedNulInField) {
   // A NUL is just a byte: the line still has 7 tab-separated fields and all
   // typed fields (ts/type/src/origin) are intact, so it must parse — and
   // the host must round-trip all 4 bytes, not stop at the NUL.
-  const auto parsed = parse_notice_line(line);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->host.size(), 4u);
-  EXPECT_EQ(parsed->host[1], '\0');
+  const AlertBatch batch = parse_notice_batch(line);
+  ASSERT_EQ(batch.size(), 1u);
+  const auto parsed = batch.materialize(0);
+  EXPECT_EQ(parsed.host.size(), 4u);
+  EXPECT_EQ(parsed.host[1], '\0');
+  expect_batch_agrees(line);
 }
 
 TEST(ZeeklogMalformed, NulInNumericFieldFollowsStollAcceptSet) {
@@ -67,15 +38,17 @@ TEST(ZeeklogMalformed, NulInNumericFieldFollowsStollAcceptSet) {
   // (see zeeklog.cpp): digits followed by junk parse as the digits...
   std::string trailing = kValidLine;
   trailing[3] = '\0';  // ts "173\0 259852"
-  const auto parsed = parse_notice_line(trailing);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->ts, 173);
+  const AlertBatch parsed = parse_notice_batch(trailing);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed.materialize(0).ts, 173);
 
   // ...but junk before any digit is malformed.
   std::string leading = kValidLine;
   leading[0] = '\0';  // ts "\0 730259852"
-  EXPECT_FALSE(parse_notice_line(leading).has_value());
-  expect_parity(trailing + "\n" + leading + "\n");
+  const AlertBatch rejected = parse_notice_batch(leading);
+  EXPECT_EQ(rejected.size(), 0u);
+  EXPECT_EQ(rejected.malformed, 1u);
+  expect_batch_agrees(trailing + "\n" + leading + "\n");
 }
 
 TEST(ZeeklogMalformed, NulBytesKeepBatchParity) {
@@ -86,7 +59,7 @@ TEST(ZeeklogMalformed, NulBytesKeepBatchParity) {
   std::string nul_ts = kValidLine;
   nul_ts[0] = '\0';
   text += nul_ts + "\n";
-  expect_parity(text);
+  expect_batch_agrees(text);
 }
 
 TEST(ZeeklogMalformed, OverlongFieldParsesWithoutTruncation) {
@@ -95,26 +68,24 @@ TEST(ZeeklogMalformed, OverlongFieldParsesWithoutTruncation) {
   const std::string big(1u << 20, 'u');
   const std::string line =
       "1730259852\talert_port_scan\tpg-3\t" + big + "\t194.145.0.1\tzeek\t-";
-  const auto parsed = parse_notice_line(line);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->user.size(), big.size());
-
-  AlertBatch batch = parse_notice_batch(line + "\n");
+  const AlertBatch batch = parse_notice_batch(line + "\n");
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch.user[0].size(), big.size());
-  EXPECT_EQ(batch.materialize(0).user, parsed->user);
+  EXPECT_EQ(batch.materialize(0).user, big);
+  expect_batch_agrees(line + "\n");
 }
 
 TEST(ZeeklogMalformed, OverlongNumericFieldIsMalformedNotCrash) {
-  // A 1 MiB run of digits overflows any integer type; both parsers must
-  // reject the line instead of throwing or wrapping.
+  // A 1 MiB run of digits overflows any integer type; the reader must
+  // reject the line instead of throwing or wrapping (std::stoll, in the
+  // reference, throws out_of_range).
   const std::string digits(1u << 20, '9');
   const std::string line =
       digits + "\talert_port_scan\tpg-3\troot\t194.145.0.1\tzeek\t-";
-  EXPECT_FALSE(parse_notice_line(line).has_value());
   const AlertBatch batch = parse_notice_batch(line + "\n");
   EXPECT_EQ(batch.size(), 0u);
   EXPECT_EQ(batch.malformed, 1u);
+  expect_batch_agrees(line + "\n");
 }
 
 TEST(ZeeklogMalformed, NonUtf8BytesInTextFieldsSurvive) {
@@ -123,27 +94,27 @@ TEST(ZeeklogMalformed, NonUtf8BytesInTextFieldsSurvive) {
   const std::string junk = "\x80\xbf\xc0\xaf\xfe\xff";
   const std::string line =
       "1730259852\talert_port_scan\t" + junk + "\t" + junk + "\t-\tzeek\tk=" + junk;
-  const auto parsed = parse_notice_line(line);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->host, junk);
-  EXPECT_EQ(parsed->user, junk);
-
-  AlertBatch batch = parse_notice_batch(line + "\n");
+  const AlertBatch batch = parse_notice_batch(line + "\n");
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch.host[0], junk);
-  EXPECT_EQ(batch.materialize(0).host, parsed->host);
+  const auto parsed = batch.materialize(0);
+  EXPECT_EQ(parsed.host, junk);
+  EXPECT_EQ(parsed.user, junk);
+  expect_batch_agrees(line + "\n");
 }
 
 TEST(ZeeklogMalformed, NonUtf8BytesInTypedFieldsAreMalformed) {
   std::string bad_type = kValidLine;
   bad_type.replace(bad_type.find("alert_port_scan"), 5, "\xff\xfe\xfd\xfc\xfb");
-  EXPECT_FALSE(parse_notice_line(bad_type).has_value());
-
   std::string bad_src = kValidLine;
   bad_src.replace(bad_src.find("194.145.0.1"), 3, "\xc0\xc1\xf5");
-  EXPECT_FALSE(parse_notice_line(bad_src).has_value());
+  for (const std::string& line : {bad_type, bad_src}) {
+    const AlertBatch batch = parse_notice_batch(line);
+    EXPECT_EQ(batch.size(), 0u);
+    EXPECT_EQ(batch.malformed, 1u);
+  }
 
-  expect_parity(bad_type + "\n" + bad_src + "\n" + kValidLine + "\n");
+  expect_batch_agrees(bad_type + "\n" + bad_src + "\n" + kValidLine + "\n");
 }
 
 TEST(ZeeklogMalformed, MixedHostileLogKeepsParityAndCounts) {
@@ -159,7 +130,7 @@ TEST(ZeeklogMalformed, MixedHostileLogKeepsParityAndCounts) {
   nul[nul.size() - 1] = '\0';                     // metadata "\0": pair has no '='
   text += nul + "\n";
   text += kValidLine + "\n";
-  expect_parity(text);
+  expect_batch_agrees(text);
 
   const AlertBatch batch = parse_notice_batch(std::string(text));
   EXPECT_EQ(batch.size(), 2u);      // only the two pristine lines

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+
 #include "alerts/zeeklog.hpp"
 #include "incidents/generator.hpp"
 #include "incidents/report.hpp"
+#include "notice_line_oracle.hpp"
 
 namespace at {
 namespace {
@@ -22,10 +27,18 @@ alerts::Alert sample_alert() {
   return alert;
 }
 
+/// `text` through the notice-log reader: its materialized row when the text
+/// is exactly one well-formed row, otherwise nullopt.
+std::optional<alerts::Alert> parse_one_row(std::string text) {
+  const auto batch = alerts::parse_notice_batch(std::move(text));
+  if (batch.size() != 1 || batch.malformed != 0) return std::nullopt;
+  return batch.materialize(0);
+}
+
 TEST(ZeekLog, SingleLineRoundTrip) {
   const auto alert = sample_alert();
   const auto line = alerts::to_notice_line(alert);
-  const auto parsed = alerts::parse_notice_line(line);
+  const auto parsed = parse_one_row(line);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->ts, alert.ts);
   EXPECT_EQ(parsed->type, alert.type);
@@ -42,7 +55,7 @@ TEST(ZeekLog, EmptyFieldsRoundTrip) {
   alerts::Alert alert;
   alert.ts = 5;
   alert.type = alerts::AlertType::kPortScan;
-  const auto parsed = alerts::parse_notice_line(alerts::to_notice_line(alert));
+  const auto parsed = parse_one_row(alerts::to_notice_line(alert));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->host.empty());
   EXPECT_TRUE(parsed->user.empty());
@@ -59,24 +72,30 @@ TEST(ZeekLog, EmbeddedSeparatorsAreNeutralized) {
   const auto line = alerts::to_notice_line(alert);
   EXPECT_EQ(std::count(line.begin(), line.end(), '\t'), 6);  // exactly the field seps
   EXPECT_EQ(line.find('\n'), std::string::npos);
-  const auto parsed = alerts::parse_notice_line(line);
+  const auto parsed = parse_one_row(line);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->host, "evil host name");
 }
 
 TEST(ZeekLog, RejectsMalformed) {
-  EXPECT_FALSE(alerts::parse_notice_line("").has_value());
-  EXPECT_FALSE(alerts::parse_notice_line("# a comment").has_value());
-  EXPECT_FALSE(alerts::parse_notice_line("not\tenough\tfields").has_value());
-  EXPECT_FALSE(alerts::parse_notice_line(
-                   "xyz\talert_port_scan\t-\t-\t-\tzeek\t-")  // bad ts
-                   .has_value());
-  EXPECT_FALSE(alerts::parse_notice_line(
-                   "1\talert_unknown_type\t-\t-\t-\tzeek\t-")
-                   .has_value());
-  EXPECT_FALSE(alerts::parse_notice_line(
-                   "1\talert_port_scan\t-\t-\tnot-an-ip\tzeek\t-")
-                   .has_value());
+  // Blank and comment lines yield no row and are not counted...
+  for (const char* skipped : {"", "# a comment"}) {
+    SCOPED_TRACE(skipped);
+    const auto batch = alerts::parse_notice_batch(skipped);
+    EXPECT_TRUE(batch.empty());
+    EXPECT_EQ(batch.malformed, 0u);
+  }
+  // ...every other unparseable line is one malformed line.
+  for (const char* bad : {"not\tenough\tfields",
+                          "xyz\talert_port_scan\t-\t-\t-\tzeek\t-",  // bad ts
+                          "1\talert_unknown_type\t-\t-\t-\tzeek\t-",
+                          "1\talert_port_scan\t-\t-\tnot-an-ip\tzeek\t-"}) {
+    SCOPED_TRACE(bad);
+    const auto batch = alerts::parse_notice_batch(bad);
+    EXPECT_TRUE(batch.empty());
+    EXPECT_EQ(batch.malformed, 1u);
+    alerts::oracle::expect_batch_agrees(bad);
+  }
 }
 
 TEST(ZeekLog, WholeLogRoundTrip) {
@@ -88,13 +107,15 @@ TEST(ZeekLog, WholeLogRoundTrip) {
     alerts_in.push_back(alert);
   }
   const auto text = alerts::write_notice_log(alerts_in);
-  const auto result = alerts::read_notice_log(text);
+  const auto result = alerts::parse_notice_batch(text);
   EXPECT_EQ(result.malformed, 0u);
-  ASSERT_EQ(result.alerts.size(), alerts_in.size());
+  ASSERT_EQ(result.size(), alerts_in.size());
   for (std::size_t i = 0; i < alerts_in.size(); ++i) {
-    EXPECT_EQ(result.alerts[i].ts, alerts_in[i].ts);
-    EXPECT_EQ(result.alerts[i].type, alerts_in[i].type);
+    const auto row = result.materialize(i);
+    EXPECT_EQ(row.ts, alerts_in[i].ts);
+    EXPECT_EQ(row.type, alerts_in[i].type);
   }
+  alerts::oracle::expect_batch_agrees(text);
 }
 
 TEST(ZeekLog, ReaderCountsMalformedLines) {
@@ -104,9 +125,10 @@ TEST(ZeekLog, ReaderCountsMalformedLines) {
       "garbage line\n"
       "\n"
       "2\talert_port_scan\t-\t-\t-\tzeek\t-\n";
-  const auto result = alerts::read_notice_log(text);
-  EXPECT_EQ(result.alerts.size(), 2u);
+  const auto result = alerts::parse_notice_batch(text);
+  EXPECT_EQ(result.size(), 2u);
   EXPECT_EQ(result.malformed, 1u);
+  alerts::oracle::expect_batch_agrees(text);
 }
 
 TEST(ZeekLog, CorpusExportScales) {
@@ -118,9 +140,9 @@ TEST(ZeekLog, CorpusExportScales) {
     for (const auto& entry : incident.timeline) all.push_back(entry.alert);
   }
   const auto text = alerts::write_notice_log(all);
-  const auto result = alerts::read_notice_log(text);
+  const auto result = alerts::parse_notice_batch(text);
   EXPECT_EQ(result.malformed, 0u);
-  EXPECT_EQ(result.alerts.size(), all.size());
+  EXPECT_EQ(result.size(), all.size());
 }
 
 // --- incident reports ---

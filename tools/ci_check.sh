@@ -99,7 +99,7 @@ else
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/at_tests \
-      --gtest_filter='ZeekLog*:ZeeklogMalformed*:ZeekMonitor*:BpTest*:ChainTest*:EnumerateTest*:FactorGraphTest*:ModelTest*:*EntityVsExact*:EntityFilter*:*ForwardModeDifferential*:*EntityDetectorOracle*:FgInferenceModes*:TimedModel*:FlatMap*:ScanRecorder*:CorrelatorTest*:ScanFilterTest*:SshAuditorTest*:RuleBasedDetectorTest*:*RuleMatcherDifferential*:EntityCore*:DaemonFault*:BhrTest*:BhrPrefix*:BhrAudit*:BhrAggregation*:*BhrExpiry*:*BhrMetadataDifferential*' \
+      --gtest_filter='ZeekLog*:ZeeklogMalformed*:ParseNoticeBatchTest*:FailureInjection.HostileNoticeLogInput:ZeekMonitor*:BpTest*:ChainTest*:EnumerateTest*:FactorGraphTest*:ModelTest*:*EntityVsExact*:EntityFilter*:*ForwardModeDifferential*:*EntityDetectorOracle*:FgInferenceModes*:TimedModel*:FlatMap*:ScanRecorder*:CorrelatorTest*:ScanFilterTest*:SshAuditorTest*:RuleBasedDetectorTest*:*RuleMatcherDifferential*:EntityCore*:DaemonFault*:BhrTest*:BhrPrefix*:BhrAudit*:BhrAggregation*:*BhrExpiry*:*BhrMetadataDifferential*' \
     || fail "sanitized tests"
 
   echo "=== [5/5] TSan: epoch reclamation + concurrent BHR readers + daemon + entity core ==="
