@@ -4,7 +4,7 @@
 // operations digest — the view a security operator would have.
 //
 // The operator view here is the daemon one (docs/daemon.md): a
-// DetectionDaemon teed off the correlator's post-dedup stream runs as an
+// DetectionDaemon tapped off the correlator's post-dedup stream runs as an
 // always-on console beside the testbed's in-process pipeline, and the
 // daily digest drains its typed alert queue by category mask instead of
 // re-reading a notifications vector.
@@ -12,12 +12,43 @@
 // Run: ./build/examples/example_honeypot_live
 
 #include <cstdio>
+#include <utility>
 
 #include "replay/background.hpp"
 #include "replay/campaigns.hpp"
 #include "replay/ransomware.hpp"
 #include "testbed/autoscaler.hpp"
 #include "testbed/daemon.hpp"
+
+namespace {
+
+/// The correlator's downstream in this example: every post-dedup alert goes
+/// to the testbed's pipeline, then to the operator console. The pipeline
+/// gets a copy and the console takes the moved alert.
+class ConsoleTap final : public at::alerts::AlertSink {
+ public:
+  ConsoleTap(at::alerts::AlertSink& pipeline, at::alerts::AlertSink& console)
+      : pipeline_(&pipeline), console_(&console) {}
+  // The correlator holds this tap's address.
+  ConsoleTap(const ConsoleTap&) = delete;
+  ConsoleTap& operator=(const ConsoleTap&) = delete;
+
+  using at::alerts::AlertSink::on_alert;
+  void on_alert(const at::alerts::Alert& alert) override {
+    pipeline_->on_alert(alert);
+    console_->on_alert(alert);
+  }
+  void on_alert(at::alerts::Alert&& alert) override {
+    pipeline_->on_alert(alert);
+    console_->on_alert(std::move(alert));
+  }
+
+ private:
+  at::alerts::AlertSink* pipeline_;
+  at::alerts::AlertSink* console_;
+};
+
+}  // namespace
 
 int main() {
   using namespace at;
@@ -31,14 +62,15 @@ int main() {
   testbed::Testbed bed(config, corpus);
 
   // The operator console: an always-on daemon fed the same post-dedup
-  // alert stream as the in-process pipeline (tee before any traffic).
+  // alert stream as the in-process pipeline (tap before any traffic).
   // Same detector family and threshold as the testbed's own stack.
   testbed::DetectionDaemon console(testbed::DaemonConfig{}, /*router=*/nullptr);
   auto compiled = fg::compile_params(fg::learn_params(corpus));
   console.add_detector("factor-graph", [compiled, &config] {
     return std::make_unique<detect::FactorGraphDetector>(compiled, config.fg_threshold);
   });
-  bed.tee_alerts(console);
+  ConsoleTap tap(bed.pipeline(), console);
+  bed.correlator().retarget(tap);
 
   const util::SimTime t0 = util::to_sim_time(util::CivilDate{2024, 10, 1});
   bed.deploy(t0);

@@ -76,30 +76,4 @@ class BufferSink final : public AlertSink {
   std::vector<Alert> alerts_;
 };
 
-/// Sink that forwards every alert to N downstream sinks in registration
-/// order. Lets an operator console (e.g. a DetectionDaemon) tee off a
-/// monitor stream without disturbing the primary pipeline. Not itself
-/// synchronized: add() before the stream starts, on_alert from whatever
-/// threading the downstreams tolerate.
-class FanoutSink final : public AlertSink {
- public:
-  explicit FanoutSink(AlertSink& primary) : sinks_{&primary} {}
-
-  void add(AlertSink& sink) { sinks_.push_back(&sink); }
-  [[nodiscard]] std::size_t fanout() const noexcept { return sinks_.size(); }
-
-  using AlertSink::on_alert;
-  void on_alert(const Alert& alert) override {
-    for (AlertSink* sink : sinks_) sink->on_alert(alert);
-  }
-  void on_alert(Alert&& alert) override {
-    // Copy to all but the last sink; the last takes ownership.
-    for (std::size_t i = 0; i + 1 < sinks_.size(); ++i) sinks_[i]->on_alert(alert);
-    sinks_.back()->on_alert(std::move(alert));
-  }
-
- private:
-  std::vector<AlertSink*> sinks_;
-};
-
 }  // namespace at::alerts

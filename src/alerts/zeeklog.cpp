@@ -165,7 +165,7 @@ AlertBatch parse_notice_batch(std::string text) {
         src = net::Ipv4::try_parse(fields[4]);
         if (!src) return false;
       }
-      Origin origin = Origin::kSynthetic;
+      std::optional<Origin> origin;
       for (const auto candidate : {Origin::kZeek, Origin::kOsquery, Origin::kAuditd,
                                    Origin::kRsyslog, Origin::kSynthetic}) {
         if (fields[5] == to_string(candidate)) {
@@ -173,6 +173,7 @@ AlertBatch parse_notice_batch(std::string text) {
           break;
         }
       }
+      if (!origin) return false;
       std::string_view meta;
       if (fields[6] != kEmpty) {
         meta = fields[6];
@@ -184,7 +185,7 @@ AlertBatch parse_notice_batch(std::string text) {
       }
       batch.ts.push_back(*ts);
       batch.type.push_back(*type);
-      batch.origin.push_back(origin);
+      batch.origin.push_back(*origin);
       batch.src.push_back(src.value_or(net::Ipv4{}));
       batch.has_src.push_back(src.has_value() ? 1 : 0);
       batch.host.push_back(fields[2] == kEmpty ? std::string_view{} : fields[2]);

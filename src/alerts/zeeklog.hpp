@@ -37,8 +37,8 @@ namespace at::alerts {
 ///
 /// The batch is movable: views chase the arena because std::string's heap
 /// buffer survives the move. The shortest parseable row,
-/// "0\talert_logout\t\t\t-\t\t-", is 21 bytes, past libstdc++'s 15-byte SSO
-/// capacity, and a row-less batch holds no views.
+/// "0\talert_logout\t\t\t-\tzeek\t-", is 25 bytes, past libstdc++'s 15-byte
+/// SSO capacity, and a row-less batch holds no views.
 class AlertBatch {
  public:
   std::vector<util::SimTime> ts;
@@ -73,8 +73,8 @@ class AlertBatch {
 /// log text (move it in) and returns a column-oriented batch of
 /// string_views into it. A line is a row iff it has exactly 7 tab-separated
 /// fields, a std::stoll-style ts, a known note symbol, a dotted-quad or '-'
-/// src, and a '-' or all-`key=value` metadata field; an unknown origin reads
-/// as Origin::kSynthetic.
+/// src, one of the five origin names to_string(Origin) writes, and a '-' or
+/// all-`key=value` metadata field.
 /// AT_UNTRUSTED: notice logs arrive from monitored hosts — every field is
 /// attacker-influenced until validated.
 [[nodiscard]] AlertBatch parse_notice_batch(std::string text) AT_UNTRUSTED;

@@ -51,8 +51,9 @@ class Detector {
   /// caller's batch; alert i gets index first_index + i). Returns the
   /// first detection and stops — exactly what feeding the run through
   /// observe() one alert at a time yields, since a fired stream ignores
-  /// the remainder anyway. Stateful detectors may override to amortize
-  /// per-call overhead across the run.
+  /// the remainder anyway. No code in src/ calls it; it stays because
+  /// alertbench's TimedDetector overrides it to time whole runs, and
+  /// BatchEquivalence.OnBatchMatchesOnAlertStream pins the equivalence.
   virtual std::optional<Detection> observe_batch(
       std::span<const alerts::Alert* const> alerts, std::size_t first_index) {
     for (std::size_t i = 0; i < alerts.size(); ++i) {

@@ -26,9 +26,9 @@ class AlertCorrelator final : public alerts::AlertSink {
   void on_alert(const alerts::Alert& alert) override;
   void on_alert(alerts::Alert&& alert) override;
 
-  /// Repoint the downstream sink (Testbed::tee_alerts splices a FanoutSink
-  /// in here after construction). Not synchronized; call before the alert
-  /// stream starts.
+  /// Repoint the downstream sink (e.g. to a tap that also feeds an
+  /// operator console). Not synchronized; call before the alert stream
+  /// starts.
   void retarget(alerts::AlertSink& downstream) noexcept { downstream_ = &downstream; }
 
   [[nodiscard]] std::uint64_t received() const noexcept { return received_; }

@@ -145,16 +145,6 @@ VulnerableService* Testbed::add_vulnerable_service(const std::string& package,
   return services_.back().get();
 }
 
-void Testbed::tee_alerts(alerts::AlertSink& sink) {
-  if (!fanout_) {
-    // The pipeline stays the primary (last) sink so move-through delivery
-    // still lands the original alert there; taps receive copies.
-    fanout_ = std::make_unique<alerts::FanoutSink>(*pipeline_);
-    correlator_->retarget(*fanout_);
-  }
-  fanout_->add(sink);
-}
-
 Testbed::Stats Testbed::stats() const {
   Stats out;
   const sim::Engine::Stats engine = engine_.stats();

@@ -114,13 +114,6 @@ class Testbed {
     return maintenance_;
   }
 
-  /// Mirror the correlator's post-dedup alert stream into `sink` in
-  /// addition to the pipeline (e.g. a DetectionDaemon run side-by-side as
-  /// an always-on operator console). May be called repeatedly to add more
-  /// taps; call before injecting traffic — the fanout list is not
-  /// synchronized against a concurrent alert stream.
-  void tee_alerts(alerts::AlertSink& sink);
-
   /// Deployment-wide counter snapshot (value-returning, named fields,
   /// to_table() — the convention shared with sim::Engine::Stats,
   /// alerts::DaemonStats and bhr::BlackHoleRouter::Stats).
@@ -157,7 +150,6 @@ class Testbed {
   NetworkSandbox sandbox_;
   CredentialStore credentials_;
   std::unique_ptr<AlertPipeline> pipeline_;
-  std::unique_ptr<alerts::FanoutSink> fanout_;  ///< lazily spliced by tee_alerts()
   std::unique_ptr<AlertCorrelator> correlator_;
   std::unique_ptr<SshAuditor> ssh_auditor_;
   std::unique_ptr<monitors::ZeekMonitor> zeek_;

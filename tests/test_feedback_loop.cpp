@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include "detect/refinery.hpp"
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "replay/ransomware.hpp"
 
 namespace at {
@@ -12,6 +16,34 @@ namespace {
 
 using alerts::Alert;
 using alerts::AlertType;
+
+/// Signature refinement, the paper's closing feedback loop: "Our
+/// successful detection of the ransomware family results in new security
+/// alerts ... being improved and incorporated into Zeek policies ... These
+/// new alerts are the basis for refining detection models in adapting to
+/// future attacks." From the time-ordered alerts of a detected attack, the
+/// signature is the first distinct non-benign alert types, cut before any
+/// critical alert and capped at 4 (Insight 2's effective range); nullopt if
+/// fewer than 2 remain.
+std::optional<detect::RuleBasedDetector::Signature> derive_signature(
+    const std::vector<Alert>& observed, std::string name) {
+  constexpr std::size_t kMaxLen = 4;
+  constexpr std::size_t kMinLen = 2;
+  detect::RuleBasedDetector::Signature signature;
+  signature.name = std::move(name);
+  for (const auto& alert : observed) {
+    if (alert.critical()) break;  // signatures must be usable pre-damage
+    if (alerts::category_of(alert.type) == alerts::Category::kBenign) continue;
+    if (std::find(signature.alerts.begin(), signature.alerts.end(), alert.type) !=
+        signature.alerts.end()) {
+      continue;  // repeated probing collapses to its first occurrence
+    }
+    signature.alerts.push_back(alert.type);
+    if (signature.alerts.size() >= kMaxLen) break;
+  }
+  if (signature.alerts.size() < kMinLen) return std::nullopt;
+  return signature;
+}
 
 const incidents::Corpus& training() {
   static const incidents::Corpus corpus = [] {
@@ -105,7 +137,7 @@ TEST(Refinery, DerivesPreDamageSignature) {
     alert.type = type;
     observed.push_back(alert);
   }
-  const auto signature = detect::derive_signature(observed, "pg-family");
+  const auto signature = derive_signature(observed, "pg-family");
   ASSERT_TRUE(signature.has_value());
   EXPECT_EQ(signature->name, "pg-family");
   EXPECT_EQ(signature->alerts,
@@ -116,8 +148,8 @@ TEST(Refinery, DerivesPreDamageSignature) {
 TEST(Refinery, RejectsTooShort) {
   std::vector<Alert> observed(1);
   observed[0].type = AlertType::kPortScan;
-  EXPECT_FALSE(detect::derive_signature(observed, "x").has_value());
-  EXPECT_FALSE(detect::derive_signature({}, "x").has_value());
+  EXPECT_FALSE(derive_signature(observed, "x").has_value());
+  EXPECT_FALSE(derive_signature({}, "x").has_value());
 }
 
 TEST(Refinery, RefinedRulesCatchTheNextVariant) {
@@ -153,8 +185,8 @@ TEST(Refinery, RefinedRulesCatchTheNextVariant) {
   EXPECT_FALSE(fired);
 
   // The factor-graph model *did* preempt the wave; its observed alerts
-  // feed the refinery.
-  const auto signature = detect::derive_signature(first_wave, "pg-ransomware-family");
+  // feed derive_signature.
+  const auto signature = derive_signature(first_wave, "pg-ransomware-family");
   ASSERT_TRUE(signature.has_value());
   rules.add_signature(*signature);
   rules.reset();

@@ -5,16 +5,20 @@
 
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <ostream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "alerts/sanitizer.hpp"
 #include "alerts/taxonomy.hpp"
 #include "monitors/osquery_monitor.hpp"
 #include "monitors/zeek_monitor.hpp"
+#include "symbolizer_cases.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -513,6 +517,131 @@ TEST(OsqueryMonitorTest, CountsUnmapped) {
   monitor.on_process(event);
   EXPECT_EQ(monitor.unmapped(), 1u);
   EXPECT_TRUE(sink.alerts().empty());
+}
+
+// Attacker-typed host events straight into the two host monitors'
+// AT_UNTRUSTED boundaries: the SymbolizerPatterns command lines with
+// seeded byte flips, splices and truncations, NUL and 0xff bytes, and
+// 100K-byte fields in every string an event carries. Run under ASan/UBSan
+// in CI.
+class HostileHostEvents : public ::testing::Test {
+ protected:
+  /// A seed line, or a mutation of one: one to three random edits.
+  std::string field(std::initializer_list<std::string_view> extra_seeds = {}) {
+    std::vector<std::string_view> seeds;
+    for (const auto& c : alerts::kSymbolCases) seeds.emplace_back(c.line);
+    seeds.insert(seeds.end(), extra_seeds);
+    const auto pick = [&] {
+      return seeds[static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(seeds.size()) - 1))];
+    };
+    std::string out(pick());
+    const auto at = [&] {
+      return static_cast<std::size_t>(rng_.uniform_int(0, static_cast<std::int64_t>(out.size())));
+    };
+    const std::int64_t edits = rng_.uniform_int(0, 3);
+    for (std::int64_t e = 0; e < edits; ++e) {
+      switch (rng_.uniform_int(0, 6)) {
+        case 0:  // bit flip
+          if (!out.empty()) {
+            out[at() % out.size()] ^= static_cast<char>(1u << rng_.uniform_int(0, 7));
+          }
+          break;
+        case 1: {  // splice a piece of another seed in
+          const std::string_view other = pick();
+          const auto from = static_cast<std::size_t>(
+              rng_.uniform_int(0, static_cast<std::int64_t>(other.size())));
+          out.insert(at(), other.substr(from));
+          break;
+        }
+        case 2:  // truncate
+          out.resize(at());
+          break;
+        case 3:
+          out.insert(at(), 1, '\0');
+          break;
+        case 4:
+          out.insert(at(), 1, '\xff');
+          break;
+        case 5:  // 100K-byte field: the line so far repeated, or one byte
+          if (rng_.bernoulli(0.05)) {
+            const std::string unit = rng_.bernoulli(0.5) ? out + " " : std::string(1, 'a');
+            std::string big;
+            while (big.size() < kHuge) big += unit;
+            big.resize(kHuge);
+            out = std::move(big);
+          }
+          break;
+        default:  // random bytes
+          for (std::int64_t n = rng_.uniform_int(1, 8); n > 0; --n) {
+            out.insert(at(), 1, static_cast<char>(rng_()));
+          }
+          break;
+      }
+    }
+    return out;
+  }
+
+  static constexpr std::size_t kHuge = 100'000;
+  util::Rng rng_{0x5eed0b5};
+};
+
+TEST_F(HostileHostEvents, OsqueryCountsEveryEventAndSanitizesEveryCommand) {
+  alerts::BufferSink sink;
+  OsqueryMonitor monitor(sink);
+  monitor.tamper("h");
+  const alerts::Sanitizer sanitizer;
+  constexpr std::uint64_t kEvents = 3000;
+  std::size_t huge = 0;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    ProcessEvent event;
+    event.ts = rng_.uniform_int(-util::kDay, 400 * util::kDay);
+    event.host = rng_.bernoulli(0.3) ? "h" : field({"pg-0", "node-1"});
+    event.user = field({"postgres", "root"});
+    event.cmdline = field();
+    event.pid = static_cast<std::uint32_t>(rng_());
+    if (event.cmdline.size() >= kHuge) ++huge;
+    const std::size_t before = sink.alerts().size();
+    monitor.on_process(event);
+    if (sink.alerts().size() == before) continue;
+    ASSERT_EQ(sink.alerts().size(), before + 1);
+    const auto* cmd = sink.alerts().back().find_meta("cmd");
+    ASSERT_NE(cmd, nullptr);
+    EXPECT_EQ(*cmd, sanitizer.sanitize_line(event.cmdline)) << "event " << i;
+  }
+  EXPECT_EQ(monitor.events_seen(), kEvents);
+  EXPECT_EQ(monitor.emitted(), sink.alerts().size());
+  EXPECT_EQ(monitor.emitted() + monitor.unmapped() + monitor.suppressed(), monitor.events_seen());
+  // The mix reaches all three outcomes and the oversized path.
+  EXPECT_GT(huge, 0u);
+  EXPECT_GT(monitor.emitted(), 0u);
+  EXPECT_GT(monitor.unmapped(), 0u);
+  EXPECT_GT(monitor.suppressed(), 0u);
+}
+
+TEST_F(HostileHostEvents, AuditdNeverEmitsMoreThanItSees) {
+  alerts::BufferSink sink;
+  AuditdMonitor monitor(sink);
+  monitor.tamper("h");
+  constexpr std::uint64_t kEvents = 3000;
+  std::size_t huge = 0;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    SyscallEvent event;
+    event.ts = rng_.uniform_int(-util::kDay, 400 * util::kDay);
+    event.host = rng_.bernoulli(0.3) ? "h" : field({"pg-0", "node-1"});
+    event.user = field({"postgres", "root"});
+    event.kind = static_cast<SyscallKind>(rng_.uniform_int(0, 6));
+    event.path = field({"/etc/shadow", "/home/a/.ssh/id_rsa", "/var/log/wtmp", "/tmp/kp"});
+    event.detail = field({"4755", "u+s", "1.2.3.4:443"});
+    if (event.path.size() >= kHuge) ++huge;
+    monitor.on_syscall(event);
+  }
+  EXPECT_EQ(monitor.events_seen(), kEvents);
+  EXPECT_LE(monitor.emitted(), monitor.events_seen());
+  EXPECT_EQ(monitor.emitted(), sink.alerts().size());
+  EXPECT_GT(huge, 0u);
+  EXPECT_GT(monitor.emitted(), 0u);
+  EXPECT_GT(monitor.suppressed(), 0u);
 }
 
 struct AuditCase {

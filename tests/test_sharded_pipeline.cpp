@@ -208,21 +208,48 @@ TEST(ParseNoticeBatchTest, AgreesOnAdversarialLines) {
       "\r\n"                                                  // CRLF blank line
       "8\talert_ssh_bruteforce\th\r\tu\t1.2.3.4\tzeek\t-\n"   // inner '\r' in host
       "9\talert_ssh_bruteforce\th\tu\t1.2.3.4\tzeek\tk=a\rb\r\n"  // inner '\r', CRLF
-      "99\talert_ssh_bruteforce\t-\t-\t-\treplay\t-";         // no trailing newline
+      "99\talert_ssh_bruteforce\t-\t-\t-\treplay\t-";  // unknown origin, no trailing newline
   expect_batch_agrees(text);
   // Pin the counts too, so a blind spot the reference shares would show.
   const auto batch = alerts::parse_notice_batch(text);
-  EXPECT_EQ(batch.size(), 8u);       // an unknown origin reads as kSynthetic
-  EXPECT_EQ(batch.malformed, 6u);
+  EXPECT_EQ(batch.size(), 6u);
+  EXPECT_EQ(batch.malformed, 8u);  // the two unknown origins among them
+}
+
+TEST(ParseNoticeBatchTest, AllFiveOriginNamesRoundTrip) {
+  // Every origin the writer can emit reads back as itself; anything else,
+  // the empty field included, is malformed rather than filed as synthetic.
+  std::string text;
+  const alerts::Origin origins[] = {alerts::Origin::kZeek, alerts::Origin::kOsquery,
+                                    alerts::Origin::kAuditd, alerts::Origin::kRsyslog,
+                                    alerts::Origin::kSynthetic};
+  for (const auto origin : origins) {
+    alerts::Alert alert;
+    alert.ts = 42;
+    alert.type = alerts::AlertType::kPortScan;
+    alert.origin = origin;
+    text += alerts::to_notice_line(alert) + "\n";
+  }
+  text += "0\talert_logout\t\t\t-\t\t-\n";         // empty origin
+  text += "0\talert_logout\t-\t-\t-\tZeek\t-\n";    // names are case-sensitive
+  text += "0\talert_logout\t-\t-\t-\tzeek \t-\n";   // no inner trimming
+  expect_batch_agrees(text);
+  const auto batch = alerts::parse_notice_batch(text);
+  ASSERT_EQ(batch.size(), std::size(origins));
+  for (std::size_t i = 0; i < std::size(origins); ++i) {
+    EXPECT_EQ(batch.origin[i], origins[i]) << alerts::to_string(origins[i]);
+    EXPECT_EQ(batch.materialize(i).origin, origins[i]);
+  }
+  EXPECT_EQ(batch.malformed, 3u);
 }
 
 TEST(ParseNoticeBatchTest, MovedBatchKeepsItsViews) {
-  // The shortest parseable row (21 bytes) as a whole log: bare, with a
+  // The shortest parseable row (25 bytes) as a whole log: bare, with a
   // trailing newline, and after a header line. The batch is moved out of a
   // heap object that is then freed, so a view left in an SSO buffer would
   // read freed memory (ASan reports it).
-  const std::string row = "0\talert_logout\t\t\t-\t\t-";
-  ASSERT_EQ(row.size(), 21u);
+  const std::string row = "0\talert_logout\t\t\t-\tzeek\t-";
+  ASSERT_EQ(row.size(), 25u);
   for (const std::string& text : {row, row + "\n", "#fields\n" + row}) {
     SCOPED_TRACE(text);
     const alerts::Alert want = alerts::oracle::read_notice_log(text).alerts.at(0);

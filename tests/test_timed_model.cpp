@@ -1,11 +1,9 @@
-// The time-aware model (Insight 3 as evidence) and the rsyslog monitor —
-// the fourth log source.
+// The time-aware model (Insight 3 as evidence).
 
 #include <gtest/gtest.h>
 
 #include "detect/eval.hpp"
 #include "util/logdomain.hpp"
-#include "monitors/rsyslog_monitor.hpp"
 
 namespace at {
 namespace {
@@ -79,34 +77,6 @@ TEST(TimedModel, TimedDetectorStillDetectsAndStaysQuiet) {
   EXPECT_GT(result.recall(), 0.9);
   EXPECT_GT(result.precision(), 0.9);
   EXPECT_GT(result.preemption_rate(), 0.9);
-}
-
-TEST(RsyslogMonitorTest, SymbolizesRawLines) {
-  alerts::BufferSink sink;
-  monitors::RsyslogMonitor monitor(sink);
-  const util::SimTime day = util::to_sim_time(util::CivilDate{2024, 10, 30});
-  EXPECT_TRUE(monitor.on_line(
-      R"(23:15:22 [internal-host] wget 64.215.xxx.yyy/abs.c (200 "OK") [7036])", day));
-  EXPECT_FALSE(monitor.on_line("ordinary chatter", day));
-  EXPECT_EQ(monitor.lines_seen(), 2u);
-  EXPECT_EQ(monitor.unmapped(), 1u);
-  ASSERT_EQ(sink.alerts().size(), 1u);
-  const auto& alert = sink.alerts()[0];
-  EXPECT_EQ(alert.type, AlertType::kDownloadSensitive);
-  EXPECT_EQ(alert.origin, alerts::Origin::kRsyslog);
-  EXPECT_EQ(alert.host, "internal-host");
-  EXPECT_EQ(alert.ts, day + 23 * util::kHour + 15 * util::kMinute + 22);
-  // The raw line rides along, sanitized.
-  ASSERT_NE(alert.find_meta("raw"), nullptr);
-}
-
-TEST(RsyslogMonitorTest, TamperSilences) {
-  alerts::BufferSink sink;
-  monitors::RsyslogMonitor monitor(sink);
-  monitor.tamper("internal-host");
-  monitor.on_line("12:00:00 [internal-host] gcc -o mod abs.c", 0);
-  EXPECT_TRUE(sink.alerts().empty());
-  EXPECT_EQ(monitor.suppressed(), 1u);
 }
 
 }  // namespace

@@ -95,11 +95,12 @@ else
     || fail "sanitizer build"
   # halt_on_error makes any UBSan diagnostic fatal so it fails the gate
   # instead of scrolling past; detect_leaks exercises the arena/string_view
-  # ownership story in AlertBatch.
+  # ownership story in AlertBatch. The suite lists (one gtest pattern a
+  # line) are shared with .github/workflows/ci.yml.
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ASAN_OPTIONS=detect_leaks=1 \
     ./build-asan/tests/at_tests \
-      --gtest_filter='ZeekLog*:ZeeklogMalformed*:ParseNoticeBatchTest*:FailureInjection.HostileNoticeLogInput:ZeekMonitor*:BpTest*:ChainTest*:EnumerateTest*:FactorGraphTest*:ModelTest*:*EntityVsExact*:EntityFilter*:*ForwardModeDifferential*:*EntityDetectorOracle*:FgInferenceModes*:TimedModel*:FlatMap*:ScanRecorder*:CorrelatorTest*:ScanFilterTest*:SshAuditorTest*:RuleBasedDetectorTest*:*RuleMatcherDifferential*:EntityCore*:DaemonFault*:BhrTest*:BhrPrefix*:BhrAudit*:BhrAggregation*:*BhrExpiry*:*BhrMetadataDifferential*' \
+      --gtest_filter="$(paste -sd: tools/sanitize_asan_ubsan.filter)" \
     || fail "sanitized tests"
 
   echo "=== [5/5] TSan: epoch reclamation + concurrent BHR readers + daemon + entity core ==="
@@ -112,7 +113,7 @@ else
     || fail "tsan build"
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/at_tests \
-      --gtest_filter='Epoch*:BhrConcurrent*:LpmTrie*:SpscRing*:Daemon*:AlertQueue*:*ShardedDeterminism*:EntityCore*' \
+      --gtest_filter="$(paste -sd: tools/sanitize_tsan.filter)" \
     || fail "tsan tests"
 fi
 
