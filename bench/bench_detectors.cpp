@@ -143,7 +143,7 @@ void BM_Detector_Training(benchmark::State& state) {
     if (rules) {
       benchmark::DoNotOptimize(
           detect::RuleBasedDetector::train(workbench().split.train.incidents)
-              .signature_count());
+              .signatures().size());
     } else {
       benchmark::DoNotOptimize(
           fg::learn_params(workbench().split.train).log_emission.data());

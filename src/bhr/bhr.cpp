@@ -109,7 +109,7 @@ std::size_t BlackHoleRouter::HostPage::rank(std::uint32_t host) const noexcept {
 }
 
 BlackHoleRouter::BlackHoleRouter(Options options)
-    : options_(options), trie_(options.aggregation_density) {}
+    : options_(options) {}
 
 void BlackHoleRouter::audit_push(util::SimTime ts, Method method, std::uint32_t address,
                                  unsigned prefix_len, std::uint32_t client, bool ok) {
@@ -243,13 +243,6 @@ void BlackHoleRouter::erase_hosts_in(const net::Cidr& cidr) {
 }
 
 void BlackHoleRouter::apply_report(util::SimTime now) {
-  // Below-1.0 aggregation density swallows TTL'd hosts into a permanent
-  // cover: their individual metadata (and pending expiry events) vanish —
-  // the cover now governs them.
-  for (const auto& [ip, enc] : report_.absorbed) {
-    erase_host(ip);
-    ++aggregated_absorbed_;
-  }
   // Each collapse gets synthetic prefix metadata so query() can still
   // explain why a covered host is black-holed. An explicit operator-made
   // prefix entry is never overwritten.
@@ -501,7 +494,6 @@ BlackHoleRouter::Stats BlackHoleRouter::stats(util::SimTime now) const {
   out.prefix_blocks = prefix_blocks_.size();
   out.audit_dropped = audit_dropped_;
   out.aggregated_covers = aggregated_covers_;
-  out.aggregated_absorbed = aggregated_absorbed_;
   return out;
 }
 
@@ -521,7 +513,6 @@ util::TextTable BlackHoleRouter::Stats::to_table() const {
   row("prefix_blocks", prefix_blocks);
   row("audit_dropped", audit_dropped);
   row("aggregated_covers", aggregated_covers);
-  row("aggregated_absorbed", aggregated_absorbed);
   return table;
 }
 

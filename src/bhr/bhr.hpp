@@ -89,10 +89,6 @@ class BlackHoleRouter {
     /// and `audit_dropped` counts the loss. A simulated day of API calls
     /// no longer grows memory without bound.
     std::size_t audit_capacity = 65536;
-    /// LpmTrie aggregation density (see LpmTrie): 1.0 = exact (default),
-    /// < 1.0 blackholes whole scanner nets once that fraction of a /24 is
-    /// permanently blocked, > 1.0 disables aggregation.
-    double aggregation_density = 1.0;
   };
 
   BlackHoleRouter() : BlackHoleRouter(Options{}) {}
@@ -161,8 +157,7 @@ class BlackHoleRouter {
     std::uint64_t active_blocks = 0;   ///< live at the snapshot's `now`
     std::uint64_t prefix_blocks = 0;   ///< live prefix entries (incl. aggregated)
     std::uint64_t audit_dropped = 0;   ///< audit records lost to the ring cap
-    std::uint64_t aggregated_covers = 0;    ///< CIDR-aggregation collapses
-    std::uint64_t aggregated_absorbed = 0;  ///< TTL'd hosts swallowed by covers
+    std::uint64_t aggregated_covers = 0;  ///< CIDR-aggregation collapses
 
     [[nodiscard]] util::TextTable to_table() const;
   };
@@ -308,7 +303,6 @@ class BlackHoleRouter {
   std::uint64_t unblocks_ = 0;
   std::uint64_t expired_total_ = 0;
   std::uint64_t aggregated_covers_ = 0;
-  std::uint64_t aggregated_absorbed_ = 0;
 };
 
 /// Scan recorder: per-source probing statistics over a window, and the

@@ -1,7 +1,6 @@
 #include "bhr/lpm_trie.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace at::bhr {
 
@@ -11,15 +10,9 @@ constexpr std::uint32_t i2_of(std::uint32_t ip) noexcept { return (ip >> 8) & 0x
 constexpr std::uint32_t i3_of(std::uint32_t ip) noexcept { return ip & 0xffu; }
 }  // namespace
 
-LpmTrie::LpmTrie(double aggregation_density, util::EpochDomain* domain)
+LpmTrie::LpmTrie(util::EpochDomain* domain)
     : domain_(domain != nullptr ? domain : &util::EpochDomain::global()),
-      root_(std::make_unique<std::atomic<std::uintptr_t>[]>(kRootSlots)),
-      agg_threshold_(
-          aggregation_density > 1.0
-              ? static_cast<std::uint32_t>(kFan) + 1
-              : std::max<std::uint32_t>(
-                    1, static_cast<std::uint32_t>(
-                           std::ceil(aggregation_density * static_cast<double>(kFan))))) {}
+      root_(std::make_unique<std::atomic<std::uintptr_t>[]>(kRootSlots)) {}
 
 LpmTrie::~LpmTrie() {
   // Destruction implies quiescence: no reader holds a guard, so the
@@ -178,15 +171,8 @@ std::uint64_t LpmTrie::leaf_set(Leaf& leaf, std::uint32_t i3, std::uint64_t enc)
 
 void LpmTrie::maybe_collapse_leaf(Node& node, std::uint32_t i1, std::uint32_t i2,
                                   Leaf* leaf, MutationReport* report) {
-  if (agg_threshold_ > kFan) return;
-  if (leaf->permanent < agg_threshold_) return;
+  if (leaf->permanent < kFan) return;
   if (report != nullptr) {
-    for (std::uint32_t i = 0; i < kFan; ++i) {
-      const std::uint64_t e = leaf->expiry[i].load(std::memory_order_relaxed);
-      if (e != 0 && e != kPermanent) {
-        report->absorbed.emplace_back((i1 << 16) | (i2 << 8) | i, e);
-      }
-    }
     report->covers_added.emplace_back(net::Ipv4((i1 << 16) | (i2 << 8)), 24u);
   }
   host_entries_ -= leaf->blocked;

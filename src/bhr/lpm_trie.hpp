@@ -19,9 +19,10 @@
 //   (expiry << 2) | 2  covered with a TTL (whole-prefix block)
 //   ptr (tag 00)       child node/leaf pointer (>= 4-byte aligned)
 // Cover tags terminate lookups above the host level — that is the CIDR
-// aggregation: a fully (or, below `aggregation_density`, densely) blocked
-// /24 collapses into one L2 cover slot, a fully covered /16 into one L1
-// slot, mirroring how the real BHR blackholes entire scanner nets.
+// aggregation: a /24 whose 256 hosts are all permanently blocked collapses
+// into one L2 cover slot, a fully covered /16 into one L1 slot, mirroring
+// how the real BHR blackholes entire scanner nets. The collapse is exact:
+// lookups are indistinguishable from the per-host table.
 //
 // Concurrency — single-structure RCU:
 //   - Readers (lookup/lookup_batch) run lock-free under an EpochGuard:
@@ -38,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "net/cidr.hpp"
@@ -59,14 +59,8 @@ class LpmTrie {
   struct MutationReport {
     /// Aggregation collapses performed (a /24 or /16 became one cover).
     std::vector<net::Cidr> covers_added;
-    /// Non-permanent hosts swallowed by a below-1.0-density collapse
-    /// (host, old expiry word). Empty at the default exact density.
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> absorbed;
 
-    void clear() {
-      covers_added.clear();
-      absorbed.clear();
-    }
+    void clear() { covers_added.clear(); }
   };
 
   struct TrieStats {
@@ -77,14 +71,7 @@ class LpmTrie {
     std::size_t bytes = 0;         ///< approximate resident footprint
   };
 
-  /// `aggregation_density` in (0, 1]: the fraction of a /24 that must be
-  /// *permanently* blocked before the leaf collapses into a cover. 1.0
-  /// (default) is exact — lookups are indistinguishable from the per-host
-  /// table. Below 1.0 the collapse intentionally over-blocks the rest of
-  /// the net (scanner-net blackholing); swallowed TTL'd hosts are reported
-  /// as `absorbed`. Values > 1.0 disable aggregation.
-  explicit LpmTrie(double aggregation_density = 1.0,
-                   util::EpochDomain* domain = nullptr);
+  explicit LpmTrie(util::EpochDomain* domain = nullptr);
   ~LpmTrie();
   LpmTrie(const LpmTrie&) = delete;
   LpmTrie& operator=(const LpmTrie&) = delete;
@@ -190,7 +177,6 @@ class LpmTrie {
   util::EpochDomain* domain_ AT_NOT_GUARDED;  ///< immutable after construction
   std::unique_ptr<std::atomic<std::uintptr_t>[]> root_
       AT_NOT_GUARDED;  ///< atomic slots; writer serialization via write_mu_
-  std::uint32_t agg_threshold_ AT_NOT_GUARDED;  ///< immutable; > kFan disables
 
   mutable util::Mutex write_mu_;
   std::size_t l2_nodes_ AT_GUARDED_BY(write_mu_) = 0;

@@ -116,8 +116,8 @@ class RuleBasedDetector final : public Detector {
                                  std::size_t max_len = 4, std::size_t min_len = 2);
 
   [[nodiscard]] std::string name() const override { return "rule-based"; }
-  [[nodiscard]] std::size_t signature_count() const noexcept {
-    return table_->signatures.size();
+  [[nodiscard]] const std::vector<Signature>& signatures() const noexcept {
+    return table_->signatures;
   }
   /// Add a signature at runtime — the paper's feedback loop where alerts
   /// from a preempted attack refine the deployed ruleset. Copy-on-write:

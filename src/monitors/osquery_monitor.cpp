@@ -33,8 +33,8 @@ void OsqueryMonitor::on_process(const ProcessEvent& event) {
   alert.host = event.host;
   alert.user = event.user;
   alert.add_meta("pid", std::to_string(event.pid));
-  alert.add_meta("cmd", sanitizer_.sanitize_line(event.cmdline));
-  sanitizer_.sanitize(alert);
+  alert.add_meta("cmd", event.cmdline);
+  sanitizer_.sanitize(alert);  // masks every metadata value, `cmd` included
   emit(std::move(alert));
 }
 
@@ -93,6 +93,8 @@ void AuditdMonitor::on_syscall(const SyscallEvent& event) {
       break;
     case SyscallKind::kConnect:
       return;  // network side is Zeek's job; avoid double-reporting
+    default:
+      return;  // a kind outside the taxonomy maps to no alert
   }
   emit(std::move(alert));
 }

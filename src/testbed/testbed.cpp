@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 
-#include "fg/model.hpp"
+#include "testbed/deployed.hpp"
 #include "vrt/snapshot.hpp"
 
 namespace at::testbed {
@@ -12,22 +12,11 @@ Testbed::Testbed(TestbedConfig config, const incidents::Corpus& training)
     : config_(config), vms_(config.lifecycle), sandbox_(config.sandbox) {
   pipeline_ = std::make_unique<AlertPipeline>(config_.pipeline, &router_);
 
-  // Default detector set: the factor-graph model (trained on the corpus)
-  // and the rule-based signatures, per entity. Parameters are compiled
-  // once and shared — each tracked entity's detector costs a refcount
-  // bump, not four table copies plus re-exponentiation.
-  auto compiled = fg::compile_params(fg::learn_params(training));
-  const double threshold = config_.fg_threshold;
-  pipeline_->add_detector("factor-graph", [compiled, threshold] {
-    return std::make_unique<detect::FactorGraphDetector>(compiled, threshold);
-  });
-  pipeline_->add_detector(
-      "rule-based", [rules = detect::RuleBasedDetector::train(training.incidents)] {
-        // Each entity gets a fresh matcher over the shared signature set:
-        // the copy shares the compiled signature table and owns only its
-        // progress bytes.
-        return std::make_unique<detect::RuleBasedDetector>(rules);
-      });
+  // The deployed detector stack, trained on the corpus, per entity.
+  for (auto& [name, factory] :
+       deployed_detectors(train_model(training), config_.fg_threshold)) {
+    pipeline_->add_detector(std::move(name), std::move(factory));
+  }
 
   // Monitors feed the correlator (cross-monitor dedup), which feeds the
   // pipeline.

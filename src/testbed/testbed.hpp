@@ -32,7 +32,7 @@ struct TestbedConfig {
   monitors::ZeekConfig zeek;
   CorrelatorConfig correlator;
   SshAuditorConfig ssh_auditor;
-  /// Factor-graph detector threshold for the default detector set.
+  /// Factor-graph posterior threshold of the deployed detector stack.
   double fg_threshold = 0.75;
   /// Has one value, the stage chain, and is read by nothing here; kept for
   /// alertbench/workloads.cpp, which forwards it to FactorGraphDetector.

@@ -111,41 +111,16 @@ TEST(BhrAudit, RingCapsAndCountsDrops) {
   EXPECT_EQ(stats.audit_dropped, 6u);
 }
 
-TEST(BhrAggregation, LossyDensityCollapsesScannerNetAndSynthesizesEntry) {
-  BlackHoleRouter::Options options;
-  options.aggregation_density = 0.5;  // collapse at 128 permanent hosts
-  BlackHoleRouter router(options);
-  const std::uint32_t base = net::Ipv4(203, 55, 1, 0).value();
-  // One TTL'd host that the collapse will absorb.
-  ASSERT_TRUE(router.block(net::Ipv4(base + 250), 0, 500, "slow", "ids"));
-  for (std::uint32_t i = 0; i < 128; ++i) {
-    ASSERT_TRUE(router.block(net::Ipv4(base + i), 1, 0, "scan", "ids"));
-  }
-  const auto stats = router.stats(1);
-  EXPECT_EQ(stats.aggregated_covers, 1u);
-  EXPECT_EQ(stats.aggregated_absorbed, 1u);
-  EXPECT_EQ(stats.prefix_blocks, 1u);
-  // The whole /24 is now dark, including never-blocked hosts.
-  EXPECT_TRUE(router.is_blocked(net::Ipv4(base + 200), 1));
-  // The synthesized aggregate is permanent: nothing ever expires from it.
-  EXPECT_EQ(router.expire(10000), 0u);
-  EXPECT_TRUE(router.is_blocked(net::Ipv4(base + 250), 10000));
-  const auto entry = router.query(net::Ipv4(base + 200), 1);
-  ASSERT_TRUE(entry.has_value());
-  EXPECT_EQ(entry->requested_by, "bhr:aggregator");
-  // The trie holds one cover, no per-host words for the net.
-  EXPECT_EQ(router.trie().stats().covers, 1u);
-}
-
 TEST(BhrAggregation, ExactDensityKeepsPerHostMetadata) {
-  BlackHoleRouter router;  // default: exact (1.0)
+  BlackHoleRouter router;  // the trie collapses a /24 only when all 256 are permanent
   const std::uint32_t base = net::Ipv4(203, 66, 2, 0).value();
   for (std::uint32_t i = 0; i < 256; ++i) {
     ASSERT_TRUE(router.block(net::Ipv4(base + i), 2, 0, "scan", "ids"));
   }
   const auto stats = router.stats(2);
   EXPECT_EQ(stats.aggregated_covers, 1u);  // full /24 collapsed (lossless)
-  EXPECT_EQ(stats.aggregated_absorbed, 0u);
+  EXPECT_EQ(stats.prefix_blocks, 1u);      // with a synthesized aggregate entry
+  EXPECT_EQ(router.trie().stats().covers, 1u);
   // Per-host audit metadata survives the collapse: query answers with the
   // host's own entry, not the synthetic aggregate.
   const auto entry = router.query(net::Ipv4(base + 17), 2);

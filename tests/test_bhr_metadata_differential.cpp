@@ -6,10 +6,9 @@
 // records. It drives the same LpmTrie and timing wheel the router does. Both run the
 // same seeded op mixes (block, unblock, block_prefix, unblock_prefix and
 // expire; TTL 0 and TTL > 0; re-blocks; refusals; in-order and shuffled
-// /24 fills) at aggregation densities 1.0, 0.5 (the absorb path) and 2.0
-// (no aggregation) and audit capacities 0, 1, 7 and the default. After
-// every op, query() on the probed addresses, audit_log(), stats() and
-// active_blocks() must be identical.
+// /24 fills, which collapse into covers) at audit capacities 0, 1, 7 and
+// the default. After every op, query() on the probed addresses,
+// audit_log(), stats() and active_blocks() must be identical.
 
 #include <gtest/gtest.h>
 
@@ -52,7 +51,7 @@ constexpr std::uint64_t encode_expiry(util::SimTime expires_at) noexcept {
 class LegacyRouter {
  public:
   explicit LegacyRouter(BlackHoleRouter::Options options)
-      : options_(options), trie_(options.aggregation_density) {}
+      : options_(options) {}
 
   bool block(net::Ipv4 source, util::SimTime now, util::SimTime ttl, std::string reason,
              std::string client) {
@@ -231,7 +230,6 @@ class LegacyRouter {
     out.prefix_blocks = prefix_blocks_.size();
     out.audit_dropped = audit_dropped_;
     out.aggregated_covers = aggregated_covers_;
-    out.aggregated_absorbed = aggregated_absorbed_;
     return out;
   }
 
@@ -262,14 +260,6 @@ class LegacyRouter {
   }
 
   void apply_report(util::SimTime now) {
-    for (const auto& [ip, enc] : report_.absorbed) {
-      const auto it = blocks_.find(ip);
-      if (it != blocks_.end()) {
-        if (it->second.ev != 0) expiry_.cancel(it->second.ev);
-        blocks_.erase(it);
-      }
-      ++aggregated_absorbed_;
-    }
     for (const net::Cidr& cidr : report_.covers_added) {
       ++aggregated_covers_;
       PrefixStored ps;
@@ -322,7 +312,6 @@ class LegacyRouter {
   std::uint64_t unblocks_ = 0;
   std::uint64_t expired_total_ = 0;
   std::uint64_t aggregated_covers_ = 0;
-  std::uint64_t aggregated_absorbed_ = 0;
 };
 
 // ------------------------------------------------------------ comparison
@@ -377,8 +366,7 @@ class LegacyRouter {
       {"active_blocks", {a.active_blocks, b.active_blocks}},
       {"prefix_blocks", {a.prefix_blocks, b.prefix_blocks}},
       {"audit_dropped", {a.audit_dropped, b.audit_dropped}},
-      {"aggregated_covers", {a.aggregated_covers, b.aggregated_covers}},
-      {"aggregated_absorbed", {a.aggregated_absorbed, b.aggregated_absorbed}}};
+      {"aggregated_covers", {a.aggregated_covers, b.aggregated_covers}}};
   for (const auto& [name, values] : fields) {
     if (values.first != values.second) {
       return ::testing::AssertionFailure()
@@ -454,7 +442,7 @@ class Differential {
   }
 
   /// Blocks every host of one /24, in address order or shuffled; a fill
-  /// is TTL'd a third of the time, so a lossy density absorbs hosts.
+  /// is TTL'd a third of the time, so not every fill collapses.
   void fill(bool in_order) {
     const std::uint32_t base =
         kUniverse + (static_cast<std::uint32_t>(rng_.uniform_int(0, 15)) << 8);
@@ -562,21 +550,11 @@ class Differential {
   std::vector<net::Ipv4> touched_;
 };
 
-struct Case {
-  double density;
-  std::size_t audit_capacity;
-};
-
-void PrintTo(const Case& c, std::ostream* os) {
-  *os << "density " << c.density << ", audit capacity " << c.audit_capacity;
-}
-
-class BhrMetadataDifferential : public ::testing::TestWithParam<Case> {};
+class BhrMetadataDifferential : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BhrMetadataDifferential, SeededOpMixesMatchTheNodeBasedTier) {
   BlackHoleRouter::Options options;
-  options.aggregation_density = GetParam().density;
-  options.audit_capacity = GetParam().audit_capacity;
+  options.audit_capacity = GetParam();
   for (const std::uint64_t seed : {11u, 12u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Differential diff(options, seed);
@@ -587,16 +565,12 @@ TEST_P(BhrMetadataDifferential, SeededOpMixesMatchTheNodeBasedTier) {
   }
 }
 
+// `exact`: the trie's one collapse rule, a /24 of 256 permanent hosts.
 INSTANTIATE_TEST_SUITE_P(
     DensityAndAuditCapacity, BhrMetadataDifferential,
-    ::testing::Values(Case{1.0, 0}, Case{1.0, 1}, Case{1.0, 7}, Case{1.0, 65536},
-                      Case{0.5, 0}, Case{0.5, 1}, Case{0.5, 7}, Case{0.5, 65536},
-                      Case{2.0, 0}, Case{2.0, 1}, Case{2.0, 7}, Case{2.0, 65536}),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      const char* density = info.param.density == 1.0   ? "exact"
-                            : info.param.density == 0.5 ? "lossy"
-                                                        : "off";
-      return std::string(density) + "_audit" + std::to_string(info.param.audit_capacity);
+    ::testing::Values(std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{65536}),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "exact_audit" + std::to_string(info.param);
     });
 
 TEST(BhrMetadataDifferentialScenario, MultiPageSweepsAndProvenanceSwaps) {

@@ -97,9 +97,9 @@ TEST(RuleBasedDetectorTest, ResetClearsProgress) {
 
 TEST(RuleBasedDetectorTest, TrainExtractsPreDamagePrefixes) {
   const auto detector = RuleBasedDetector::train(corpus().incidents, 4, 2);
-  EXPECT_GT(detector.signature_count(), 10u);
+  EXPECT_GT(detector.signatures().size(), 10u);
   // Signatures are capped at 43 distinct cores (some prefixes coincide).
-  EXPECT_LE(detector.signature_count(), 43u);
+  EXPECT_LE(detector.signatures().size(), 43u);
 }
 
 /// A training incident's signature (its pre-damage core prefix, capped at
@@ -154,8 +154,8 @@ TEST(RuleBasedDetectorTest, AddSignatureIsLocalToOneCopy) {
   RuleBasedDetector b = trained;
   ASSERT_FALSE(feed(a, motif)) << "the trained ruleset already catches the motif";
   a.add_signature({"motif", motif});
-  EXPECT_EQ(a.signature_count(), trained.signature_count() + 1);
-  EXPECT_EQ(b.signature_count(), trained.signature_count());
+  EXPECT_EQ(a.signatures().size(), trained.signatures().size() + 1);
+  EXPECT_EQ(b.signatures().size(), trained.signatures().size());
   EXPECT_FALSE(feed(b, motif));
   RuleBasedDetector copy_of_a = a;
   const auto hit = feed(copy_of_a, motif);
@@ -172,7 +172,7 @@ TEST(RuleBasedDetectorTest, RejectsOverlongSignature) {
   EXPECT_THROW(RuleBasedDetector({{"overlong", overlong}}), std::invalid_argument);
   RuleBasedDetector detector({{"longest", longest}});
   EXPECT_THROW(detector.add_signature({"overlong", overlong}), std::invalid_argument);
-  EXPECT_EQ(detector.signature_count(), 1u);
+  EXPECT_EQ(detector.signatures().size(), 1u);
   const auto hit = feed(detector, longest);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->alert_index, longest.size() - 1);
@@ -186,7 +186,7 @@ TEST(RuleBasedDetectorTest, RejectsUnknownAlertType) {
                std::invalid_argument);
   RuleBasedDetector detector({{"ok", {AlertType::kPortScan}}});
   EXPECT_THROW(detector.add_signature({"bad", {unknown}}), std::invalid_argument);
-  EXPECT_EQ(detector.signature_count(), 1u);
+  EXPECT_EQ(detector.signatures().size(), 1u);
 }
 
 TEST(FactorGraphDetectorTest, FiresOnAttackNotOnBenign) {

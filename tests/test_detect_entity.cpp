@@ -218,7 +218,7 @@ TEST(FgInferenceModes, NamesAndResetBehaviour) {
 }
 
 TEST(FgInferenceModes, ImpossibleFirstAlertLeavesTheFilterFresh) {
-  // A model with a -inf emission column (read_params accepts one) makes
+  // A model with a -inf emission column (read_model accepts one) makes
   // that alert type impossible. Skipped first, it must leave the filter as
   // if it never arrived: the detector then fires on the same alert as it
   // does on the stream without it, timed and untimed.

@@ -148,7 +148,7 @@ const RuleBasedDetector& trained_rules() {
 
 TEST(RuleMatcherAllocation, CopyAllocatesOnce) {
   const RuleBasedDetector& rules = trained_rules();
-  ASSERT_EQ(rules.signature_count(), 39u);
+  ASSERT_EQ(rules.signatures().size(), 39u);
   const auto allocated = fg::allocations_during([&] {
     RuleBasedDetector copy(rules);
     copy.reset();

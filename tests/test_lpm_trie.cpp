@@ -147,7 +147,7 @@ TEST(LpmTrie, ClearMatchingSparesReblockedHosts) {
 }
 
 TEST(LpmTrie, ExactAggregationCollapsesFullLeavesAndNodes) {
-  LpmTrie trie(1.0);
+  LpmTrie trie;
   util::EpochGuard guard(trie.domain());
   LpmTrie::MutationReport report;
   // 255 hosts: no collapse yet.
@@ -156,12 +156,10 @@ TEST(LpmTrie, ExactAggregationCollapsesFullLeavesAndNodes) {
   }
   EXPECT_TRUE(report.covers_added.empty());
   EXPECT_EQ(trie.stats().covers, 0u);
-  // The 256th permanent host completes the /24: exact collapse, nothing
-  // absorbed.
+  // The 256th permanent host completes the /24: exact collapse.
   trie.set_host(net::Ipv4(203, 9, 1, 255).value(), kPerm, &report);
   ASSERT_EQ(report.covers_added.size(), 1u);
   EXPECT_EQ(report.covers_added[0], net::Cidr(net::Ipv4(203, 9, 1, 0), 24));
-  EXPECT_TRUE(report.absorbed.empty());
   const auto stats = trie.stats();
   EXPECT_EQ(stats.covers, 1u);
   EXPECT_EQ(stats.leaves, 0u);
@@ -176,43 +174,13 @@ TEST(LpmTrie, ExactAggregationCollapsesFullLeavesAndNodes) {
   EXPECT_EQ(after.l2_nodes, 0u);
 }
 
-TEST(LpmTrie, LossyAggregationAbsorbsAndOverBlocks) {
-  LpmTrie trie(0.5);  // collapse at 128 permanent hosts in a /24
-  util::EpochGuard guard(trie.domain());
-  LpmTrie::MutationReport report;
-  const std::uint32_t base = net::Ipv4(203, 77, 3, 0).value();
-  trie.set_host(base + 200, 999);  // TTL'd bystander in the same /24
-  for (std::uint32_t i = 0; i < 127; ++i) trie.set_host(base + i, kPerm, &report);
-  EXPECT_TRUE(report.covers_added.empty());
-  trie.set_host(base + 127, kPerm, &report);  // 128th: collapse
-  ASSERT_EQ(report.covers_added.size(), 1u);
-  ASSERT_EQ(report.absorbed.size(), 1u);
-  EXPECT_EQ(report.absorbed[0].first, base + 200);
-  EXPECT_EQ(report.absorbed[0].second, 999u);
-  // Over-block: a never-blocked host in the net is now covered...
-  EXPECT_TRUE(trie.lookup(base + 250, 0));
-  // ...and the absorbed TTL host is now permanent.
-  EXPECT_TRUE(trie.lookup(base + 200, 1'000'000));
-}
-
-TEST(LpmTrie, DensityAboveOneDisablesAggregation) {
-  LpmTrie trie(1.5);
-  util::EpochGuard guard(trie.domain());
-  LpmTrie::MutationReport report;
-  const std::uint32_t base = net::Ipv4(203, 80, 4, 0).value();
-  for (std::uint32_t i = 0; i < 256; ++i) trie.set_host(base + i, kPerm, &report);
-  EXPECT_TRUE(report.covers_added.empty());
-  EXPECT_EQ(trie.stats().covers, 0u);
-  EXPECT_EQ(trie.stats().host_entries, 256u);
-}
-
 // --- randomized property: trie vs mutation-log oracle ----------------------
 
 class LpmTrieProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(LpmTrieProperty, MatchesOracleOnRandomMutationTraces) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
-  LpmTrie trie;  // exact density: the oracle knows nothing of aggregation
+  LpmTrie trie;  // the collapse is exact: the oracle knows nothing of aggregation
   MutationLog oracle;
   util::EpochGuard guard(trie.domain());
 

@@ -644,6 +644,21 @@ TEST_F(HostileHostEvents, AuditdNeverEmitsMoreThanItSees) {
   EXPECT_GT(monitor.suppressed(), 0u);
 }
 
+TEST_F(HostileHostEvents, AuditdIgnoresASyscallKindOutsideTheTaxonomy) {
+  alerts::BufferSink sink;
+  AuditdMonitor monitor(sink);
+  SyscallEvent event;
+  event.ts = 1;
+  event.host = "h";
+  event.kind = static_cast<SyscallKind>(9);
+  event.path = "/etc/shadow";
+  event.detail = "4755";
+  monitor.on_syscall(event);
+  EXPECT_EQ(monitor.events_seen(), 1u);
+  EXPECT_EQ(monitor.emitted(), 0u);
+  EXPECT_TRUE(sink.alerts().empty());
+}
+
 struct AuditCase {
   SyscallKind kind;
   const char* path;

@@ -207,7 +207,7 @@ TEST(RuleMatcherDifferential, RandomSignatureSetsMatchReference) {
     }
     Matcher matcher(to_signatures(signatures));
     Reference ref(signatures);
-    ASSERT_EQ(matcher.signature_count(), ref.signature_count());
+    ASSERT_EQ(matcher.signatures().size(), ref.signature_count());
     for (std::size_t stream = 0; stream < kStreamsPerSet; ++stream) {
       matcher.reset();
       ref.reset();
@@ -257,8 +257,8 @@ TEST(RuleMatcherDifferential, TrainedRulesetOnAblationStreams) {
 
   const auto ref = Reference::train(split.train.incidents);
   const auto trained = Matcher::train(split.train.incidents);
-  ASSERT_EQ(trained.signature_count(), ref.signature_count());
-  ASSERT_GT(trained.signature_count(), 10u);
+  ASSERT_EQ(trained.signatures().size(), ref.signature_count());
+  ASSERT_GT(trained.signatures().size(), 10u);
   std::size_t fires = 0;
   for (std::size_t s = 0; s < streams.size(); ++s) {
     Matcher matcher = trained;

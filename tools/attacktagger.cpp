@@ -6,14 +6,16 @@
 //   attacktagger mine    [--seed N]
 //       print the S1..S43 mining table and the four insights.
 //   attacktagger train   --out FILE [--seed N]
-//       learn factor-graph parameters and save them (versioned format).
+//       learn the factor-graph parameters and the rule-based signatures
+//       and save them (versioned format, testbed/deployed.hpp).
 //   attacktagger detect  --model FILE --log FILE [--threshold P] [--shards N]
 //                        [--ring SLOTS]
-//       replay a notice log through the DetectionDaemon (scan filter,
-//       per-entity detectors on N shards, BHR blocking), printing typed
-//       alerts (verdicts, BHR actions, checkpoints, lifecycle) as they
-//       drain, then the counter table (docs/daemon.md). The verdict lines
-//       are the same at every shard count.
+//       replay a notice log through the DetectionDaemon (scan filter, the
+//       deployed detector stack per entity on N shards, BHR blocking),
+//       printing typed alerts (verdicts, BHR actions, checkpoints,
+//       lifecycle) as they drain, then the counter table (docs/daemon.md).
+//       The verdict lines are the same at every shard count. A model file
+//       of another version is refused (exit 1).
 //   attacktagger fig1    --out DIR
 //       build the Figure 1 graph, lay it out, export DOT/GEXF/CSV.
 //   attacktagger replay
@@ -33,11 +35,11 @@
 #include "analysis/insights.hpp"
 #include "bhr/bhr.hpp"
 #include "detect/eval.hpp"
-#include "fg/params_io.hpp"
 #include "incidents/annotate.hpp"
 #include "incidents/report.hpp"
 #include "replay/ransomware.hpp"
 #include "testbed/daemon.hpp"
+#include "testbed/deployed.hpp"
 #include "util/parse.hpp"
 #include "util/strings.hpp"
 #include "viz/export.hpp"
@@ -151,17 +153,18 @@ int cmd_mine(const std::map<std::string, std::string>& flags) {
 int cmd_train(const std::map<std::string, std::string>& flags) {
   const std::string out = flag(flags, "out", "model.attacktagger");
   const auto corpus = make_corpus(flags);
-  const auto params = fg::learn_params(corpus);
-  viz::write_file(out, fg::write_params(params));
-  std::printf("trained on %zu incidents -> %s\n", corpus.incidents.size(), out.c_str());
+  const auto model = testbed::train_model(corpus);
+  viz::write_file(out, testbed::write_model(model));
+  std::printf("trained on %zu incidents (%zu signatures) -> %s\n", corpus.incidents.size(),
+              model.signatures.size(), out.c_str());
   return 0;
 }
 
 int cmd_detect(const std::map<std::string, std::string>& flags) {
   const auto model_text = read_file(flag(flags, "model", "model.attacktagger"));
-  const auto params = fg::read_params(model_text);
-  if (!params) {
-    std::fprintf(stderr, "error: model file is not a valid attacktagger model\n");
+  const auto read = testbed::read_model(model_text);
+  if (!read.model) {
+    std::fprintf(stderr, "error: %s\n", read.error.c_str());
     return 1;
   }
   const double threshold = num_flag<double>(flags, "threshold", "0.75");
@@ -174,10 +177,9 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
       num_flag<std::size_t>(flags, "ring", std::to_string(config.ring_capacity));
   bhr::BlackHoleRouter router;
   testbed::DetectionDaemon daemon(config, &router);
-  auto compiled = fg::compile_params(*params);
-  daemon.add_detector("factor-graph", [compiled, threshold] {
-    return std::make_unique<detect::FactorGraphDetector>(compiled, threshold);
-  });
+  for (auto& [name, factory] : testbed::deployed_detectors(*read.model, threshold)) {
+    daemon.add_detector(std::move(name), std::move(factory));
+  }
 
   std::printf("replaying %zu notices (%zu malformed) through %zu shards\n",
               batch.size(), batch.malformed, daemon.shard_count());
