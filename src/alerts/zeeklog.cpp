@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
-#include <charconv>
 #include <sstream>
 
+#include "util/parse.hpp"
 #include "util/strings.hpp"
 
 namespace at::alerts {
@@ -22,24 +21,6 @@ std::string escape(std::string_view value) {
     if (c == '\t' || c == '\n' || c == '\r') c = ' ';
   }
   return out.empty() ? std::string(kEmpty) : out;
-}
-
-/// std::stoll-compatible integer parse over a view: optional leading
-/// whitespace and sign, at least one digit, trailing garbage ignored,
-/// overflow rejected. That is the historical notice-log ts accept set, kept
-/// without exceptions (the tests check it against std::stoll itself).
-std::optional<util::SimTime> parse_ts(std::string_view field) noexcept {
-  std::size_t i = 0;
-  while (i < field.size() && std::isspace(static_cast<unsigned char>(field[i]))) ++i;
-  if (i < field.size() && field[i] == '+') {
-    ++i;
-    if (i >= field.size() || field[i] < '0' || field[i] > '9') return std::nullopt;
-  }
-  long long value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(field.data() + i, field.data() + field.size(), value);
-  if (ec != std::errc{} || ptr == field.data() + i) return std::nullopt;
-  return value;
 }
 
 }  // namespace
@@ -156,7 +137,9 @@ AlertBatch parse_notice_batch(std::string text) {
     }
     const bool row_ok = [&] {
       if (!split_fields(trimmed, fields)) return false;
-      const auto ts = parse_ts(fields[0]);
+      // ts is `-?[0-9]+` in int64 range and nothing else: the only form
+      // to_notice_line writes.
+      const auto ts = util::parse_num<util::SimTime>(fields[0]);
       if (!ts) return false;
       const auto type = from_symbol(fields[1]);
       if (!type) return false;

@@ -72,7 +72,7 @@ class AlertBatch {
 /// Zero-copy batch parse, the one notice-log reader: takes ownership of the
 /// log text (move it in) and returns a column-oriented batch of
 /// string_views into it. A line is a row iff it has exactly 7 tab-separated
-/// fields, a std::stoll-style ts, a known note symbol, a dotted-quad or '-'
+/// fields, a `-?[0-9]+` int64 ts, a known note symbol, a dotted-quad or '-'
 /// src, one of the five origin names to_string(Origin) writes, and a '-' or
 /// all-`key=value` metadata field.
 /// AT_UNTRUSTED: notice logs arrive from monitored hosts — every field is

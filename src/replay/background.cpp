@@ -25,7 +25,7 @@ util::SimTime MassScanScenario::schedule(testbed::Testbed& bed, util::SimTime st
       flow.dst_port = port;
       flow.state = net::ConnState::kAttempt;
       bed_ptr->inject_flow(flow);
-    }, "replay.mass_scan.probe");
+    });
   }
   return start + config_.duration;
 }
@@ -45,7 +45,7 @@ util::SimTime BruteforceScenario::schedule(testbed::Testbed& bed, util::SimTime 
       flow.dst_port = net::ports::kSsh;
       flow.state = net::ConnState::kRejected;
       bed_ptr->inject_flow(flow);
-    }, "replay.bruteforce.attempt");
+    });
   }
   return start + static_cast<util::SimTime>(config_.attempts) * config_.spacing;
 }
@@ -75,7 +75,7 @@ util::SimTime LegitTrafficScenario::schedule(testbed::Testbed& bed, util::SimTim
         flow.bytes_out = 2048;
         flow.bytes_in = 65536;
         bed_ptr->inject_flow(flow);
-      }, "replay.legit.flow");
+      });
     }
   }
   return start + config_.duration;

@@ -18,7 +18,7 @@ util::SimTime StrutsCampaign::schedule(testbed::Testbed& bed, util::SimTime star
   for (std::size_t i = 0; i < config_.probe_count; ++i) {
     bed.engine().schedule_at(t, [service, this](sim::Engine& eng) {
       service->probe(config_.attacker, eng.now());
-    }, "replay.struts.probe");
+    });
     t += config_.probe_spacing;
   }
 
@@ -34,7 +34,7 @@ util::SimTime StrutsCampaign::schedule(testbed::Testbed& bed, util::SimTime star
                          eng.now() + 30);
     service->run_payload(config_.attacker, "./xmrig --donate-level=0 -o pool:3333",
                          eng.now() + 120);
-  }, "replay.struts.exploit");
+  });
   return exploit_time + util::kHour;
 }
 
@@ -57,7 +57,7 @@ util::SimTime SshKeyloggerCampaign::schedule(testbed::Testbed& bed, util::SimTim
       flow.dst_port = net::ports::kSsh;
       flow.state = net::ConnState::kRejected;
       bed_ptr->inject_flow(flow);
-    }, "replay.keylogger.bruteforce");
+    });
     t += config_.attempt_spacing;
   }
 
@@ -71,7 +71,7 @@ util::SimTime SshKeyloggerCampaign::schedule(testbed::Testbed& bed, util::SimTim
     ssh.exec("victim", "gcc -o /usr/sbin/sshd-helper slog.c", eng.now() + 60);
     ssh.exec("victim", "cat /home/victim/.ssh/id_rsa", eng.now() + 120);
     ssh.exec("victim", "rm -f /var/log/auth.log", eng.now() + 180);
-  }, "replay.keylogger.entry");
+  });
   return entry + util::kHour;
 }
 

@@ -52,13 +52,13 @@ util::SimTime RansomwareScenario::schedule(testbed::Testbed& bed, util::SimTime 
     const util::SimTime t = start + offset;
     engine.schedule_at(t, [bed_ptr, entry_addr, this](sim::Engine& eng) {
       bed_ptr->inject_flow(probe_flow(config_.attacker, entry_addr, eng.now()));
-    }, "replay.ransomware.probe");
+    });
   }
 
   // --- Entry + compromise of the first instance.
   engine.schedule_at(entry_time_, [bed_ptr, this](sim::Engine& eng) {
     compromise_host(*bed_ptr, 0, eng.now(), 0);
-  }, "replay.ransomware.entry");
+  });
 
   // --- Twelve days later: the matching wave against another instance
   // (standing in for the production incident of Nov 10).
@@ -67,7 +67,7 @@ util::SimTime RansomwareScenario::schedule(testbed::Testbed& bed, util::SimTime 
       const net::Ipv4 addr = bed_ptr->postgres().back()->address();
       bed_ptr->inject_flow(probe_flow(config_.attacker, addr, eng.now()));
     }
-  }, "replay.ransomware.second_wave");
+  });
 
   return second_wave_time_ + util::kHour;
 }
@@ -110,7 +110,7 @@ void RansomwareScenario::compromise_host(testbed::Testbed& bed, std::size_t inst
     const net::Ipv4 src = pg.address();
     engine.schedule_at(t, [bed_ptr, src, this](sim::Engine& eng) {
       bed_ptr->inject_flow(beacon_flow(src, config_.c2_server, eng.now()));
-    }, "replay.ransomware.beacon");
+    });
   }
 
   // Recursive lateral movement (Fig 5): for every known host, use the
@@ -137,7 +137,7 @@ void RansomwareScenario::compromise_host(testbed::Testbed& bed, std::size_t inst
                           eng.now() + 10);
           compromise_host(*bed_ptr, peer_index, eng.now() + 30, depth + 1);
         }
-      }, "replay.ransomware.lateral_hop");
+      });
       break;
     }
   }

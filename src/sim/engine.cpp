@@ -1,14 +1,12 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace at::sim {
 
-EventId Engine::schedule_slot(util::SimTime when, detail::CallbackSlot&& slot,
-                              std::string_view label) {
+EventId Engine::schedule_slot(util::SimTime when, detail::CallbackSlot&& slot) {
   const bool boxed = slot.boxed();
   util::LockGuard lock(mu_);
   if (when < queue_.floor_time()) {
@@ -20,18 +18,15 @@ EventId Engine::schedule_slot(util::SimTime when, detail::CallbackSlot&& slot,
   } else {
     ++inline_callbacks_;
   }
-  if (trace_capacity_ != 0) trace_push(when, id, 's', label);
   return id;
 }
 
 bool Engine::cancel(EventId id) {
   util::LockGuard lock(mu_);
-  util::SimTime when = 0;
-  if (!queue_.cancel(id, &when)) {
+  if (!queue_.cancel(id)) {
     ++cancel_misses_;
     return false;
   }
-  if (trace_capacity_ != 0) trace_push(when, id, 'c', {});
   return true;
 }
 
@@ -41,7 +36,6 @@ bool Engine::pop_runnable(util::SimTime until, detail::CallbackSlot& body) {
   {
     util::LockGuard lock(mu_);
     if (!queue_.pop_due(until, body, fired_at, id)) return false;
-    if (trace_capacity_ != 0) trace_push(fired_at, id, 'x', {});
   }
   // Publish the clock after releasing mu_ so now() readers never contend
   // with schedulers. Relaxed is enough: only this drain loop writes — which
@@ -125,91 +119,6 @@ util::TextTable Engine::Stats::to_table() const {
   row("pending", pending);
   row("max_pending", max_pending);
   return table;
-}
-
-void Engine::enable_trace(std::size_t capacity) {
-  util::LockGuard lock(mu_);
-  trace_capacity_ = capacity;
-  trace_ring_.assign(capacity, TraceEntry{});
-  trace_next_ = 0;
-  trace_size_ = 0;
-}
-
-void Engine::disable_trace() {
-  util::LockGuard lock(mu_);
-  trace_capacity_ = 0;
-  trace_next_ = 0;
-  trace_size_ = 0;
-  trace_ring_.clear();
-  trace_ring_.shrink_to_fit();
-}
-
-std::vector<Engine::TraceEntry> Engine::trace() const {
-  util::LockGuard lock(mu_);
-  std::vector<TraceEntry> out;
-  out.reserve(trace_size_);
-  if (trace_size_ != 0) {
-    const std::size_t start =
-        (trace_next_ + trace_capacity_ - trace_size_) % trace_capacity_;
-    for (std::size_t i = 0; i < trace_size_; ++i) {
-      out.push_back(trace_ring_[(start + i) % trace_capacity_]);
-    }
-  }
-  return out;
-}
-
-void Engine::trace_push(util::SimTime when, EventId id, char kind,
-                        std::string_view label) {
-  TraceEntry& entry = trace_ring_[trace_next_];
-  entry.when = when;
-  entry.id = id;
-  entry.kind = kind;
-  const std::size_t n = std::min(label.size(), TraceEntry::kLabelBytes - 1);
-  if (n != 0) std::memcpy(entry.label, label.data(), n);
-  entry.label[n] = '\0';
-  trace_next_ = (trace_next_ + 1) % trace_capacity_;
-  if (trace_size_ < trace_capacity_) ++trace_size_;
-}
-
-PeriodicTask::PeriodicTask(Engine& engine, util::SimTime period, Engine::Callback body,
-                           std::string label)
-    : engine_(engine), period_(period), body_(std::move(body)), label_(std::move(label)) {
-  if (period_ <= 0) throw std::invalid_argument("PeriodicTask: period must be positive");
-  util::LockGuard lock(mu_);
-  arm();
-}
-
-PeriodicTask::~PeriodicTask() { stop(); }
-
-void PeriodicTask::stop() {
-  EventId pending = 0;
-  {
-    util::LockGuard lock(mu_);
-    if (!running_) return;
-    running_ = false;
-    pending = pending_;
-    pending_ = 0;
-  }
-  // Engine lock is taken outside ours strictly as a convenience; the order
-  // PeriodicTask -> Engine would also be safe (callbacks run with the
-  // engine lock released).
-  if (pending != 0) engine_.cancel(pending);
-}
-
-void PeriodicTask::arm() {
-  pending_ = engine_.schedule_in(
-      period_,
-      [this](Engine& engine) {
-        {
-          util::LockGuard lock(mu_);
-          pending_ = 0;
-          if (!running_) return;
-        }
-        body_(engine);
-        util::LockGuard lock(mu_);
-        if (running_) arm();
-      },
-      label_);
 }
 
 }  // namespace at::sim

@@ -13,23 +13,19 @@
 // binary-heap engine this replaced; tests/test_sim_oracle.cpp holds the
 // two against each other over randomized traces.
 //
-// Thread safety: mu_ guards the timer queue (schedule/cancel/pop and the
-// trace ring); the now_/executed_ mirror that observers read is a pair of
-// relaxed atomics written only by the drain loop, so now() — called twice
-// by a typical callback while sizing its next delay — is one load and
-// never contends with another worker's schedule_at(). The queue lock is
-// *released* while an event body runs: callbacks routinely re-enter
-// schedule_at()/cancel() (PeriodicTask re-arms itself from inside its own
-// callback), and mu_ is non-recursive. Determinism is unchanged for the
-// single-driver case: only one run()/step() caller may drive the engine
-// at a time.
+// Thread safety: mu_ guards the timer queue (schedule/cancel/pop); the
+// now_/executed_ mirror that observers read is a pair of relaxed atomics
+// written only by the drain loop, so now() — called twice by a typical
+// callback while sizing its next delay — is one load and never contends
+// with another worker's schedule_at(). The queue lock is *released* while
+// an event body runs: callbacks routinely re-enter schedule_at()/cancel()
+// (an event chain schedules its next link from inside its own callback),
+// and mu_ is non-recursive. Determinism is unchanged for the single-driver
+// case: only one run()/step() caller may drive the engine at a time.
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "sim/callback_slot.hpp"
 #include "sim/timing_wheel.hpp"
@@ -62,15 +58,6 @@ class Engine {
     [[nodiscard]] util::TextTable to_table() const;
   };
 
-  /// One record in the opt-in trace ring (see enable_trace()).
-  struct TraceEntry {
-    static constexpr std::size_t kLabelBytes = 40;
-    util::SimTime when = 0;    ///< the event's deadline
-    EventId id = 0;
-    char kind = 0;             ///< 's' scheduled, 'x' executed, 'c' cancelled
-    char label[kLabelBytes] = {};  ///< NUL-terminated, truncated; 's' only
-  };
-
   explicit Engine(util::SimTime start = 0) : now_(start), queue_(start) {}
 
   [[nodiscard]] util::SimTime now() const {
@@ -85,18 +72,15 @@ class Engine {
   }
 
   /// Schedule `fn` at absolute time `when` (>= now). Returns an id usable
-  /// with cancel(). Ties run in scheduling order (stable). `label` is
-  /// recorded only when the trace ring is enabled; it is not retained
-  /// otherwise and costs nothing.
+  /// with cancel(). Ties run in scheduling order (stable).
   template <typename F>
-  EventId schedule_at(util::SimTime when, F&& fn, std::string_view label = {}) {
-    return schedule_slot(when, detail::CallbackSlot(std::forward<F>(fn)), label);
+  EventId schedule_at(util::SimTime when, F&& fn) {
+    return schedule_slot(when, detail::CallbackSlot(std::forward<F>(fn)));
   }
   /// Schedule at now + delay.
   template <typename F>
-  EventId schedule_in(util::SimTime delay, F&& fn, std::string_view label = {}) {
-    return schedule_slot(now() + delay, detail::CallbackSlot(std::forward<F>(fn)),
-                         label);
+  EventId schedule_in(util::SimTime delay, F&& fn) {
+    return schedule_slot(now() + delay, detail::CallbackSlot(std::forward<F>(fn)));
   }
   /// Cancel a pending event; returns false if already run/cancelled.
   bool cancel(EventId id) AT_EXCLUDES(mu_);
@@ -114,25 +98,13 @@ class Engine {
   /// event in flight).
   [[nodiscard]] Stats stats() const AT_EXCLUDES(mu_);
 
-  /// Keep the last `capacity` schedule/execute/cancel records in a fixed
-  /// ring. Off by default; when off, labels are dropped at the call site
-  /// and the only cost on the hot path is one predictable branch.
-  void enable_trace(std::size_t capacity) AT_EXCLUDES(mu_);
-  void disable_trace() AT_EXCLUDES(mu_);
-  /// Ring contents, oldest first.
-  [[nodiscard]] std::vector<TraceEntry> trace() const AT_EXCLUDES(mu_);
-
  private:
-  EventId schedule_slot(util::SimTime when, detail::CallbackSlot&& slot,
-                        std::string_view label) AT_EXCLUDES(mu_);
+  EventId schedule_slot(util::SimTime when, detail::CallbackSlot&& slot) AT_EXCLUDES(mu_);
 
   /// Pop the next runnable event at time <= `until`; advances the queue
   /// floor and then the published clock. Returns false when nothing runs.
   /// The caller invokes `body` with the lock released.
   bool pop_runnable(util::SimTime until, detail::CallbackSlot& body) AT_EXCLUDES(mu_);
-
-  void trace_push(util::SimTime when, EventId id, char kind, std::string_view label)
-      AT_REQUIRES(mu_);
 
   // Published clock: written only by the drain loop (single driver),
   // relaxed-read by everyone else. Observers that need the clock coherent
@@ -145,41 +117,6 @@ class Engine {
   std::uint64_t cancel_misses_ AT_GUARDED_BY(mu_) = 0;
   std::uint64_t inline_callbacks_ AT_GUARDED_BY(mu_) = 0;
   std::uint64_t boxed_callbacks_ AT_GUARDED_BY(mu_) = 0;
-  std::size_t trace_capacity_ AT_GUARDED_BY(mu_) = 0;
-  std::size_t trace_next_ AT_GUARDED_BY(mu_) = 0;
-  std::size_t trace_size_ AT_GUARDED_BY(mu_) = 0;
-  std::vector<TraceEntry> trace_ring_ AT_GUARDED_BY(mu_);
-};
-
-/// Repeating event helper: schedules itself every `period` until stopped.
-/// stop() may race the engine driver from another thread; pending_/running_
-/// are guarded, and neither the body nor engine calls happen under mu_
-/// (lock order is PeriodicTask -> Engine, one-way).
-class PeriodicTask {
- public:
-  PeriodicTask(Engine& engine, util::SimTime period, Engine::Callback body,
-               std::string label = {});
-  ~PeriodicTask();
-
-  PeriodicTask(const PeriodicTask&) = delete;
-  PeriodicTask& operator=(const PeriodicTask&) = delete;
-
-  void stop();
-  [[nodiscard]] bool running() const {
-    util::LockGuard lock(mu_);
-    return running_;
-  }
-
- private:
-  void arm() AT_REQUIRES(mu_);
-
-  Engine& engine_ AT_NOT_GUARDED;       ///< internally synchronized
-  util::SimTime period_ AT_NOT_GUARDED; ///< immutable after ctor
-  Engine::Callback body_ AT_NOT_GUARDED;///< immutable after ctor; runs outside mu_
-  std::string label_ AT_NOT_GUARDED;    ///< immutable after ctor
-  mutable util::Mutex mu_;
-  EventId pending_ AT_GUARDED_BY(mu_) = 0;
-  bool running_ AT_GUARDED_BY(mu_) = true;
 };
 
 }  // namespace at::sim

@@ -217,7 +217,7 @@ EventId TimerQueue::schedule(util::SimTime when, CallbackSlot&& callback) {
   return make_id(slot, index);
 }
 
-bool TimerQueue::cancel(EventId id, util::SimTime* when_out) {
+bool TimerQueue::cancel(EventId id) {
   const auto index = static_cast<std::uint32_t>(id & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
   if (index >= slot_count_) return false;
@@ -226,7 +226,6 @@ bool TimerQueue::cancel(EventId id, util::SimTime* when_out) {
       slot.state == SlotState::kOverflowDead) {
     return false;
   }
-  if (when_out != nullptr) *when_out = slot.when;
   ++counters_.cancelled;
   --live_;
   if (slot.state == SlotState::kWheel) {

@@ -76,9 +76,8 @@ class TimerQueue {
 
   /// O(1) for wheel-resident events (immediate unlink), lazy for overflow
   /// residents (slot dies now, the heap entry evaporates when it surfaces).
-  /// Returns false for unknown/already-run/already-cancelled ids; on
-  /// success `*when_out` (if non-null) receives the event's deadline.
-  bool cancel(EventId id, util::SimTime* when_out = nullptr);
+  /// Returns false for unknown/already-run/already-cancelled ids.
+  bool cancel(EventId id);
 
   /// Extract the earliest (when, seq) event with when <= until. Advances
   /// the floor to the fired event's time and frees its slot before

@@ -114,8 +114,7 @@ void Testbed::schedule_maintenance(util::SimTime period, util::SimTime until) {
         // can drain.
         const util::SimTime next = engine.now() + period;
         if (next <= until) schedule_maintenance(period, until);
-      },
-      "testbed.maintenance");
+      });
 }
 
 VulnerableService* Testbed::add_vulnerable_service(const std::string& package,

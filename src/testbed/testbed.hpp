@@ -103,12 +103,12 @@ class Testbed {
     std::uint64_t auditor_sources_pruned = 0;  ///< SSH auditor windows dropped
   };
 
-  /// Schedule a bounded chain of "testbed.maintenance" events, one every
-  /// `period` from now+period through `until`, each reaping expired BHR
-  /// blocks and pruning idle Zeek window state and expired SSH auditor
-  /// failure windows. A bounded chain rather than a PeriodicTask so
-  /// scenarios that drain the engine with run() still terminate. Call
-  /// again to extend coverage past `until`.
+  /// Schedule a bounded chain of maintenance events, one every `period`
+  /// from now+period through `until`, each reaping expired BHR blocks and
+  /// pruning idle Zeek window state and expired SSH auditor failure
+  /// windows. A bounded chain rather than an event that re-arms itself
+  /// forever, so scenarios that drain the engine with run() still
+  /// terminate. Call again to extend coverage past `until`.
   void schedule_maintenance(util::SimTime period, util::SimTime until);
   [[nodiscard]] const MaintenanceStats& maintenance_stats() const noexcept {
     return maintenance_;

@@ -7,9 +7,9 @@
 //
 // Semantics: the *entire* view (no leading/trailing whitespace, no trailing
 // garbage) must parse, otherwise nullopt. Overflow is nullopt. This is
-// deliberately stricter than std::stoll; callers that want the permissive
-// "leading number" behavior keep their own scanner (cf. zeeklog parse_ts,
-// which must stay bit-compatible with the historical stoll accept set).
+// deliberately stricter than std::stoll (no '+', no leading whitespace):
+// the notice-log ts field, for one, is parse_num<SimTime> of the whole
+// field.
 
 #include <charconv>
 #include <cstdlib>

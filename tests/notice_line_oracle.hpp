@@ -3,9 +3,9 @@
 // scalar, line-at-a-time parser the testbed shipped before
 // alerts::parse_notice_batch became its one reader. It shares no parsing
 // code with src/alerts/zeeklog.cpp: fields come from util::split, ts from
-// std::stoll (the historical accept set that parse_ts emulates without
-// exceptions) and src from the throwing Ipv4::parse. So the batch parser is
-// checked against a second implementation, not against itself.
+// std::stoll (held to the whole field, first byte a digit or '-') and src
+// from the throwing Ipv4::parse. So the batch parser is checked against a
+// second implementation, not against itself.
 
 #include <cstddef>
 #include <exception>
@@ -32,8 +32,17 @@ inline std::optional<Alert> parse_notice_line(std::string_view line) {
   if (fields.size() != 7) return std::nullopt;
 
   Alert alert;
+  // ts is `-?[0-9]+` and nothing else: stoll skips leading whitespace and
+  // takes a '+', so the first byte is checked, and it stops at junk, so it
+  // must consume the whole field.
+  const std::string& ts = fields[0];
+  if (ts.empty() || (ts.front() != '-' && (ts.front() < '0' || ts.front() > '9'))) {
+    return std::nullopt;
+  }
   try {
-    alert.ts = std::stoll(fields[0]);
+    std::size_t pos = 0;
+    alert.ts = std::stoll(ts, &pos);
+    if (pos != ts.size()) return std::nullopt;
   } catch (const std::exception&) {
     return std::nullopt;
   }

@@ -14,10 +14,8 @@
 
 #include <gtest/gtest.h>
 
-#include "at_lint/cache.hpp"
 #include "at_lint/lint.hpp"
 #include "at_lint/sarif.hpp"
-#include "util/thread_pool.hpp"
 
 namespace at::lint {
 namespace {
@@ -645,99 +643,7 @@ TEST(AtLintAllowlist, MatchCountsExposeStaleEntries) {
   EXPECT_EQ(counts[1], 0u);  // stale: nothing trips it anymore
 }
 
-// -------------------------------------------------------------------- cache
-
-TEST(AtLintCache, WarmRunAnalyzesNothing) {
-  const auto files = one("src/x.cpp", "int v = rand();\n");
-  Cache cache;
-  RunOptions opts;
-  opts.cache = &cache;
-  const auto cold = run(files, opts);
-  EXPECT_EQ(cold.stats.analyzed, 1u);
-  EXPECT_EQ(cold.stats.cache_hits, 0u);
-  const auto warm = run(files, opts);
-  EXPECT_EQ(warm.stats.analyzed, 0u);
-  EXPECT_EQ(warm.stats.cache_hits, 1u);
-  // Identical findings either way.
-  ASSERT_EQ(warm.violations.size(), cold.violations.size());
-  EXPECT_EQ(warm.violations[0].message, cold.violations[0].message);
-}
-
-TEST(AtLintCache, ContentChangeInvalidatesOnlyThatFile) {
-  std::vector<SourceFile> files;
-  files.push_back({"src/a.cpp", "int a;\n"});
-  files.push_back({"src/b.cpp", "int b;\n"});
-  Cache cache;
-  RunOptions opts;
-  opts.cache = &cache;
-  (void)run(files, opts);
-  files[0].content = "int a2;\n";
-  const auto warm = run(files, opts);
-  EXPECT_EQ(warm.stats.analyzed, 1u);
-  EXPECT_EQ(warm.stats.cache_hits, 1u);
-}
-
-TEST(AtLintCache, SiblingHeaderEditInvalidatesTheCpp) {
-  std::vector<SourceFile> files;
-  files.push_back({"src/c.hpp", "#pragma once\nclass C { int x_ = 0; };\n"});
-  files.push_back({"src/c.cpp", "#include \"c.hpp\"\n"});
-  Cache cache;
-  RunOptions opts;
-  opts.cache = &cache;
-  (void)run(files, opts);
-  files[0].content = "#pragma once\nclass C { int x_ = 1; };\n";
-  const auto warm = run(files, opts);
-  // Header changed → header AND its paired .cpp re-analyze.
-  EXPECT_EQ(warm.stats.analyzed, 2u);
-}
-
-TEST(AtLintCache, SerializationRoundTripsAndIsDeterministic) {
-  const auto files = one("src/x.cpp", "int v = rand();  // t\n");
-  Cache cache;
-  RunOptions opts;
-  opts.cache = &cache;
-  (void)run(files, opts);
-  const std::string bytes = cache.serialize();
-  Cache restored = Cache::deserialize(bytes);
-  EXPECT_EQ(restored.size(), cache.size());
-  EXPECT_EQ(restored.serialize(), bytes);
-  RunOptions opts2;
-  opts2.cache = &restored;
-  const auto warm = run(files, opts2);
-  EXPECT_EQ(warm.stats.analyzed, 0u);
-  EXPECT_TRUE(has_rule(warm.violations, "banned-call"));
-  // Columns survive the round trip: the cached violation is byte-identical
-  // to a fresh analysis, startColumn included.
-  ASSERT_FALSE(warm.violations.empty());
-  EXPECT_EQ(warm.violations[0].column, 9u);
-}
-
-TEST(AtLintCache, RejectsForeignEngineSalt) {
-  // A cache written by a different engine version must be ignored.
-  std::string bytes = "at_lint-cache\x1f" "1\x1f" "12345\nF\x1fsrc/x.cpp\x1f" "999\n";
-  Cache cache = Cache::deserialize(bytes);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-// -------------------------------------------------------------- parallelism
-
-TEST(AtLintParallel, PoolAndSerialRunsAgree) {
-  std::vector<SourceFile> files;
-  for (int i = 0; i < 24; ++i) {
-    files.push_back({"src/f" + std::to_string(i) + ".cpp",
-                     i % 3 == 0 ? "int v = rand();\n" : "int ok;\n"});
-  }
-  const auto serial = run(files, RunOptions{});
-  util::ThreadPool pool(4);
-  RunOptions opts;
-  opts.pool = &pool;
-  const auto parallel = run(files, opts);
-  ASSERT_EQ(parallel.violations.size(), serial.violations.size());
-  for (std::size_t i = 0; i < serial.violations.size(); ++i) {
-    EXPECT_EQ(parallel.violations[i].file, serial.violations[i].file);
-    EXPECT_EQ(parallel.violations[i].line, serial.violations[i].line);
-  }
-}
+// -------------------------------------------------------- output stability
 
 TEST(AtLintParallel, OutputIsStableAcrossRuns) {
   // Determinism regression: two runs over the same inputs must emit

@@ -1,9 +1,8 @@
 // Tests for the at_lint whole-program phase: cross-TU fact linking
 // (call / lock / hot-path graphs), the project rules it powers, the two
-// ROADMAP carry-overs the PR-4 single-file engine provably missed, the
-// cache behavior that keeps phase-1 facts warm while phase-2 results
-// track edits in *other* files, and the v4 dataflow layer (interprocedural
-// taint, dangling views, bounded growth).
+// carry-overs the earlier single-file engine provably missed, stale
+// inline-suppression accounting, and the v4 dataflow layer
+// (interprocedural taint, dangling views, bounded growth).
 
 #include <algorithm>
 #include <fstream>
@@ -13,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "at_lint/cache.hpp"
 #include "at_lint/lint.hpp"
 
 namespace at::lint {
@@ -494,100 +492,6 @@ TEST(AtLintNoexceptEscape, OnDiskFixture) {
   EXPECT_TRUE(has_rule(run_check("noexcept-escape", files), "noexcept-escape"));
 }
 
-// --------------------------------------------- cache v3: cross-TU freshness
-//
-// Phase-1 facts are cached per file; phase 2 relinks every run. Editing a
-// header must therefore change DEPENDENT files' project findings without
-// re-extracting the dependents — and unrelated edits must leave everything
-// else warm.
-
-TEST(AtLintCacheV3, HeaderEditFlipsDependentsProjectFindingWhileFactsStayWarm) {
-  auto files = cross_tu_pair("std::unordered_map");
-  Cache cache;
-  RunOptions opts;
-  opts.cache = &cache;
-  const auto cold = run(files, opts);
-  ASSERT_TRUE(has_rule(cold.violations, "determinism"));
-
-  // Swap the field to an ordered map. Only the header re-extracts —
-  // consumer.cpp is not its sibling — yet the cross-TU finding disappears
-  // because phase 2 re-links fresh facts against cached ones.
-  auto ordered = cross_tu_pair("std::map");
-  files[0].content = ordered[0].content;
-  const auto warm = run(files, opts);
-  EXPECT_EQ(warm.stats.analyzed, 1u);
-  EXPECT_EQ(warm.stats.cache_hits, 1u);
-  EXPECT_FALSE(has_rule(warm.violations, "determinism"));
-}
-
-TEST(AtLintCacheV3, UnrelatedEditKeepsTheCrossTuFinding) {
-  auto files = cross_tu_pair("std::unordered_map");
-  files.push_back({"src/cross/extra.cpp", "namespace at {}\n"});
-  Cache cache;
-  RunOptions opts;
-  opts.cache = &cache;
-  (void)run(files, opts);
-  files[2].content = "namespace at { int unrelated; }\n";
-  const auto warm = run(files, opts);
-  EXPECT_EQ(warm.stats.analyzed, 1u);
-  EXPECT_EQ(warm.stats.cache_hits, 2u);
-  // Cached phase-1 facts still carry the pending loop + container field:
-  // the project finding survives without re-extraction.
-  EXPECT_TRUE(has_rule(warm.violations, "determinism"));
-}
-
-TEST(AtLintCacheV3, FactRecordsRoundTripThroughSerialization) {
-  std::vector<SourceFile> files;
-  files.push_back({"src/rt/a.cpp",
-                   "#include <cstdio>\n"
-                   "#include <stdexcept>\n"
-                   "namespace at {\n"
-                   "void helper() { throw std::runtime_error(\"x\"); }\n"
-                   "void drain() AT_HOT {\n"
-                   "  std::printf(\"tick\\n\");\n"
-                   "}\n"
-                   "void apply() noexcept { helper(); }\n"
-                   "}  // namespace at\n"});
-  Cache cache;
-  RunOptions opts;
-  opts.cache = &cache;
-  const auto cold = run(files, opts);
-  ASSERT_TRUE(has_rule(cold.violations, "blocking-in-hot-path"));
-  ASSERT_TRUE(has_rule(cold.violations, "noexcept-escape"));
-
-  // Round-trip the cache through bytes, then a fully-warm run: both
-  // project findings must be reconstructed from serialized facts alone.
-  Cache restored = Cache::deserialize(cache.serialize());
-  EXPECT_EQ(restored.serialize(), cache.serialize());
-  RunOptions opts2;
-  opts2.cache = &restored;
-  const auto warm = run(files, opts2);
-  EXPECT_EQ(warm.stats.analyzed, 0u);
-  EXPECT_TRUE(has_rule(warm.violations, "blocking-in-hot-path"));
-  EXPECT_TRUE(has_rule(warm.violations, "noexcept-escape"));
-}
-
-TEST(AtLintCacheV3, SuppressionHitCountsSurviveTheRoundTrip) {
-  std::vector<SourceFile> files;
-  files.push_back({"src/rt/a.cpp",
-                   "int v = rand();  // at_lint: allow(banned-call) — seed demo\n"});
-  Cache cache;
-  RunOptions opts;
-  opts.cache = &cache;
-  const auto cold = run(files, opts);
-  EXPECT_TRUE(cold.violations.empty());
-  EXPECT_TRUE(cold.stale_suppressions.empty());
-
-  Cache restored = Cache::deserialize(cache.serialize());
-  RunOptions opts2;
-  opts2.cache = &restored;
-  const auto warm = run(files, opts2);
-  EXPECT_EQ(warm.stats.analyzed, 0u);
-  // The hit count was cached with the facts: the suppression is still not
-  // stale even though nothing was re-analyzed this run.
-  EXPECT_TRUE(warm.stale_suppressions.empty());
-}
-
 // ------------------------------------------------- stale inline suppressions
 
 TEST(AtLintStaleSuppression, UnmatchedInlineAllowIsReported) {
@@ -613,6 +517,15 @@ TEST(AtLintStaleSuppression, ProjectPhaseHitIsNotStale) {
                    "}  // namespace at\n"});
   const auto result = run(files, RunOptions{});
   EXPECT_FALSE(has_rule(result.violations, "blocking-in-hot-path"));
+  EXPECT_TRUE(result.stale_suppressions.empty());
+}
+
+TEST(AtLintStaleSuppression, PerFileHitIsNotStale) {
+  std::vector<SourceFile> files;
+  files.push_back({"src/st/a.cpp",
+                   "int v = rand();  // at_lint: allow(banned-call) — seed demo\n"});
+  const auto result = run(files, RunOptions{});
+  EXPECT_TRUE(result.violations.empty());
   EXPECT_TRUE(result.stale_suppressions.empty());
 }
 
@@ -695,6 +608,44 @@ TEST(AtLintTaint, SanitizingHopClearsTheTaint) {
                    "}\n"
                    "}  // namespace at\n"});
   EXPECT_TRUE(run_check("taint-to-sink", files).empty());
+}
+
+TEST(AtLintTaint, HeaderAnnotationTaintsACallerInAnotherTu) {
+  // api.hpp + its sibling api.cpp, and a consumer in a third TU. The same
+  // tree is linted before and after AT_UNTRUSTED lands on the header
+  // prototype: only the second run flags the consumer's sink.
+  std::vector<SourceFile> files;
+  files.push_back({"src/api/api.hpp",
+                   "#pragma once\n"
+                   "#include <string>\n"
+                   "namespace at {\n"
+                   "std::string fetch(const std::string& wire);\n"
+                   "}  // namespace at\n"});
+  files.push_back({"src/api/api.cpp",
+                   "#include \"api/api.hpp\"\n"
+                   "namespace at {\n"
+                   "std::string fetch(const std::string& wire) { return wire; }\n"
+                   "}  // namespace at\n"});
+  files.push_back({"src/api/consumer.cpp",
+                   "#include \"api/api.hpp\"\n"
+                   "#include <vector>\n"
+                   "namespace at {\n"
+                   "void use(std::vector<int>& out) {\n"
+                   "  const std::string body = fetch(\"x\");\n"
+                   "  out.reserve(body.size());\n"
+                   "}\n"
+                   "}  // namespace at\n"});
+  EXPECT_FALSE(has_rule(run(files, RunOptions{}).violations, "taint-to-sink"));
+
+  files[0].content =
+      "#pragma once\n"
+      "#include <string>\n"
+      "namespace at {\n"
+      "std::string fetch(const std::string& wire) AT_UNTRUSTED;\n"
+      "}  // namespace at\n";
+  const auto edited = run(files, RunOptions{});
+  ASSERT_TRUE(has_rule(edited.violations, "taint-to-sink"));
+  EXPECT_EQ(edited.violations.front().file, "src/api/consumer.cpp");
 }
 
 TEST(AtLintTaint, UntaintedFlowsNeverFire) {
@@ -904,129 +855,6 @@ TEST(AtLintGrowth, UntaintedGrowthIsClean) {
       "};\n"
       "}  // namespace at\n";
   EXPECT_TRUE(run_check("unbounded-growth", files).empty());
-}
-
-// --------------------------------------------------- cache v4: dataflow facts
-
-TEST(AtLintCacheV4, FlowSummariesRoundTripThroughSerialization) {
-  auto files = taint_two_hop_files("  out.reserve(buf.size());\n");
-  Cache cache;
-  RunOptions opts;
-  opts.cache = &cache;
-  const auto cold = run(files, opts);
-  ASSERT_TRUE(has_rule(cold.violations, "taint-to-sink"));
-
-  // Byte-stable round-trip, then a fully-warm run: the interprocedural
-  // finding must be reconstructed from serialized FlowEdges + flags alone.
-  Cache restored = Cache::deserialize(cache.serialize());
-  EXPECT_EQ(restored.serialize(), cache.serialize());
-  RunOptions opts2;
-  opts2.cache = &restored;
-  const auto warm = run(files, opts2);
-  EXPECT_EQ(warm.stats.analyzed, 0u);
-  ASSERT_TRUE(has_rule(warm.violations, "taint-to-sink"));
-  EXPECT_NE(warm.violations.front().message.find("drive -> route -> consume"),
-            std::string::npos);
-}
-
-TEST(AtLintCacheV4, BoundedFieldsRoundTripThroughSerialization) {
-  auto files = growth_files();
-  files.push_back({"src/growth/gc.cpp",
-                   "#include \"growth/tracker.hpp\"\n"
-                   "namespace at {\n"
-                   "void Tracker_gc(std::unordered_map<std::string, int>& seen_) {\n"
-                   "  seen_.erase(\"old\");\n"
-                   "}\n"
-                   "}  // namespace at\n"});
-  Cache cache;
-  RunOptions opts;
-  opts.cache = &cache;
-  EXPECT_FALSE(has_rule(run(files, opts).violations, "unbounded-growth"));
-
-  Cache restored = Cache::deserialize(cache.serialize());
-  RunOptions opts2;
-  opts2.cache = &restored;
-  const auto warm = run(files, opts2);
-  EXPECT_EQ(warm.stats.analyzed, 0u);
-  // The eviction evidence travels with gc.cpp's cached facts; losing it
-  // in serialization would resurrect the finding on warm runs.
-  EXPECT_FALSE(has_rule(warm.violations, "unbounded-growth"));
-}
-
-TEST(AtLintCacheV4, HeaderEditReExtractsOnlySiblingNotAllDependents) {
-  // Three files: api.hpp + its sibling api.cpp (keyed together) and a
-  // consumer keyed on its own bytes only. Annotating the header must (a)
-  // re-extract just the header + sibling, and (b) still flip the
-  // CONSUMER's project finding, because phase 2 re-links the consumer's
-  // cached flow summaries against the fresh annotation.
-  std::vector<SourceFile> files;
-  files.push_back({"src/api/api.hpp",
-                   "#pragma once\n"
-                   "#include <string>\n"
-                   "namespace at {\n"
-                   "std::string fetch(const std::string& wire);\n"
-                   "}  // namespace at\n"});
-  files.push_back({"src/api/api.cpp",
-                   "#include \"api/api.hpp\"\n"
-                   "namespace at {\n"
-                   "std::string fetch(const std::string& wire) { return wire; }\n"
-                   "}  // namespace at\n"});
-  files.push_back({"src/api/consumer.cpp",
-                   "#include \"api/api.hpp\"\n"
-                   "#include <vector>\n"
-                   "namespace at {\n"
-                   "void use(std::vector<int>& out) {\n"
-                   "  const std::string body = fetch(\"x\");\n"
-                   "  out.reserve(body.size());\n"
-                   "}\n"
-                   "}  // namespace at\n"});
-  Cache cache;
-  RunOptions opts;
-  opts.cache = &cache;
-  const auto cold = run(files, opts);
-  EXPECT_FALSE(has_rule(cold.violations, "taint-to-sink"));
-
-  files[0].content =
-      "#pragma once\n"
-      "#include <string>\n"
-      "namespace at {\n"
-      "std::string fetch(const std::string& wire) AT_UNTRUSTED;\n"
-      "}  // namespace at\n";
-  const auto warm = run(files, opts);
-  EXPECT_EQ(warm.stats.analyzed, 2u);    // api.hpp + sibling api.cpp
-  EXPECT_EQ(warm.stats.cache_hits, 1u);  // consumer.cpp stayed warm
-  ASSERT_TRUE(has_rule(warm.violations, "taint-to-sink"));
-  EXPECT_EQ(warm.violations.front().file, "src/api/consumer.cpp");
-}
-
-TEST(AtLintStaleSuppression, ProjectPhaseHitStaysLiveOnFullyWarmRuns) {
-  // Regression guard for the merged stale accounting: a suppression whose
-  // only hit comes from the project phase has a cached per-file count of
-  // zero. On a fully-warm run (analyzed == 0) the fresh project hit must
-  // still merge in — otherwise every cross-TU allow() goes stale the
-  // moment the cache warms.
-  std::vector<SourceFile> files;
-  files.push_back({"src/st/a.cpp",
-                   "#include <cstdio>\n"
-                   "namespace at {\n"
-                   "void drain() AT_HOT {\n"
-                   "  // at_lint: allow(blocking-in-hot-path) — one-shot banner\n"
-                   "  std::printf(\"go\\n\");\n"
-                   "}\n"
-                   "}  // namespace at\n"});
-  Cache cache;
-  RunOptions opts;
-  opts.cache = &cache;
-  const auto cold = run(files, opts);
-  EXPECT_TRUE(cold.stale_suppressions.empty());
-
-  Cache restored = Cache::deserialize(cache.serialize());
-  RunOptions opts2;
-  opts2.cache = &restored;
-  const auto warm = run(files, opts2);
-  EXPECT_EQ(warm.stats.analyzed, 0u);
-  EXPECT_FALSE(has_rule(warm.violations, "blocking-in-hot-path"));
-  EXPECT_TRUE(warm.stale_suppressions.empty());
 }
 
 // -------------------------------------------------------------------- stats

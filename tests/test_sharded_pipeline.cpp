@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alerts/queue.hpp"
@@ -201,7 +203,7 @@ TEST(ParseNoticeBatchTest, AgreesOnAdversarialLines) {
       "99\talert_ssh_bruteforce\th\tu\t1.2.3.4\tzeek\tnoeq\n"  // bad metadata
       "99\talert_ssh_bruteforce\th\tu\t1.2.3.4\tzeek\t-\textra\n"  // 8 fields
       "  " + good + "  \n" +                                  // padded, still valid
-      "+99\talert_ssh_bruteforce\t-\t-\t-\tzeek\tk=v|a=b\n"   // '+' ts, metadata
+      "+99\talert_ssh_bruteforce\t-\t-\t-\tzeek\tk=v|a=b\n"   // '+' ts: malformed
       "\v# c\n"                                               // comment after \v
       "\f\n"                                                  // blank after trim
       "7\talert_ssh_bruteforce\th\tu\t1.2.3.4\tzeek\tk=v\r\n"  // CRLF row
@@ -212,8 +214,42 @@ TEST(ParseNoticeBatchTest, AgreesOnAdversarialLines) {
   expect_batch_agrees(text);
   // Pin the counts too, so a blind spot the reference shares would show.
   const auto batch = alerts::parse_notice_batch(text);
-  EXPECT_EQ(batch.size(), 6u);
-  EXPECT_EQ(batch.malformed, 8u);  // the two unknown origins among them
+  EXPECT_EQ(batch.size(), 5u);
+  EXPECT_EQ(batch.malformed, 9u);  // the two unknown origins among them
+}
+
+TEST(ParseNoticeBatchTest, TsFieldIsASignedIntegerAndNothingElse) {
+  // Each ts spelling in the same otherwise-valid line: `-?[0-9]+` in int64
+  // range is a row, anything else malformed. (An empty ts leaves a leading
+  // tab that the line trim removes, so that line fails on its field count.)
+  const std::string rest = "\talert_ssh_bruteforce\th\tu\t1.2.3.4\tzeek\t-";
+  for (const char* ts : {"+12", "12abc", "12.5", "-", "", "12 ", "9223372036854775808",
+                         "-9223372036854775809", "0x10"}) {
+    SCOPED_TRACE(std::string("ts '") + ts + "'");
+    const std::string line = ts + rest;
+    expect_batch_agrees(line);
+    const auto batch = alerts::parse_notice_batch(line);
+    EXPECT_EQ(batch.size(), 0u);
+    EXPECT_EQ(batch.malformed, 1u);
+  }
+  for (const auto& [ts, want] :
+       {std::pair<const char*, util::SimTime>{"-12", -12}, {"0", 0}, {"007", 7},
+        {"9223372036854775807", std::numeric_limits<util::SimTime>::max()},
+        {"-9223372036854775808", std::numeric_limits<util::SimTime>::min()}}) {
+    SCOPED_TRACE(std::string("ts '") + ts + "'");
+    const std::string line = ts + rest;
+    expect_batch_agrees(line);
+    const auto batch = alerts::parse_notice_batch(line);
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch.ts[0], want);
+  }
+  // A leading blank never reaches the field: the line is trimmed before it
+  // is split, so " 12" at the start of a line still reads as ts 12.
+  const std::string padded = " 12" + rest;
+  expect_batch_agrees(padded);
+  const auto batch = alerts::parse_notice_batch(padded);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.ts[0], 12);
 }
 
 TEST(ParseNoticeBatchTest, AllFiveOriginNamesRoundTrip) {

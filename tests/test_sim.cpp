@@ -1,10 +1,10 @@
-// Discrete-event engine: ordering, determinism, cancellation, periodics.
+// Discrete-event engine: ordering, determinism, cancellation.
 
 #include <gtest/gtest.h>
 
 #include <array>
-#include <memory>
-#include <string>
+#include <stdexcept>
+#include <vector>
 
 #include "sim/engine.hpp"
 
@@ -87,33 +87,6 @@ TEST(Engine, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(times, (std::vector<util::SimTime>{1, 6}));
 }
 
-TEST(PeriodicTaskTest, FiresEveryPeriodUntilStopped) {
-  Engine engine;
-  int fires = 0;
-  PeriodicTask task(engine, 10, [&](Engine&) { ++fires; });
-  engine.run_until(55);
-  EXPECT_EQ(fires, 5);  // t = 10, 20, 30, 40, 50
-  task.stop();
-  engine.run_until(200);
-  EXPECT_EQ(fires, 5);
-  EXPECT_FALSE(task.running());
-}
-
-TEST(PeriodicTaskTest, SelfStopInsideCallback) {
-  Engine engine;
-  int fires = 0;
-  PeriodicTask task(engine, 10, [&](Engine&) {
-    if (++fires == 3) task.stop();
-  });
-  engine.run_until(1000);
-  EXPECT_EQ(fires, 3);
-}
-
-TEST(PeriodicTaskTest, RejectsNonPositivePeriod) {
-  Engine engine;
-  EXPECT_THROW(PeriodicTask(engine, 0, [](Engine&) {}), std::invalid_argument);
-}
-
 TEST(Engine, StatsCountSchedulesExecutionsAndCancels) {
   Engine engine;
   const auto id1 = engine.schedule_at(10, [](Engine&) {});
@@ -181,85 +154,9 @@ TEST(Engine, EventIdsAreNeverReusedAcrossSlotRecycling) {
   engine.run();
   const auto id2 = engine.schedule_at(2, [](Engine&) {});  // recycles the slot
   EXPECT_NE(id1, id2);
-  EXPECT_NE(id2, 0u);  // 0 stays a null sentinel (PeriodicTask relies on it)
+  EXPECT_NE(id2, 0u);  // 0 stays a null sentinel
   EXPECT_FALSE(engine.cancel(id1));  // the stale handle must not hit id2
   EXPECT_TRUE(engine.cancel(id2));
-}
-
-TEST(Engine, TraceRingRecordsLabeledLifecycle) {
-  Engine engine;
-  engine.enable_trace(8);
-  const auto id1 = engine.schedule_at(10, [](Engine&) {}, "alpha");
-  const auto id2 = engine.schedule_at(20, [](Engine&) {}, "beta");
-  engine.cancel(id2);
-  engine.run();
-  const auto entries = engine.trace();
-  ASSERT_EQ(entries.size(), 4u);  // s(alpha), s(beta), c(beta), x(alpha)
-  EXPECT_EQ(entries[0].kind, 's');
-  EXPECT_STREQ(entries[0].label, "alpha");
-  EXPECT_EQ(entries[0].id, id1);
-  EXPECT_EQ(entries[1].kind, 's');
-  EXPECT_STREQ(entries[1].label, "beta");
-  EXPECT_EQ(entries[2].kind, 'c');
-  EXPECT_EQ(entries[2].id, id2);
-  EXPECT_EQ(entries[2].when, 20);  // cancel records the event's deadline
-  EXPECT_EQ(entries[3].kind, 'x');
-  EXPECT_EQ(entries[3].id, id1);
-  EXPECT_EQ(entries[3].when, 10);
-}
-
-TEST(Engine, TraceRingWrapsAndDisableClears) {
-  Engine engine;
-  engine.enable_trace(4);
-  for (int i = 0; i < 10; ++i) {
-    engine.schedule_at(i + 1, [](Engine&) {}, "ev");
-  }
-  auto entries = engine.trace();
-  ASSERT_EQ(entries.size(), 4u);  // only the last four survive
-  EXPECT_EQ(entries.front().when, 7);
-  EXPECT_EQ(entries.back().when, 10);
-  engine.disable_trace();
-  EXPECT_TRUE(engine.trace().empty());
-  engine.schedule_at(100, [](Engine&) {}, "after");  // dropped: trace is off
-  EXPECT_TRUE(engine.trace().empty());
-  engine.run();
-}
-
-TEST(Engine, TraceLabelsAreTruncatedNotOverrun) {
-  Engine engine;
-  engine.enable_trace(2);
-  const std::string longlabel(200, 'x');
-  engine.schedule_at(1, [](Engine&) {}, longlabel);
-  const auto entries = engine.trace();
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(std::string(entries[0].label).size(), Engine::TraceEntry::kLabelBytes - 1);
-  engine.run();
-}
-
-TEST(PeriodicTaskTest, StopThenReArmWithFreshTask) {
-  Engine engine;
-  int first = 0;
-  int second = 0;
-  auto task = std::make_unique<PeriodicTask>(engine, 10, [&](Engine&) { ++first; });
-  engine.run_until(35);
-  task->stop();
-  EXPECT_FALSE(task->running());
-  EXPECT_EQ(engine.pending(), 0u);  // the armed event was cancelled
-  task = std::make_unique<PeriodicTask>(engine, 7, [&](Engine&) { ++second; });
-  engine.run_until(100);
-  EXPECT_EQ(first, 3);   // 10, 20, 30
-  EXPECT_EQ(second, 9);  // 42, 49, ..., 98
-  task->stop();
-}
-
-TEST(PeriodicTaskTest, StopFromSeparateCallbackCancelsArmedEvent) {
-  Engine engine;
-  int fires = 0;
-  PeriodicTask task(engine, 10, [&](Engine&) { ++fires; });
-  engine.schedule_at(25, [&](Engine&) { task.stop(); });
-  engine.run();  // must terminate: no armed event survives the stop
-  EXPECT_EQ(fires, 2);
-  EXPECT_EQ(engine.pending(), 0u);
 }
 
 TEST(Engine, DeterministicAcrossRuns) {

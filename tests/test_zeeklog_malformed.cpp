@@ -33,16 +33,16 @@ TEST(ZeeklogMalformed, EmbeddedNulInField) {
   expect_batch_agrees(line);
 }
 
-TEST(ZeeklogMalformed, NulInNumericFieldFollowsStollAcceptSet) {
-  // parse_ts deliberately preserves the historical std::stoll accept set
-  // (see zeeklog.cpp): digits followed by junk parse as the digits...
+TEST(ZeeklogMalformed, NulInNumericFieldIsMalformed) {
+  // The ts field must be digits and nothing else: a NUL after the leading
+  // digits makes the line malformed rather than reading them as ts 173...
   std::string trailing = kValidLine;
   trailing[3] = '\0';  // ts "173\0 259852"
   const AlertBatch parsed = parse_notice_batch(trailing);
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed.materialize(0).ts, 173);
+  EXPECT_EQ(parsed.size(), 0u);
+  EXPECT_EQ(parsed.malformed, 1u);
 
-  // ...but junk before any digit is malformed.
+  // ...and so does one before any digit.
   std::string leading = kValidLine;
   leading[0] = '\0';  // ts "\0 730259852"
   const AlertBatch rejected = parse_notice_batch(leading);

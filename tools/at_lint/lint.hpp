@@ -6,14 +6,14 @@
 // checks lock discipline inside one TU; at_lint checks the repo-shaped,
 // cross-TU invariants a compiler has no opinion on.
 //
-// The engine runs in two phases (docs/static-analysis.md has the write-up):
-//   phase 1 (parallel, cached)  lex each file and extract FileFacts — the
-//     include list, container-typed fields, function definitions with their
-//     outgoing calls / lock acquisitions / blocking sites / throw sites /
-//     atomic ops, and inline suppressions. Facts serialize into the
-//     content-hash cache, so a warm run re-extracts nothing.
-//   phase 2 (always runs)  link facts into project-wide symbol, call and
-//     lock graphs (link.hpp) and run the cross-TU rules over them.
+// The engine runs in two phases, one serial pass over the files each
+// (docs/static-analysis.md has the write-up):
+//   phase 1  lex each file, run the per-file rules and extract FileFacts —
+//     the include list, container-typed fields, function definitions with
+//     their outgoing calls / lock acquisitions / blocking sites / throw
+//     sites / atomic ops, and inline suppressions.
+//   phase 2  link facts into project-wide symbol, call and lock graphs
+//     (link.hpp) and run the cross-TU rules over them.
 //
 // Files:
 //   lexer.hpp    — C++ lexer: comments, literals (incl. raw strings),
@@ -25,10 +25,9 @@
 //                  include closures, lock summaries, hot reachability,
 //                  throw propagation, worklist taint propagation).
 //   lint.hpp/cpp — engine: orchestration, inline suppressions, Check
-//                  registry, allowlist, incremental-cache plumbing.
+//                  registry, allowlist.
 //   checks.cpp   — the fifteen rules, each a Check subclass.
 //   sarif.hpp    — SARIF 2.1.0 JSON for CI code-scanning annotation.
-//   cache.hpp    — content-hash incremental cache, format v4.
 //
 // Rules:
 //   banned-call     rand/strtok/gmtime anywhere in src/; std::sto* outside
@@ -92,10 +91,6 @@
 
 #include "at_lint/lexer.hpp"
 
-namespace at::util {
-class ThreadPool;
-}
-
 namespace at::lint {
 
 /// One scanned file. `path` is repo-relative with '/' separators (rules
@@ -117,8 +112,7 @@ struct Violation {
   std::size_t column = 0;
 };
 
-/// Per-file facts the project-wide checks consume. Extracted once per file
-/// (or restored from the incremental cache without re-lexing).
+/// Per-file facts the project-wide checks consume. Extracted once per file.
 struct FileFacts {
   std::vector<std::string> quoted_includes;  ///< #include "..." as written
 
@@ -144,9 +138,9 @@ struct FileFacts {
   std::vector<UsedType> used_types;
 
   /// Inline suppressions: (rule or "*", target line). `hits` counts the
-  /// per-file violations this entry suppressed at analyze time (cached with
-  /// the facts); project-phase hits are tallied at run time. An entry with
-  /// zero hits from both phases is stale.
+  /// per-file violations this entry suppressed at analyze time;
+  /// project-phase hits are tallied after linking. An entry with zero hits
+  /// from both phases is stale.
   struct Suppression {
     std::string rule;
     std::uint32_t line = 0;
@@ -261,12 +255,10 @@ struct FileFacts {
 };
 
 /// Result of analyzing one file: per-file-rule violations (inline
-/// suppressions already applied; allowlist is applied later so editing it
-/// never invalidates the cache) plus the facts for project-wide rules.
+/// suppressions already applied; the allowlist is applied after the merge)
+/// plus the facts for project-wide rules.
 struct FileAnalysis {
   std::string path;
-  std::uint64_t key = 0;  ///< content+sibling+engine-version hash
-  bool from_cache = false;
   std::vector<Violation> violations;
   FileFacts facts;
 };
@@ -289,8 +281,8 @@ struct ProjectCtx {
 };
 
 /// A rule. Implementations live in checks.cpp and register via registry().
-/// Per-file work goes in file() (parallelized, cached); cross-file work
-/// goes in project() (always runs, consumes FileFacts only).
+/// Per-file work goes in file(); cross-file work goes in project()
+/// (consumes FileFacts only).
 class Check {
  public:
   virtual ~Check() = default;
@@ -329,17 +321,13 @@ class Allowlist {
   std::vector<AllowEntry> entries_;
 };
 
-class Cache;  // cache.hpp
-
 struct RunStats {
   std::size_t files = 0;
-  std::size_t cache_hits = 0;
-  std::size_t analyzed = 0;          ///< lexed + fact-extracted this run
   std::size_t raw_violations = 0;    ///< pre-allowlist (post inline suppression)
   std::size_t allowlisted = 0;
   // Per-phase wall times. analyze_ms/project_ms are kept as the two-phase
   // aggregates (analyze = lex + extract, project = link + check + merge).
-  double lex_ms = 0.0;      ///< tokenizing cache misses (+ needed siblings)
+  double lex_ms = 0.0;      ///< tokenizing every file
   double extract_ms = 0.0;  ///< per-file rules + fact extraction
   double link_ms = 0.0;     ///< ProjectGraph build (call/lock/hot resolution)
   double check_ms = 0.0;    ///< project rules + suppression + merge + sort
@@ -347,9 +335,8 @@ struct RunStats {
   double project_ms = 0.0;  ///< project rules + merge + sort
 
   /// Per-rule breakdown, in registry order. file_ms sums the rule's
-  /// file() time across cache misses (CPU time when the phase runs
-  /// parallel, so the column can exceed wall time); project_ms is its
-  /// project() pass; violations counts raw (pre-allowlist) findings.
+  /// file() time across files; project_ms is its project() pass;
+  /// violations counts raw (pre-allowlist) findings.
   struct RuleStat {
     std::string name;
     double file_ms = 0.0;
@@ -360,13 +347,11 @@ struct RunStats {
 };
 
 struct RunOptions {
-  const Allowlist* allow = nullptr;     ///< optional
-  Cache* cache = nullptr;               ///< optional incremental cache
-  util::ThreadPool* pool = nullptr;     ///< optional parallel per-file phase
+  const Allowlist* allow = nullptr;  ///< optional
 };
 
 /// An inline `// at_lint: allow(...)` that suppressed nothing this run —
-/// neither a per-file finding (cached hit count) nor a project finding.
+/// neither a per-file finding nor a project finding.
 struct StaleSuppression {
   std::string file;
   std::string rule;
@@ -395,7 +380,7 @@ struct RunResult {
 [[nodiscard]] std::vector<Violation> check_raw_new_delete(const std::vector<SourceFile>& files);
 [[nodiscard]] std::vector<Violation> check_guarded_by(const std::vector<SourceFile>& files);
 
-/// Run every rule and drop allowlisted findings (serial, uncached).
+/// Run every rule and drop allowlisted findings.
 [[nodiscard]] std::vector<Violation> run_all(const std::vector<SourceFile>& files,
                                              const Allowlist& allow);
 
@@ -408,20 +393,7 @@ struct HeaderTu {
 };
 [[nodiscard]] std::vector<HeaderTu> generate_header_tus(const std::vector<SourceFile>& files);
 
-// ---- engine internals shared by checks.cpp / cache.cpp / tests ----
-
-/// FNV-1a 64 over `data`.
-[[nodiscard]] std::uint64_t fnv1a(std::string_view data, std::uint64_t seed = 0xcbf29ce484222325ULL) noexcept;
-
-/// Engine fingerprint: mixes a version string that MUST be bumped whenever
-/// a rule's behavior changes, so stale cache entries self-invalidate.
-[[nodiscard]] std::uint64_t engine_salt() noexcept;
-
-/// Analyze one file (lex → per-file rules → inline suppressions → facts).
-/// `sibling` is the paired header for a .cpp, when scanned.
-[[nodiscard]] FileAnalysis analyze_file(const SourceFile& file, const TokenStream& tokens,
-                                        const SourceFile* sibling,
-                                        const TokenStream* sibling_tokens);
+// ---- engine internals shared by checks.cpp / tests ----
 
 /// The trimmed source line containing 1-based `line` of `content`.
 [[nodiscard]] std::string line_excerpt(std::string_view content, std::size_t line);

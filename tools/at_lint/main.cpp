@@ -7,21 +7,16 @@
 //   --check-stale-allowlist fail (exit 1) when an allowlist entry matches
 //                           nothing, or an inline `// at_lint: allow(...)`
 //                           comment suppressed nothing this run
-//   --cache FILE            incremental cache; warm runs re-analyze only
-//                           changed files (default: off)
-//   --no-cache              ignore --cache (force a cold run)
 //   --diff REF              print (and exit nonzero on) only findings in
 //                           files changed vs `git merge-base HEAD REF`
 //                           (REF itself when no merge base exists); the
 //                           whole-program phase still analyzes every file,
 //                           so cross-TU findings in changed files stay
 //                           complete
-//   --jobs N                per-file analysis threads (default: hardware
-//                           concurrency; 1 = serial)
 //   --sarif FILE            also write findings as SARIF 2.1.0 JSON
 //                           (unfiltered — --diff narrows text output only)
-//   --stats                 print per-phase + per-rule timing / cache-hit
-//                           summary; appended as a markdown table to
+//   --stats                 print per-phase + per-rule timing summary;
+//                           appended as a markdown table to
 //                           $GITHUB_STEP_SUMMARY when that is set
 //   --write-header-tus DIR  instead emit one single-include TU per
 //                           src/**.hpp (the CMake `lint` target compiles
@@ -37,15 +32,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
-#include "at_lint/cache.hpp"
 #include "at_lint/lint.hpp"
 #include "at_lint/sarif.hpp"
-#include "util/parse.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fs = std::filesystem;
 
@@ -128,8 +119,8 @@ bool git_changed_files(const fs::path& root, const std::string& ref,
 int usage() {
   std::fprintf(stderr,
                "usage: at_lint [--root DIR] [--allowlist FILE] [--check-stale-allowlist]\n"
-               "               [--cache FILE] [--no-cache] [--diff REF] [--jobs N]\n"
-               "               [--sarif FILE] [--stats] [--write-header-tus DIR]\n"
+               "               [--diff REF] [--sarif FILE] [--stats]\n"
+               "               [--write-header-tus DIR]\n"
                "  scans src/ tools/ bench/ tests/ below --root (default '.');\n"
                "  tests/negative/ (compile-fail fixtures) is excluded.\n");
   return 2;
@@ -141,14 +132,10 @@ int main(int argc, char** argv) {
   fs::path root = ".";
   fs::path allowlist_path;
   fs::path tu_dir;
-  fs::path cache_path;
   fs::path sarif_path;
-  bool no_cache = false;
   bool stats = false;
   bool check_stale = false;
   std::string diff_ref;
-  std::size_t jobs = std::thread::hardware_concurrency();
-  if (jobs == 0) jobs = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
@@ -157,19 +144,11 @@ int main(int argc, char** argv) {
       allowlist_path = argv[++i];
     } else if (arg == "--write-header-tus" && i + 1 < argc) {
       tu_dir = argv[++i];
-    } else if (arg == "--cache" && i + 1 < argc) {
-      cache_path = argv[++i];
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = argv[++i];
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      const auto n = at::util::parse_num<std::size_t>(argv[++i]);
-      if (!n.has_value() || *n == 0) return usage();
-      jobs = *n;
     } else if (arg == "--diff" && i + 1 < argc) {
       diff_ref = argv[++i];
       if (!safe_ref(diff_ref)) return usage();
-    } else if (arg == "--no-cache") {
-      no_cache = true;
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--check-stale-allowlist") {
@@ -191,8 +170,8 @@ int main(int argc, char** argv) {
       files.push_back({rel, read_file(entry.path())});
     }
   }
-  // Directory iteration order is filesystem-dependent; sort so output,
-  // cache bytes, and header-TU emission are reproducible.
+  // Directory iteration order is filesystem-dependent; sort so output and
+  // header-TU emission are reproducible.
   std::sort(files.begin(), files.end(),
             [](const at::lint::SourceFile& a, const at::lint::SourceFile& b) {
               return a.path < b.path;
@@ -228,21 +207,10 @@ int main(int argc, char** argv) {
     allow = at::lint::Allowlist::parse(read_file(allowlist_path));
   }
 
-  at::lint::Cache cache;
-  const bool use_cache = !cache_path.empty() && !no_cache;
-  if (use_cache) cache = at::lint::Cache::load(cache_path.string());
-
-  at::util::ThreadPool pool(jobs);
   at::lint::RunOptions opts;
   opts.allow = &allow;
-  opts.cache = use_cache ? &cache : nullptr;
-  opts.pool = jobs > 1 ? &pool : nullptr;
   const at::lint::RunResult result = at::lint::run(files, opts);
 
-  if (use_cache && !cache.save(cache_path.string())) {
-    std::fprintf(stderr, "at_lint: warning: could not write cache %s\n",
-                 cache_path.string().c_str());
-  }
   if (!sarif_path.empty()) {
     std::ofstream out(sarif_path, std::ios::binary | std::ios::trunc);
     out << at::lint::to_sarif(result.violations);
@@ -304,30 +272,23 @@ int main(int argc, char** argv) {
 
   if (stats) {
     const auto& s = result.stats;
-    const double hit_rate =
-        s.files == 0 ? 0.0
-                     : 100.0 * static_cast<double>(s.cache_hits) /
-                           static_cast<double>(s.files);
     std::printf(
-        "at_lint: %zu files | %zu cache hits (%.0f%%), %zu analyzed | "
-        "%zu raw, %zu allowlisted, %zu reported | "
-        "lex %.1f ms, extract %.1f ms, link %.1f ms, check %.1f ms (jobs=%zu)\n",
-        s.files, s.cache_hits, hit_rate, s.analyzed, s.raw_violations, s.allowlisted,
-        result.violations.size(), s.lex_ms, s.extract_ms, s.link_ms, s.check_ms, jobs);
+        "at_lint: %zu files | %zu raw, %zu allowlisted, %zu reported | "
+        "lex %.1f ms, extract %.1f ms, link %.1f ms, check %.1f ms\n",
+        s.files, s.raw_violations, s.allowlisted, result.violations.size(), s.lex_ms,
+        s.extract_ms, s.link_ms, s.check_ms);
     for (const auto& r : s.rules) {
       std::printf("at_lint:   %-22s file %7.2f ms | project %7.2f ms | %zu raw\n",
                   r.name.c_str(), r.file_ms, r.project_ms, r.violations);
     }
     // On GitHub Actions, mirror the numbers into the job summary so the
-    // run page shows per-rule cost and cache health without log digging.
+    // run page shows per-rule cost without log digging.
     const char* summary_path = std::getenv("GITHUB_STEP_SUMMARY");
     if (summary_path != nullptr && summary_path[0] != '\0') {
       std::ofstream summary(summary_path, std::ios::app);
       if (summary) {
         summary << "### at_lint\n\n"
-                << s.files << " files | " << s.cache_hits << " cache hits ("
-                << static_cast<int>(hit_rate) << "%), " << s.analyzed
-                << " analyzed | " << s.raw_violations << " raw, " << s.allowlisted
+                << s.files << " files | " << s.raw_violations << " raw, " << s.allowlisted
                 << " allowlisted, " << result.violations.size() << " reported\n\n"
                 << "| rule | file (ms) | project (ms) | raw findings |\n"
                 << "|---|---:|---:|---:|\n";

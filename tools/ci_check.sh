@@ -11,9 +11,10 @@
 # Stages:
 #   1. configure + build   build-ci/        -Wall -Wextra -Werror (AT_WERROR=ON)
 #   2. lint                cmake --target lint (header TUs + at_lint sweep),
-#                          stale-suppression gate, warm-rerun 3s budget
+#                          stale-suppression gate on one cold 3s-budget run
 #   3. dataflow fixtures   the v4 rule suites (taint / dangling-view /
-#                          growth / cache round-trip) as a focused gtest pass
+#                          growth / stale suppressions) as a focused gtest
+#                          pass
 #   4. ctest               full suite, parallel
 #   5. sanitizers          build-asan/      AT_SANITIZE=address,undefined,
 #                          then the zeeklog/fg gtest suites under ASan+UBSan;
@@ -55,31 +56,25 @@ cmake --build build-ci --target lint -j "$JOBS" || fail "lint"
 # The lint target already passes --check-stale-allowlist, but run the gate
 # explicitly too so a CMake edit can't silently drop it: an allowlist entry
 # or inline allow() suppression that no longer matches any finding must be
-# deleted, not accumulated.
-./build-ci/tools/at_lint --root . --allowlist tools/at_lint/allowlist.txt \
-  --cache build-ci/at_lint.cache --check-stale-allowlist > /dev/null \
-  || fail "stale suppressions (run with --check-stale-allowlist for the list)"
-# Warm-rerun budget: with the fact cache populated by the runs above, a
-# whole-program pass must re-extract nothing and finish under 3 seconds —
-# the same tripwire CI enforces, so cache regressions fail before the PR.
-# (2s through v3; the v4 taint worklist + flow-summary relink buys a
-# second of headroom on slow runners while still catching a broken cache,
-# whose symptom is a full re-extraction measured in tens of seconds.)
+# deleted, not accumulated. The same cold whole-program run must finish
+# under 3 seconds, the budget CI enforces.
 LINT_START=$(date +%s%N)
 LINT_OUT=$(./build-ci/tools/at_lint --root . --allowlist tools/at_lint/allowlist.txt \
-  --cache build-ci/at_lint.cache --stats) || fail "warm lint rerun"
+  --check-stale-allowlist --stats) \
+  || { echo "$LINT_OUT"; fail "lint findings or stale suppressions"; }
 LINT_MS=$(( ($(date +%s%N) - LINT_START) / 1000000 ))
 echo "$LINT_OUT"
-echo "warm lint wall time: ${LINT_MS} ms"
-echo "$LINT_OUT" | grep -q " 0 analyzed" || fail "warm lint re-extracted files"
-[ "$LINT_MS" -lt 3000 ] || fail "warm lint exceeded 3s budget (${LINT_MS} ms)"
+echo "cold lint wall time: ${LINT_MS} ms"
+[ "$LINT_MS" -lt 3000 ] || fail "cold lint exceeded 3s budget (${LINT_MS} ms)"
 
 echo "=== [3/5] dataflow fixture suite (taint / dangling-view / growth) ==="
 # The v4 rules' positive+negative fixtures in one fast pass: a rule whose
 # detector regressed to silence (or to noise) fails here even if the
 # repo-wide sweep above happens to stay clean.
+# The suite list (one gtest pattern a line) is shared with
+# .github/workflows/ci.yml.
 ./build-ci/tests/at_tests \
-  --gtest_filter='AtLintTaint*:AtLintDanglingView*:AtLintGrowth*:AtLintCacheV4*:AtLintStaleSuppression*' \
+  --gtest_filter="$(paste -sd: tools/lint_fixtures.filter)" \
   || fail "dataflow fixture suite"
 
 echo "=== [4/5] ctest ==="
