@@ -19,6 +19,7 @@
 #include "replay/ransomware.hpp"
 #include "testbed/autoscaler.hpp"
 #include "testbed/daemon.hpp"
+#include "testbed/deployed.hpp"
 
 namespace {
 
@@ -63,12 +64,12 @@ int main() {
 
   // The operator console: an always-on daemon fed the same post-dedup
   // alert stream as the in-process pipeline (tap before any traffic).
-  // Same detector family and threshold as the testbed's own stack.
+  // The same deployed stack and threshold as the testbed's own pipeline.
   testbed::DetectionDaemon console(testbed::DaemonConfig{}, /*router=*/nullptr);
-  auto compiled = fg::compile_params(fg::learn_params(corpus));
-  console.add_detector("factor-graph", [compiled, &config] {
-    return std::make_unique<detect::FactorGraphDetector>(compiled, config.fg_threshold);
-  });
+  for (auto& [name, factory] :
+       testbed::deployed_detectors(testbed::train_model(corpus), config.fg_threshold)) {
+    console.add_detector(std::move(name), std::move(factory));
+  }
   ConsoleTap tap(bed.pipeline(), console);
   bed.correlator().retarget(tap);
 

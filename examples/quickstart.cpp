@@ -5,15 +5,18 @@
 // 2. Train the factor-graph preemption model on half of it.
 // 3. Stream a held-out attack through the detector and watch it fire
 //    *before* the damage-stage alert.
-// 4. Run the same stream through the always-on DetectionDaemon and pull
-//    the typed alert queue the way a live operator would (docs/daemon.md).
+// 4. Run the same stream through the always-on DetectionDaemon, with the
+//    deployed detector stack, and pull the typed alert queue the way a
+//    live operator would (docs/daemon.md).
 //
 // Build & run:  cmake --build build && ./build/examples/example_quickstart
 
 #include <cstdio>
+#include <utility>
 
 #include "detect/eval.hpp"
 #include "testbed/daemon.hpp"
+#include "testbed/deployed.hpp"
 
 int main() {
   using namespace at;
@@ -56,14 +59,14 @@ int main() {
   }
 
   // --- 4. the same stream, daemon-style ----------------------------------
-  // Production runs the detector inside the always-on DetectionDaemon:
-  // submit alerts as they arrive, pull typed results by category mask.
-  const auto params = fg::learn_params(split.train);
-  auto compiled = fg::compile_params(params);
+  // Production runs the deployed stack (factor graph, then rule-based)
+  // inside the always-on DetectionDaemon: submit alerts as they arrive,
+  // pull typed results by category mask.
   testbed::DetectionDaemon daemon(testbed::DaemonConfig{}, /*router=*/nullptr);
-  daemon.add_detector("factor-graph", [compiled] {
-    return std::make_unique<detect::FactorGraphDetector>(compiled, 0.75);
-  });
+  for (auto& [name, factory] :
+       testbed::deployed_detectors(testbed::train_model(split.train), 0.75)) {
+    daemon.add_detector(std::move(name), std::move(factory));
+  }
   for (const auto& alert : stream.alerts) daemon.submit(alert);
   daemon.drain_idle();
   std::printf("\noperator queue for the same attack:\n");

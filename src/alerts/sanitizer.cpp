@@ -9,9 +9,12 @@ namespace at::alerts {
 
 namespace {
 
-/// Mask trailing octets of any dotted quad found in `line`.
-std::string mask_ips(std::string_view line, unsigned octets_kept) {
-  static constexpr const char* kMask[4] = {"xxx", "yyy", "zzz", "ttt"};
+/// Leading octets a masked IP keeps; the rest read "xxx", "yyy".
+constexpr unsigned kIpOctetsKept = 2;
+
+/// Mask the trailing octets of any dotted quad found in `line`.
+std::string mask_ips(std::string_view line) {
+  static constexpr const char* kMask[4 - kIpOctetsKept] = {"xxx", "yyy"};
   std::string out;
   std::size_t i = 0;
   while (i < line.size()) {
@@ -49,10 +52,10 @@ std::string mask_ips(std::string_view line, unsigned octets_kept) {
         if (o) out += '.';
         const std::size_t lo = octet_starts[o];
         const std::size_t hi = (o == 3 ? octet_starts[4] : octet_starts[o + 1] - 1);
-        if (o < octets_kept) {
+        if (o < kIpOctetsKept) {
           out.append(line.substr(lo, hi - lo));
         } else {
-          out += kMask[o - (octets_kept < 4 ? octets_kept : 3)];
+          out += kMask[o - kIpOctetsKept];
         }
       }
       i = j;
@@ -67,18 +70,14 @@ std::string mask_ips(std::string_view line, unsigned octets_kept) {
 }  // namespace
 
 std::string Sanitizer::sanitize_line(std::string_view line) const {
-  std::string out = mask_ips(line, options_.ip_octets_kept);
-  if (options_.defang_urls) {
-    out = util::replace_all(out, "http://", "hXXp://");
-    out = util::replace_all(out, "https://", "hXXps://");
-  }
-  return out;
+  // Defang URLs so the logs are not clickable.
+  std::string out = mask_ips(line);
+  out = util::replace_all(out, "http://", "hXXp://");
+  return util::replace_all(out, "https://", "hXXps://");
 }
 
 void Sanitizer::sanitize(Alert& alert) const {
-  if (options_.mask_usernames && !alert.user.empty()) {
-    alert.user = pseudonym(alert.user);
-  }
+  if (!alert.user.empty()) alert.user = pseudonym(alert.user);
   for (auto& [key, value] : alert.metadata) {
     value = sanitize_line(value);
   }

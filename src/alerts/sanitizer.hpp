@@ -2,7 +2,9 @@
 // Sanitization: the paper keeps log timestamps but masks specific
 // information (personal data, file names, trailing IP octets) before logs
 // leave the security enclave. This mirrors the anonymization visible in the
-// paper's own listings ("64.215.xxx.yyy", "hXXp://194.145.xxx.yyy/...").
+// paper's own listings ("64.215.xxx.yyy", "hXXp://194.145.xxx.yyy/..."):
+// IPs keep their first two octets, URLs are defanged and usernames become
+// stable pseudonyms. File names are left as they are.
 
 #include <string>
 #include <string_view>
@@ -12,17 +14,8 @@
 
 namespace at::alerts {
 
-struct SanitizeOptions {
-  unsigned ip_octets_kept = 2;   ///< leading octets preserved in IPs
-  bool mask_usernames = true;    ///< replace usernames with stable pseudonyms
-  bool defang_urls = true;       ///< http -> hXXp so logs are not clickable
-  bool mask_filenames = false;   ///< replace path basenames with <file>
-};
-
 class Sanitizer {
  public:
-  explicit Sanitizer(SanitizeOptions options = {}) : options_(options) {}
-
   /// Sanitize a raw log line (IPs masked, URLs defanged, names pseudonymized).
   /// AT_SANITIZES: strips user-supplied content down to the symbolic
   /// skeleton the paper's preprocessing keeps, so the result is safe for
@@ -35,9 +28,6 @@ class Sanitizer {
 
   /// Stable pseudonym for a username (same input -> same output).
   [[nodiscard]] std::string pseudonym(std::string_view user) const;
-
- private:
-  SanitizeOptions options_;
 };
 
 }  // namespace at::alerts

@@ -41,8 +41,6 @@ class Symbolizer {
   [[nodiscard]] BatchResult symbolize_all(const std::vector<std::string>& lines,
                                           util::SimTime day_start = 0) const;
 
-  [[nodiscard]] std::size_t pattern_count() const noexcept { return patterns_.size(); }
-
  private:
   struct Pattern {
     std::string name;

@@ -28,7 +28,7 @@ namespace at::alerts {
 [[nodiscard]] std::string write_notice_log(const std::vector<Alert>& alerts);
 
 /// Structure-of-arrays view of a parsed notice log. Every string column is
-/// a std::string_view into `arena()` — the log text retained by the batch —
+/// a std::string_view into the log text the batch retains (its arena),
 /// so parsing performs no per-field allocation and rows that the pipeline
 /// filters out are never materialized as owning Alerts. Columns are index-
 /// aligned; row i is well-formed by construction. Blank (after trimming
@@ -55,7 +55,6 @@ class AlertBatch {
 
   [[nodiscard]] std::size_t size() const noexcept { return ts.size(); }
   [[nodiscard]] bool empty() const noexcept { return ts.empty(); }
-  [[nodiscard]] const std::string& arena() const noexcept { return arena_; }
   [[nodiscard]] std::optional<net::Ipv4> src_at(std::size_t i) const {
     return has_src[i] ? std::optional<net::Ipv4>(src[i]) : std::nullopt;
   }

@@ -163,7 +163,6 @@ class BlackHoleRouter {
   };
   [[nodiscard]] Stats stats(util::SimTime now) const;
 
-  [[nodiscard]] const net::Cidr& protected_block() const noexcept { return protected_; }
   [[nodiscard]] const LpmTrie& trie() const noexcept { return trie_; }
 
  private:

@@ -31,11 +31,15 @@ GapBucket bucket_for_gap(util::SimTime gap) noexcept {
   return GapBucket::kDays;
 }
 
-ModelParams learn_params(const incidents::Corpus& corpus, const LearnOptions& options) {
-  std::vector<double> prior_counts(kStages, options.laplace);
-  std::vector<double> transition_counts(kStages * kStages, options.laplace);
-  std::vector<double> emission_counts(kStages * kTypes, options.laplace);
-  std::vector<double> gap_counts(kStages * kNumGapBuckets, options.laplace);
+ModelParams learn_params(const incidents::Corpus& corpus) {
+  // Additive (Laplace) smoothing count for every table cell.
+  constexpr double kLaplace = 1.0;
+  // Weight of a regressing transition: attacks rarely de-escalate.
+  constexpr double kRegressionPenalty = 0.25;
+  std::vector<double> prior_counts(kStages, kLaplace);
+  std::vector<double> transition_counts(kStages * kStages, kLaplace);
+  std::vector<double> emission_counts(kStages * kTypes, kLaplace);
+  std::vector<double> gap_counts(kStages * kNumGapBuckets, kLaplace);
 
   for (const auto& incident : corpus.incidents) {
     const incidents::LabeledAlert* prev = nullptr;
@@ -51,7 +55,7 @@ ModelParams learn_params(const incidents::Corpus& corpus, const LearnOptions& op
         // Attacks progress; observed regressions (noise interleaving) are
         // learned with reduced weight so the model prefers monotonic
         // escalation, as the original AttackTagger factors encode.
-        if (stage < prev_stage) weight = options.regression_penalty;
+        if (stage < prev_stage) weight = kRegressionPenalty;
         transition_counts[prev_stage * kStages + stage] += weight;
         const auto bucket =
             static_cast<std::size_t>(bucket_for_gap(entry.alert.ts - prev->alert.ts));

@@ -61,16 +61,8 @@ struct ModelParams {
   }
 };
 
-struct LearnOptions {
-  double laplace = 1.0;  ///< additive smoothing count
-  /// Weight of monotonic-progression preference baked into transitions:
-  /// attacks rarely de-escalate; regressing transitions are down-weighted.
-  double regression_penalty = 0.25;
-};
-
 /// Estimate parameters from a corpus's annotated timelines.
-[[nodiscard]] ModelParams learn_params(const incidents::Corpus& corpus,
-                                       const LearnOptions& options = {});
+[[nodiscard]] ModelParams learn_params(const incidents::Corpus& corpus);
 
 /// Exponentiated (linear-domain) parameter tables, immutable and shared:
 /// every EntityFilter built from one CompiledParams costs a refcount bump

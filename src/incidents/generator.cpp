@@ -47,6 +47,28 @@ bool repeatable(AlertType type) noexcept {
 constexpr const char* kUsers[] = {"alice", "bob", "carol", "dave", "erin",
                                   "frank", "grace", "heidi", "ivan", "judy"};
 
+/// Study period the incident start years are drawn from.
+constexpr int kStartYear = 2002;
+constexpr int kEndYear = 2024;
+/// Extra distinct attack-attempt alert types blended into each incident's
+/// window (dilutes pairwise Jaccard like the real alert context does).
+constexpr std::int64_t kMinExtraTypes = 5;
+constexpr std::int64_t kMaxExtraTypes = 8;
+/// Legitimate-activity alerts interleaved per incident.
+constexpr std::int64_t kMinBenignAlerts = 8;
+constexpr std::int64_t kMaxBenignAlerts = 16;
+/// Mean materialized repeated-attempt alerts per incident; at
+/// repetition_scale 1.0 the filtered corpus totals ~191K alerts (the
+/// paper's Table I). Set slightly above the per-incident budget because
+/// incidents whose window happens to contain no repeatable (recon/access)
+/// alert type skip the burst entirely.
+constexpr double kMeanRepetitions = 840.0;
+/// Mean raw (pre-filter) alert volume per incident window; at 228
+/// incidents this totals the paper's ~25M.
+constexpr double kMeanRawAlerts = 109'649.0;
+/// Ambiguous alerts planted per incident (expert annotation, ~0.3%).
+constexpr std::size_t kAmbiguousPerIncident = 2;
+
 }  // namespace
 
 Corpus CorpusGenerator::generate() const {
@@ -112,8 +134,7 @@ Incident CorpusGenerator::make_incident(std::uint32_t id, std::uint32_t seq_inde
   incident.family = seq.family;
 
   // Start time: uniform day within a uniform year of the study period.
-  const int year =
-      static_cast<int>(rng.uniform_int(config_.start_year, config_.end_year));
+  const int year = static_cast<int>(rng.uniform_int(kStartYear, kEndYear));
   const util::SimTime year_start = util::to_sim_time(util::CivilDate{year, 1, 1});
   incident.start = year_start + rng.uniform_int(0, 360) * util::kDay +
                    rng.uniform_int(0, util::kDay - 1);
@@ -169,9 +190,8 @@ Incident CorpusGenerator::make_incident(std::uint32_t id, std::uint32_t seq_inde
   const util::SimTime window_start = incident.start - util::kDay;
 
   // --- Extra distinct attack-attempt types in the window (Jaccard diluter).
-  const auto n_extras = static_cast<std::size_t>(
-      rng.uniform_int(static_cast<std::int64_t>(config_.min_extra_types),
-                      static_cast<std::int64_t>(config_.max_extra_types)));
+  const auto n_extras =
+      static_cast<std::size_t>(rng.uniform_int(kMinExtraTypes, kMaxExtraTypes));
   const auto extra_idx = rng.sample_indices(kNoisePool.size(), n_extras);
   std::vector<AlertType> repeat_candidates;
   for (const auto idx : extra_idx) {
@@ -186,8 +206,8 @@ Incident CorpusGenerator::make_incident(std::uint32_t id, std::uint32_t seq_inde
 
   // --- Repeated inconclusive attempts (scan/bruteforce bursts). These
   // dominate the filtered volume, as in the paper (~80K of 94K daily).
-  if (!repeat_candidates.empty() && config_.mean_repetitions > 0.0) {
-    const auto n_rep = rng.poisson(config_.mean_repetitions * config_.repetition_scale);
+  if (!repeat_candidates.empty()) {
+    const auto n_rep = rng.poisson(kMeanRepetitions * config_.repetition_scale);
     util::SimTime rep_t = window_start;
     for (std::uint64_t i = 0; i < n_rep; ++i) {
       const AlertType type =
@@ -199,9 +219,8 @@ Incident CorpusGenerator::make_incident(std::uint32_t id, std::uint32_t seq_inde
   }
 
   // --- Legitimate activity interleaved in the window.
-  const auto n_benign = static_cast<std::size_t>(
-      rng.uniform_int(static_cast<std::int64_t>(config_.min_benign_alerts),
-                      static_cast<std::int64_t>(config_.max_benign_alerts)));
+  const auto n_benign =
+      static_cast<std::size_t>(rng.uniform_int(kMinBenignAlerts, kMaxBenignAlerts));
   for (std::size_t i = 0; i < n_benign; ++i) {
     std::vector<double> weights;
     weights.reserve(kBenignPool.size());
@@ -215,7 +234,7 @@ Incident CorpusGenerator::make_incident(std::uint32_t id, std::uint32_t seq_inde
   // the attacker's own successful login with stolen credentials (benign
   // type, attack-related) and a legitimate user's compile job (attack-ish
   // type, benign) — exactly the collision class the paper describes.
-  for (std::size_t i = 0; i < config_.ambiguous_per_incident; ++i) {
+  for (std::size_t i = 0; i < kAmbiguousPerIncident; ++i) {
     if (i % 2 == 0) {
       // Benign-typed activity by the attacker's account; the type varies
       // per incident so it does not become a universally shared set member.
@@ -240,7 +259,7 @@ Incident CorpusGenerator::make_incident(std::uint32_t id, std::uint32_t seq_inde
       break;
     }
   }
-  incident.raw_alert_count = rng.poisson(config_.mean_raw_alerts);
+  incident.raw_alert_count = rng.poisson(kMeanRawAlerts);
   return incident;
 }
 

@@ -25,28 +25,9 @@ namespace at::incidents {
 
 struct CorpusConfig {
   std::uint64_t seed = 42;
-  int start_year = 2002;
-  int end_year = 2024;
-  /// Extra distinct attack-attempt alert types blended into each incident's
-  /// window (dilutes pairwise Jaccard like the real alert context does).
-  std::size_t min_extra_types = 5;
-  std::size_t max_extra_types = 8;
-  /// Legitimate-activity alerts interleaved per incident.
-  std::size_t min_benign_alerts = 8;
-  std::size_t max_benign_alerts = 16;
-  /// Mean materialized repeated-attempt alerts per incident; at scale 1.0
-  /// the filtered corpus totals ~191K alerts (the paper's Table I). Set
-  /// slightly above the per-incident budget because incidents whose window
-  /// happens to contain no repeatable (recon/access) alert type skip the
-  /// burst entirely.
-  double mean_repetitions = 840.0;
-  /// Scale on mean_repetitions; tests use a small value for speed.
+  /// Scale on the mean repeated-attempt count per incident (1.0 gives the
+  /// paper's ~191K filtered alerts); tests use a small value for speed.
   double repetition_scale = 1.0;
-  /// Mean raw (pre-filter) alert volume per incident window; at 228
-  /// incidents this totals the paper's ~25M.
-  double mean_raw_alerts = 109'649.0;
-  /// Ambiguous alerts planted per incident (expert annotation, ~0.3%).
-  std::size_t ambiguous_per_incident = 2;
   /// Worker threads for incident synthesis (incidents draw from forked,
   /// per-incident RNG streams, so the output is bit-identical at any
   /// thread count). 0 = hardware concurrency, 1 = serial.

@@ -8,6 +8,8 @@ namespace at::incidents {
 
 std::vector<DayVolume> DailyNoiseModel::sample_month(util::SimTime start,
                                                      std::size_t days) const {
+  // Fraction of daily alerts that are repeated scan probes (~80K/94K).
+  constexpr double kScanFraction = 0.85;
   util::Rng rng(config_.seed ^ static_cast<std::uint64_t>(start));
   std::vector<DayVolume> month;
   month.reserve(days);
@@ -17,7 +19,7 @@ std::vector<DayVolume> DailyNoiseModel::sample_month(util::SimTime start,
     const double draw = rng.normal(config_.mean_daily, config_.stddev_daily);
     day.total = draw < 1000.0 ? 1000ULL : static_cast<std::uint64_t>(draw);
     day.repeated_scans = static_cast<std::uint64_t>(
-        static_cast<double>(day.total) * config_.scan_fraction);
+        static_cast<double>(day.total) * kScanFraction);
     // Remaining volume: mostly legitimate operations, a sliver of
     // significant-but-inconclusive alerts.
     const std::uint64_t rest = day.total - day.repeated_scans;

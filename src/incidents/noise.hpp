@@ -19,8 +19,6 @@ struct NoiseConfig {
   std::uint64_t seed = 7;
   double mean_daily = 94'238.0;
   double stddev_daily = 23'547.0;
-  /// Fraction of daily alerts that are repeated scan probes (~80K/94K).
-  double scan_fraction = 0.85;
 };
 
 struct DayVolume {

@@ -28,11 +28,12 @@ std::string write_report(const Incident& incident, const ReportOptions& options)
         << entry.alert.symbol_name() << "  [" << alerts::to_string(entry.stage) << "]\n";
   }
   out << "\n-- log snippets (attack-related) --\n";
-  // Quote the first N attack-related lines, the way reports carry evidence.
+  // Quote the first few attack-related lines, the way reports carry evidence.
+  constexpr std::size_t kMaxSnippetLines = 12;
   std::size_t quoted = 0;
   for (const auto& entry : incident.timeline) {
     if (!entry.attack_related || entry.core) continue;
-    if (quoted++ >= options.max_snippet_lines) break;
+    if (quoted++ >= kMaxSnippetLines) break;
     out << "  " << entry.alert.str() << "\n";
   }
   if (quoted == 0) out << "  (none)\n";

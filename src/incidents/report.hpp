@@ -13,8 +13,6 @@
 namespace at::incidents {
 
 struct ReportOptions {
-  /// Attack-related log lines quoted in the report (most recent kept).
-  std::size_t max_snippet_lines = 12;
   bool anonymize = true;  ///< mask addresses like the paper's listings
 };
 

@@ -157,12 +157,12 @@ void ZeekMonitor::check_beacon(const net::Flow& flow) {
     pair.gaps.add(static_cast<double>(flow.ts - pair.last_arrival));
   }
   pair.last_arrival = flow.ts;
-  if (pair.beacon_reported || pair.arrivals < config_.beacon_min_connections) return;
+  if (pair.beacon_reported || pair.arrivals < kBeaconMinConnections) return;
 
   const util::OnlineStats& gaps = pair.gaps;
   if (gaps.mean() <= 0.0) return;
   const double rel = gaps.stddev() / gaps.mean();
-  if (rel <= config_.beacon_jitter_tolerance) {
+  if (rel <= kBeaconJitterTolerance) {
     pair.beacon_reported = true;
     alerts::Alert alert;
     alert.ts = flow.ts;

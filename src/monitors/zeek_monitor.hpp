@@ -30,10 +30,6 @@ struct ZeekConfig {
   util::SimTime window = 5 * util::kMinute;
   /// Outbound bytes in one established flow before a bulk-exfil notice.
   std::uint64_t exfil_bytes_threshold = 512ULL << 20;  // 512 MB
-  /// Beacon detection: at least this many same-(src,dst) connections with
-  /// near-constant spacing.
-  std::size_t beacon_min_connections = 4;
-  double beacon_jitter_tolerance = 0.2;  ///< relative stddev of inter-arrival
   /// The protected internal block (alerts carry internal host names).
   net::Cidr internal = net::blocks::ncsa16();
   /// The post-incident policy the paper describes being added after the
@@ -72,6 +68,10 @@ class ZeekMonitor final : public Monitor {
 
   /// Pair state is pruned after this many windows of inactivity.
   static constexpr util::SimTime kPairIdleWindows = 8;
+  /// Beacon detection: at least this many same-(src,dst) connections whose
+  /// inter-arrival gaps have a relative stddev of at most the tolerance.
+  static constexpr std::size_t kBeaconMinConnections = 4;
+  static constexpr double kBeaconJitterTolerance = 0.2;
 
   /// Name an internal address (for host= fields); defaults to the dotted quad.
   void set_host_name(net::Ipv4 addr, std::string name);

@@ -36,7 +36,6 @@ std::size_t AutoScaler::tick(util::SimTime now) {
   }
   if (added > 0) {
     ++scale_events_;
-    added_ += added;
     window_notifications_ = 0;  // pressure answered; re-arm
   }
   return added;

@@ -30,7 +30,6 @@ class AutoScaler {
   std::size_t tick(util::SimTime now);
 
   [[nodiscard]] std::uint64_t scale_events() const noexcept { return scale_events_; }
-  [[nodiscard]] std::uint64_t instances_added() const noexcept { return added_; }
 
  private:
   AutoScalerConfig config_;
@@ -40,7 +39,6 @@ class AutoScaler {
   util::SimTime window_start_ = 0;
   std::size_t window_notifications_ = 0;
   std::uint64_t scale_events_ = 0;
-  std::uint64_t added_ = 0;
 };
 
 }  // namespace at::testbed

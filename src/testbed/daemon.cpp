@@ -33,11 +33,6 @@ DetectionDaemon::DetectionDaemon(DaemonConfig config, bhr::BlackHoleRouter* rout
     : config_(config), router_(router), filter_(config.pipeline.scan_filter_window) {
   if (config_.shards == 0) config_.shards = 1;
   if (config_.ring_capacity < 2) config_.ring_capacity = 2;
-  // pump() releases a kept alert's verdicts only as a complete group (the
-  // frontier is per-op), so one op's verdicts — at most one per detector
-  // family — must fit the outbound ring or its worker could stall with
-  // nothing releasable. 64 families is far beyond any real deployment.
-  if (config_.outbound_capacity < 64) config_.outbound_capacity = 64;
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(i, config_));
@@ -325,8 +320,8 @@ std::size_t DetectionDaemon::drain_shard(Shard& shard,
       // The ring is FIFO: every older op of this shard is done, so the
       // frontier may pass everything below this one while it runs.
       shard.done_through.store(op->seq - 1, std::memory_order_release);
-      const auto emit = [&shard, seq = op->seq](Verdict&& verdict) {
-        Outbound out{seq, std::move(verdict)};
+      const auto emit = [&shard, seq = op->seq](Notification&& note) {
+        Outbound out{seq, std::move(note)};
         while (!shard.out.try_push(std::move(out))) {
           // Outbound full: the consumer is behind. Stall this shard only;
           // its ingest ring fills next and producers see kRejected —
@@ -417,7 +412,12 @@ void DetectionDaemon::pump_locked() {
         merge_scratch_.begin(), merge_scratch_.end(),
         [](const Outbound& a, const Outbound& b) { return a.seq < b.seq; });
     for (Outbound& out : merge_scratch_) {
-      Notification& note = out.verdict.note;
+      Notification& note = out.note;
+      // A verdict that names a source black-holes it; the reason is built
+      // before the notification's strings move into the released alert.
+      const bool block = note.source && router_ != nullptr;
+      std::string block_reason;
+      if (block) block_reason = note.detector + ": " + note.reason;
       auto released = std::make_unique<alerts::VerdictAlert>();
       released->ts = note.ts;
       released->seq = out.seq;
@@ -428,16 +428,16 @@ void DetectionDaemon::pump_locked() {
       released->source = note.source;
       queue_.post(std::move(released));
       ++verdicts_;
-      if (out.verdict.block && router_ != nullptr) {
+      if (block) {
         const bool accepted = router_->block(*note.source, note.ts, config_.pipeline.block_ttl,
-                                             out.verdict.block_reason, "attacktagger-pipeline");
+                                             block_reason, "attacktagger-pipeline");
         ++bhr_actions_;
         auto action = std::make_unique<alerts::BhrActionAlert>();
         action->ts = note.ts;
         action->action = alerts::BhrActionAlert::Action::kBlock;
         action->source = *note.source;
         action->ttl = config_.pipeline.block_ttl;
-        action->reason = std::move(out.verdict.block_reason);
+        action->reason = std::move(block_reason);
         action->accepted = accepted;
         queue_.post(std::move(action));
       }

@@ -73,10 +73,6 @@ struct DaemonConfig {
   /// the producer-visible backpressure horizon: at most this many alerts
   /// per shard are in flight between submit and detection.
   std::size_t ring_capacity = 8192;
-  /// Per-shard outbound verdict ring slots. Floored at 64: one kept
-  /// alert's verdicts (one per detector family) release as a group, so
-  /// they must fit the ring together.
-  std::size_t outbound_capacity = 4096;
 };
 
 /// Producer-side result of a non-blocking submit.
@@ -181,8 +177,15 @@ class DetectionDaemon final : public alerts::AlertSink {
   /// One outbound-ring entry: a detector verdict of kept alert `seq`.
   struct Outbound {
     std::uint64_t seq = 0;
-    Verdict verdict;
+    Notification note;
   };
+
+  /// Per-shard outbound verdict ring slots. pump() releases a kept alert's
+  /// verdicts only as a complete group (the frontier is per-op), so one
+  /// op's verdicts — at most one per detector family — must fit the ring
+  /// together or its worker could stall with nothing releasable.
+  static constexpr std::size_t kOutboundCapacity = 4096;
+  static_assert(kOutboundCapacity >= 64, "room for one op's verdicts from 64 families");
 
   struct Shard {
     util::SpscRing<InOp> in;
@@ -222,7 +225,7 @@ class DetectionDaemon final : public alerts::AlertSink {
 
     Shard(std::size_t idx, const DaemonConfig& config)
         : in(config.ring_capacity),
-          out(config.outbound_capacity),
+          out(kOutboundCapacity),
           index(idx),
           entities(config.pipeline) {}
   };

@@ -1,8 +1,9 @@
 #pragma once
 // The deployed detector stack, built in one place: the factor-graph model
 // (ref [6]) and the rule-based signature matcher (ref [5]) side by side,
-// trained on the curated corpus. The Testbed, `attacktagger detect` and
-// bench_daemon's identity phases all register deployed_detectors().
+// trained on the curated corpus. The Testbed, `attacktagger detect`,
+// bench_daemon's identity phases and the quickstart and honeypot_live
+// examples all register deployed_detectors().
 //
 // The trained model also serializes to a versioned text format, so a
 // production deployment can train offline on the corpus and ship the model

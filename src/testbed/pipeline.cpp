@@ -75,10 +75,10 @@ void AlertPipeline::on_alert(const alerts::Alert& alert) {
   if (!filter_.keep(alert)) return;
   ++alerts_kept_;
   if (eviction_due(config_, alerts_in_)) entities_.evict_idle(alert.ts);
-  entities_.observe(factories_, alert, [this](Verdict&& verdict) {
-    const Notification& note = notifications_.emplace_back(std::move(verdict.note));
-    if (router_ != nullptr && verdict.block) {
-      router_->block(*note.source, note.ts, config_.block_ttl, std::move(verdict.block_reason),
+  entities_.observe(factories_, alert, [this](Notification&& verdict) {
+    const Notification& note = notifications_.emplace_back(std::move(verdict));
+    if (router_ != nullptr && note.source) {
+      router_->block(*note.source, note.ts, config_.block_ttl, note.detector + ": " + note.reason,
                      "attacktagger-pipeline");
     }
   });

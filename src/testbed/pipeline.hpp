@@ -3,8 +3,8 @@
 // filters periodic-scan repeats, demultiplexes the stream per attack entity
 // (EntityRef), runs every registered detector on each entity's substream
 // (EntityTable, which each DetectionDaemon shard owns too), and on a
-// detection notifies the security operators and (optionally) calls the
-// Black Hole Router's API to block the source.
+// detection notifies the security operators and, when the detection names
+// a source, calls the Black Hole Router's API to block it.
 
 #include <cstdint>
 #include <functional>
@@ -42,8 +42,6 @@ struct PipelineConfig {
   util::SimTime scan_filter_window = util::kHour;
   /// TTL for automatic BHR blocks (the response to detections).
   util::SimTime block_ttl = 24 * util::kHour;
-  /// Only block when the firing detector reports at least this score.
-  double block_score_floor = 0.0;
   /// Entities idle longer than this are evicted (their detector state is
   /// discarded). Keeps per-entity memory bounded under production volume
   /// (tens of thousands of distinct sources per day). 0 disables eviction.
@@ -80,26 +78,20 @@ struct EntityRef {
   [[nodiscard]] std::uint64_t hash() const noexcept;
 };
 
-/// One detector verdict plus its BHR intent, which the table's owner
-/// carries out (at once when serial, at release in the daemon).
-struct Verdict {
-  Notification note;
-  /// The verdict names a source and its score clears block_score_floor.
-  bool block = false;
-  std::string block_reason;  ///< "<detector>: <reason>" when block is set
-};
-
 /// The per-entity detection core: one detector stack per attack entity
 /// plus the substream bookkeeping. One owner thread drives it.
 class EntityTable {
  public:
   explicit EntityTable(const PipelineConfig& config) noexcept
-      : block_score_floor_(config.block_score_floor), idle_ttl_(config.entity_idle_ttl) {}
+      : idle_ttl_(config.entity_idle_ttl) {}
 
   /// Run one kept alert through its entity's detectors (built from
   /// `factories` on first sight) and hand each verdict, in detector order,
-  /// to `emit(Verdict&&)`. A detector's exception propagates with nothing
-  /// rolled back: the detectors ahead of it have observed and emitted.
+  /// to `emit(Notification&&)`. The table's owner blocks every verdict
+  /// that names a source (at once when serial, at release in the daemon)
+  /// with reason "<detector>: <reason>". A detector's exception propagates
+  /// with nothing rolled back: the detectors ahead of it have observed and
+  /// emitted.
   template <typename Emit>
   void observe(const DetectorFactories& factories, const alerts::Alert& alert, Emit&& emit);
 
@@ -122,7 +114,6 @@ class EntityTable {
 
   EntityState& state_for(const DetectorFactories& factories, const std::string& key);
 
-  double block_score_floor_;
   util::SimTime idle_ttl_;
   std::unordered_map<std::string, EntityState> entities_;
   std::uint64_t evicted_ = 0;
@@ -139,18 +130,16 @@ void EntityTable::observe(const DetectorFactories& factories, const alerts::Aler
   for (std::size_t d = 0; d < state.detectors.size(); ++d) {
     auto detection = state.detectors[d]->observe(alert, index);
     if (!detection) continue;
-    Verdict verdict;
-    verdict.note.ts = alert.ts;
-    verdict.note.entity = key;
-    verdict.note.detector = factories[d].first;
-    verdict.note.reason = std::move(detection->reason);
-    verdict.note.score = detection->score;
+    Notification note;
+    note.ts = alert.ts;
+    note.entity = key;
+    note.detector = factories[d].first;
+    note.reason = std::move(detection->reason);
+    note.score = detection->score;
     // Host-local alerts carry no address; fall back to the entity's most
     // recent external peer (the attacker's entry address).
-    verdict.note.source = alert.src ? alert.src : state.last_src;
-    verdict.block = verdict.note.source && verdict.note.score >= block_score_floor_;
-    if (verdict.block) verdict.block_reason = verdict.note.detector + ": " + verdict.note.reason;
-    emit(std::move(verdict));
+    note.source = alert.src ? alert.src : state.last_src;
+    emit(std::move(note));
   }
 }
 
@@ -172,11 +161,6 @@ class AlertPipeline final : public alerts::AlertSink {
   [[nodiscard]] std::size_t tracked_entities() const noexcept { return entities_.size(); }
   [[nodiscard]] std::uint64_t evicted_entities() const noexcept { return entities_.evicted(); }
   [[nodiscard]] const incidents::ScanFilter& filter() const noexcept { return filter_; }
-
-  /// Demux key of the alert's substream (EntityRef::key).
-  [[nodiscard]] static std::string entity_key(const alerts::Alert& alert) {
-    return EntityRef::of(alert).key();
-  }
 
  private:
   PipelineConfig config_;

@@ -54,18 +54,4 @@ template <typename T>
   return value;
 }
 
-/// parse_num with a fallback for optional knobs ("use the default when the
-/// flag is absent or junk" is wrong for user input — prefer failing — but
-/// right for internal defaults; pick consciously).
-template <typename T>
-[[nodiscard]] T parse_or(std::string_view text, T fallback) noexcept {
-  if constexpr (std::is_floating_point_v<T>) {
-    const auto value = parse_double(text);
-    return value ? static_cast<T>(*value) : fallback;
-  } else {
-    const auto value = parse_num<T>(text);
-    return value.value_or(fallback);
-  }
-}
-
 }  // namespace at::util

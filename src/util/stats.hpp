@@ -54,7 +54,6 @@ class Histogram {
 
   void add(double x) noexcept;
   [[nodiscard]] std::size_t bin_count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
   [[nodiscard]] double bin_lo(std::size_t bin) const noexcept;
   [[nodiscard]] double bin_hi(std::size_t bin) const noexcept;

@@ -151,9 +151,9 @@ LayoutStats run_layout(Graph& graph, const LayoutOptions& options) {
 
   std::vector<double> fx(n, 0.0);
   std::vector<double> fy(n, 0.0);
-  util::ThreadPool pool(options.threads);
+  util::ThreadPool pool;  // hardware concurrency
 
-  double step = options.initial_step * side;
+  double step = kLayoutInitialStep * side;
   for (std::size_t iter = 0; iter < options.iterations; ++iter) {
     // Build the quadtree over current positions.
     double min_x = nodes[0].x;

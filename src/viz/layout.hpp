@@ -3,7 +3,8 @@
 // Yifan-Hu / Fruchterman-Reingold family, ref [4]): spring attraction on
 // edges, n-body repulsion between all nodes approximated with a
 // Barnes-Hut quadtree (theta-criterion), cooled over a fixed iteration
-// schedule. Repulsion is parallelized across a thread pool.
+// schedule. Repulsion is parallelized across a thread pool of hardware
+// concurrency.
 
 #include <cstddef>
 
@@ -15,10 +16,12 @@ struct LayoutOptions {
   std::size_t iterations = 60;
   double area = 1.0e6;        ///< layout square area (k = sqrt(area / n))
   double theta = 0.9;         ///< Barnes-Hut accuracy/speed tradeoff
-  double initial_step = 0.1;  ///< fraction of sqrt(area) as max move
   std::uint64_t seed = 1;     ///< initial placement
-  std::size_t threads = 0;    ///< 0 = hardware concurrency
 };
+
+/// First iteration's cap on a node's move, as a fraction of sqrt(area);
+/// later iterations cool it.
+inline constexpr double kLayoutInitialStep = 0.1;
 
 struct LayoutStats {
   std::size_t iterations = 0;

@@ -690,6 +690,10 @@ class EntityCore : public ::testing::Test {
       const auto stats = daemon.stats();
       EXPECT_EQ(stats.tracked_entities, serial_->tracked_entities());
       EXPECT_EQ(stats.evicted_entities, serial_->evicted_entities());
+      auto& reasons = daemon_block_reasons_.emplace_back();
+      for (const auto& alert : daemon.drain_alerts(alerts::DaemonAlert::kBhr)) {
+        reasons.push_back(static_cast<const alerts::BhrActionAlert&>(*alert).reason);
+      }
     }
   }
 
@@ -712,35 +716,50 @@ class EntityCore : public ::testing::Test {
   PipelineConfig config_;
   bhr::BlackHoleRouter serial_router_;
   std::unique_ptr<AlertPipeline> serial_;
+  /// Reasons of each daemon run's BHR actions, in release order.
+  std::vector<std::vector<std::string>> daemon_block_reasons_;
 };
 
-TEST_F(EntityCore, VerdictBelowScoreFloorNotifiesWithoutBlocking) {
-  config_.block_score_floor = 0.5;
+TEST_F(EntityCore, EveryVerdictWithASourceBlocks) {
   const auto first = net::Ipv4::parse("203.0.113.7");
   const auto second = net::Ipv4::parse("198.51.100.9");
   run({make_alert(10, alerts::AlertType::kPrivilegeEscalation, "pg-1", first),
-       make_alert(20, alerts::AlertType::kDataExfiltrationBulk, "", second)},
+       make_alert(20, alerts::AlertType::kPrivilegeEscalation, "pg-1"),
+       make_alert(30, alerts::AlertType::kDataExfiltrationBulk, "", second),
+       make_alert(40, alerts::AlertType::kPrivilegeEscalation, "pg-2")},
       [](auto& sink) {
+        sink.add_detector("zero", [] { return std::make_unique<FixedScoreDetector>(0.0); });
         sink.add_detector("low", [] { return std::make_unique<FixedScoreDetector>(0.4); });
-        sink.add_detector("floor", [] { return std::make_unique<FixedScoreDetector>(0.5); });
         sink.add_detector("high", [] { return std::make_unique<FixedScoreDetector>(0.9); });
       });
 
-  // Every family notifies on both alerts, with the alert's own source.
+  // Every family notifies on every alert. The host-local alert at 20 falls
+  // back to pg-1's last source; pg-2 never saw one.
+  const std::vector<std::string> families{"zero", "low", "high"};
+  const std::vector<std::optional<net::Ipv4>> sources{first, first, second, std::nullopt};
   const auto& notes = serial_->notifications();
-  ASSERT_EQ(notes.size(), 6u);
+  ASSERT_EQ(notes.size(), 12u);
   for (std::size_t i = 0; i < notes.size(); ++i) {
-    EXPECT_EQ(notes[i].detector, (std::vector<std::string>{"low", "floor", "high"}[i % 3]));
-    EXPECT_EQ(notes[i].source, i < 3 ? first : second);
+    EXPECT_EQ(notes[i].detector, families[i % 3]);
+    EXPECT_EQ(notes[i].source, sources[i / 3]);
   }
-  EXPECT_EQ(notes[0].score, 0.4);
-  // Only scores at or above the floor block: "floor" and "high", per alert.
+  EXPECT_EQ(notes[0].score, 0.0);
+
+  // Each verdict with a source blocks it, whatever its score, in verdict
+  // order and with reason "<detector>: <reason>"; pg-2's three do not.
+  std::vector<std::string> reasons;
+  for (std::size_t i = 0; i < 9; ++i) reasons.push_back(notes[i].detector + ": " + notes[i].reason);
   const auto audit = serial_router_.audit_log();
-  ASSERT_EQ(audit.size(), 4u);
-  EXPECT_EQ(audit[0].source, first);
-  EXPECT_EQ(audit[1].source, first);
-  EXPECT_EQ(audit[2].source, second);
-  EXPECT_EQ(audit[3].source, second);
+  ASSERT_EQ(audit.size(), 9u);
+  for (std::size_t i = 0; i < audit.size(); ++i) {
+    EXPECT_EQ(audit[i].method, "block");
+    EXPECT_EQ(audit[i].source, *sources[i / 3]);
+    EXPECT_EQ(audit[i].ts, notes[i].ts);
+  }
+  EXPECT_EQ(serial_router_.query(first, 20)->reason, reasons[5]);
+  EXPECT_EQ(serial_router_.query(second, 30)->reason, reasons[8]);
+  ASSERT_EQ(daemon_block_reasons_.size(), 2u);  // 1 and 3 shards
+  for (const auto& daemon_reasons : daemon_block_reasons_) EXPECT_EQ(daemon_reasons, reasons);
 }
 
 TEST_F(EntityCore, HostLocalAlertBlocksEntitysLastExternalSource) {

@@ -260,12 +260,12 @@ class ReferenceZeek {
     }
     Pair& pair = pairs_[(std::uint64_t{flow.src.value()} << 32) | flow.dst.value()];
     pair.arrivals.push_back(flow.ts);
-    if (pair.beacon_reported || pair.arrivals.size() < config_.beacon_min_connections) return;
+    if (pair.beacon_reported || pair.arrivals.size() < ZeekMonitor::kBeaconMinConnections) return;
     util::OnlineStats gaps;
     for (std::size_t i = 1; i < pair.arrivals.size(); ++i) {
       gaps.add(static_cast<double>(pair.arrivals[i] - pair.arrivals[i - 1]));
     }
-    if (gaps.mean() <= 0.0 || gaps.stddev() / gaps.mean() > config_.beacon_jitter_tolerance) {
+    if (gaps.mean() <= 0.0 || gaps.stddev() / gaps.mean() > ZeekMonitor::kBeaconJitterTolerance) {
       return;
     }
     pair.beacon_reported = true;

@@ -85,7 +85,7 @@ TEST_P(LayoutOracle, ThetaZeroMatchesBruteForce) {
       fx[edge.dst] -= dx * force;
       fy[edge.dst] -= dy * force;
     }
-    const double step = options.initial_step * side;
+    const double step = viz::kLayoutInitialStep * side;
     for (std::size_t i = 0; i < n; ++i) {
       const double mag = std::sqrt(fx[i] * fx[i] + fy[i] * fy[i]) + 1e-12;
       const double move = std::min(mag, step);

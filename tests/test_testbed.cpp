@@ -3,7 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "testbed/testbed.hpp"
+#include "util/rng.hpp"
 
 namespace at::testbed {
 namespace {
@@ -444,6 +451,83 @@ TEST(TestbedTest, InjectFlowsFixesVerdictsPerChunk) {
   EXPECT_FALSE(admitted[3]);
   EXPECT_FALSE(admitted[kChunk]);
   EXPECT_EQ(single.zeek().flows_seen(), kChunk - 1);
+}
+
+/// Seeded hostile traffic for the inject_flow/inject_flows boundary: edge
+/// ports and byte counts, src == dst, every ConnState, and sources drawn
+/// from a few fixed externals (so the SSH auditor and Zeek thresholds
+/// trip and blocks land mid-run), the honeypot segment, the sandbox
+/// overlay and the protected /16 (which the BHR refuses to block).
+std::vector<net::Flow> hostile_flows(std::uint64_t seed, std::size_t n) {
+  util::Rng rng(seed);
+  const net::Cidr pools[] = {net::blocks::honeypot24(), net::blocks::overlay(),
+                             net::blocks::ncsa16()};
+  const auto address = [&] {
+    const auto pick = rng.uniform_int(0, 3);
+    if (pick == 3) return net::Ipv4(203, 0, 113, static_cast<std::uint8_t>(rng.uniform_int(1, 8)));
+    const net::Cidr& pool = pools[pick];
+    return pool.host(static_cast<std::uint64_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.host_count()) - 1)));
+  };
+  const auto port = [&] {
+    constexpr std::uint16_t kPorts[] = {0, 65535, net::ports::kSsh, net::ports::kPostgres};
+    return kPorts[rng.uniform_int(0, 3)];
+  };
+  const auto bytes = [&]() -> std::uint64_t {
+    switch (rng.uniform_int(0, 2)) {
+      case 0: return 0;
+      case 1: return std::numeric_limits<std::uint64_t>::max();
+      default: return static_cast<std::uint64_t>(rng.uniform_int(1, 1LL << 40));
+    }
+  };
+  std::vector<net::Flow> flows(n);
+  for (net::Flow& flow : flows) {
+    flow.ts = rng.uniform_int(0, 2 * util::kHour);
+    flow.src = address();
+    flow.dst = rng.bernoulli(0.1) ? flow.src : address();
+    flow.src_port = port();
+    flow.dst_port = port();
+    flow.proto = static_cast<net::Proto>(rng.uniform_int(0, 2));
+    flow.state = static_cast<net::ConnState>(rng.uniform_int(0, 2));
+    flow.bytes_out = bytes();
+    flow.bytes_in = bytes();
+  }
+  return flows;
+}
+
+/// A deployed bed with one hostile source black-holed up front, so the
+/// BHR drops from the first flow on.
+std::unique_ptr<Testbed> hostile_bed() {
+  auto bed = std::make_unique<Testbed>(TestbedConfig{}, training());
+  bed->deploy(0);
+  EXPECT_TRUE(bed->router().block(net::Ipv4(203, 0, 113, 1), 0, 0, "test", "t"));
+  return bed;
+}
+
+constexpr std::size_t kHostileFlows = 20'000;
+
+TEST(TestbedHostileFlows, InjectFlowSurvives) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto bed = hostile_bed();
+    const auto flows = hostile_flows(seed, kHostileFlows);
+    std::size_t delivered = 0;
+    for (const auto& flow : flows) delivered += bed->inject_flow(flow) ? 1 : 0;
+    EXPECT_LE(delivered, flows.size());
+    EXPECT_GT(bed->router().dropped_flows(), 0u);
+    EXPECT_EQ(bed->router().dropped_flows() + bed->router().passed_flows(), flows.size());
+  }
+}
+
+TEST(TestbedHostileFlows, InjectFlowsSurvives) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto bed = hostile_bed();
+    const auto flows = hostile_flows(seed, kHostileFlows);
+    EXPECT_LE(bed->inject_flows(flows), flows.size());
+    EXPECT_GT(bed->router().dropped_flows(), 0u);
+    EXPECT_EQ(bed->router().dropped_flows() + bed->router().passed_flows(), flows.size());
+  }
 }
 
 }  // namespace

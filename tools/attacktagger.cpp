@@ -34,7 +34,6 @@
 #include "alerts/zeeklog.hpp"
 #include "analysis/insights.hpp"
 #include "bhr/bhr.hpp"
-#include "detect/eval.hpp"
 #include "incidents/annotate.hpp"
 #include "incidents/report.hpp"
 #include "replay/ransomware.hpp"
